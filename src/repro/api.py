@@ -312,9 +312,7 @@ class RemoteFunction:
             return refs[0]
         return refs
 
-    def submit_many(
-        self, calls: Sequence[Sequence[Any]], batched: Optional[bool] = None
-    ) -> List[Any]:
+    def submit_many(self, calls: Sequence[Sequence[Any]]) -> List[Any]:
         """Submit one invocation per element of ``calls`` in a single batch.
 
         Each element is a tuple of positional arguments (``()`` for a
@@ -323,10 +321,6 @@ class RemoteFunction:
         into one write per shard, which is the cheap way to launch large
         fan-outs.  Returns one future per call (or one tuple of futures
         per call when ``num_returns > 1``), in submission order.
-
-        ``batched=False`` forces the per-call write path — the batch is
-        then semantically identical but pays one GCS round-trip per task
-        (kept for ablation; see ``scripts/bench_throughput.py``).
         """
         runtime = get_runtime()
         runtime.ensure_function_registered(self._function_id, self._func)
@@ -339,7 +333,6 @@ class RemoteFunction:
             resources=self._resources,
             max_retries=self._max_retries,
             retry_exceptions=self._retry_exceptions,
-            batched=batched,
         )
         if self._num_returns == 1:
             return [ObjectRef(ids[0]) for ids in id_tuples]
@@ -353,9 +346,7 @@ class RemoteFunction:
 
 
 def submit_many(
-    func: "RemoteFunction",
-    calls: Sequence[Sequence[Any]],
-    batched: Optional[bool] = None,
+    func: "RemoteFunction", calls: Sequence[Sequence[Any]]
 ) -> List[Any]:
     """Batch-submit many calls of one remote function — see
     :meth:`RemoteFunction.submit_many`."""
@@ -364,7 +355,7 @@ def submit_many(
             "submit_many expects a @repro.remote function, got "
             f"{type(func).__name__}"
         )
-    return func.submit_many(calls, batched=batched)
+    return func.submit_many(calls)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import threading
 import time
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.common.lockwatch import make_condition, make_lock
+from repro.common.lockwatch import make_condition, make_lock, make_thread
 from repro.common.errors import (
     ActorDiedError,
     NodeDiedError,
@@ -147,11 +147,9 @@ class ActorManager:
             state.incarnation += 1
             incarnation = state.incarnation
             state.cond.notify_all()
-        thread = threading.Thread(
-            target=self._actor_loop,
-            args=(state, incarnation, interrupt),
+        thread = make_thread(
+            lambda: self._actor_loop(state, incarnation, interrupt),
             name=f"actor-{state.class_name}-{state.actor_id.hex()[:6]}",
-            daemon=True,
         )
         state.thread = thread
         thread.start()
@@ -490,7 +488,6 @@ class ActorManager:
                     kind="actor_method",
                 ),
             ),
-            batched=runtime.config.gcs_batched_writes,
             spec=spec,
         )
         gcs.update_actor(state.actor_id, methods_executed=executed)
@@ -532,7 +529,6 @@ class ActorManager:
                     kind="actor_method",
                 ),
             ),
-            batched=runtime.config.gcs_batched_writes,
             spec=spec,
         )
         runtime.gcs.update_actor(state.actor_id, methods_executed=executed)

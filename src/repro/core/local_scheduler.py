@@ -104,9 +104,6 @@ class LocalScheduler:
         metrics: Optional[MetricsRegistry] = None,
         trace: Optional[Callable[..., None]] = None,
         faults: Optional[object] = None,
-        fastpath: bool = True,
-        pooled_workers: bool = True,
-        batched_writes: bool = True,
     ):
         self.node = node
         self.gcs = gcs
@@ -115,15 +112,10 @@ class LocalScheduler:
         self._execute = execute
         self.spillback_threshold = spillback_threshold
         self._spillback = make_spillback(spillback, threshold=spillback_threshold)
-        self._node_view = RuntimeNodeView(node, 0)
         self._wait_stats = wait_stats
         self._trace = trace
         self._faults = faults if faults is not None else NULL_FAULTS
-        self._fastpath = fastpath and _policy_fastpath_trustworthy(
-            self._spillback
-        )
-        self._pooled = pooled_workers
-        self._batched_writes = batched_writes
+        self._fastpath = _policy_fastpath_trustworthy(self._spillback)
 
         self._cond = make_condition("LocalScheduler._cond")
         self._ready: deque = deque()
@@ -135,8 +127,8 @@ class LocalScheduler:
 
         # Persistent worker pool: dispatching onto a parked thread costs a
         # queue put instead of a ~100µs thread spawn.  The pool grows on
-        # demand up to peak concurrency (the per-task-thread model had the
-        # same peak) and threads park on the queue between tasks.
+        # demand up to peak concurrency and threads park on the queue
+        # between tasks.
         self._work_queue: "queue.SimpleQueue" = queue.SimpleQueue()
         self._pool_threads: List[threading.Thread] = []
         self._idle_workers = 0
@@ -174,10 +166,8 @@ class LocalScheduler:
         )
 
         node.resources.add_release_listener(self._notify)
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop,
-            name=f"dispatcher-{node.node_id.hex()[:6]}",
-            daemon=True,
+        self._dispatcher = make_thread(
+            self._dispatch_loop, name=f"dispatcher-{node.node_id.hex()[:6]}"
         )
         self._dispatcher.start()
 
@@ -187,25 +177,42 @@ class LocalScheduler:
         """A co-located driver or worker created this task."""
         if self._fastpath and self._try_fastpath(spec):
             return
-        if (
-            not self.node.alive
-            or not self.node.resources.can_ever_satisfy(spec.resources)
-            or self._spillback.should_forward(
-                TaskView(
-                    key=spec.task_id,
-                    name=spec.function_name,
-                    resources=spec.resources,
-                    deps_fn=spec.dependencies,
-                ),
-                self._node_view,
-            )
-        ):
-            self.forwarded += 1
-            self._m_spillbacks.inc()
-            self._forward_to_global(spec)
-            return
-        self.scheduled_locally += 1
-        self.place(spec)
+        if self._forward_or_keep([spec]):
+            self.place(spec)
+
+    def _forward_or_keep(self, specs: List[TaskSpec]) -> List[TaskSpec]:
+        """Forward every spec that must leave this node to a global
+        scheduler and return the ones that stay.  The spillback policy sees
+        the backlog grow as earlier members of ``specs`` are kept, so a
+        batch decides exactly as the same submissions made one by one."""
+        node = self.node
+        kept: List[TaskSpec] = []
+        forwarded = 0
+        for spec in specs:
+            if (
+                not node.alive
+                or not node.resources.can_ever_satisfy(spec.resources)
+                or self._spillback.should_forward(
+                    TaskView(
+                        key=spec.task_id,
+                        name=spec.function_name,
+                        resources=spec.resources,
+                        deps_fn=spec.dependencies,
+                    ),
+                    _PendingBacklogView(node, len(kept)),
+                )
+            ):
+                forwarded += 1
+                self._m_spillbacks.inc()
+                self._forward_to_global(spec)
+            else:
+                kept.append(spec)
+        # Drivers and workers submitting nested tasks land here at once:
+        # the counters move under the condition, once per call.
+        with self._cond:
+            self.scheduled_locally += len(kept)
+            self.forwarded += forwarded
+        return kept
 
     def _try_fastpath(self, spec: TaskSpec) -> bool:
         """Dispatch a fresh submission straight to a worker, if it is safe.
@@ -253,10 +260,10 @@ class LocalScheduler:
             else:
                 bounced = False
                 self._running.add(spec.task_id)
+                self.scheduled_locally += 1
         if bounced:
             node.resources.release(spec.resources)
             return False
-        self.scheduled_locally += 1
         self._m_placed.inc()
         self._m_fastpath.inc()
         # One coalesced write instead of SCHEDULED-then-RUNNING plus two
@@ -266,12 +273,7 @@ class LocalScheduler:
         # the same batch.
         events = None
         if self._trace is not None:
-            now = time.perf_counter()
-            task_hex = spec.task_id.short()
-            base = dict(
-                task=task_hex, name=spec.function_name, node=self._node_hex,
-                t=now,
-            )
+            base = self._lifecycle_payload(spec, time.perf_counter())
             events = [
                 ("task_scheduled", dict(base, policy="fastpath")),
                 ("task_inputs_ready", base),
@@ -279,45 +281,23 @@ class LocalScheduler:
         self.gcs.set_task_states(
             [(spec, TaskStatus.RUNNING, node.node_id)],
             events=events,
-            batched=self._batched_writes,
         )
-        self._dispatch_to_worker(spec, already_running=True)
+        self._dispatch_to_worker(spec)
         return True
 
     def submit_many(self, specs: List[TaskSpec]) -> None:
         """Submit one ``submit_many`` batch created on this node.
 
-        Decisions match per-spec :meth:`submit` exactly — the spillback
-        policy sees the backlog grow as earlier batch members are admitted
-        — but every task kept here is placed through :meth:`place_many`,
-        whose whole-batch SCHEDULED write replaces one control round-trip
-        per task.  The single-submission fast path is deliberately *not*
-        consulted here: it pays one control write per task in the
-        submitting thread, which is exactly what a batch must avoid.
+        Decisions match per-spec :meth:`submit` exactly, but every task
+        kept here is placed through :meth:`place_many`, whose whole-batch
+        SCHEDULED write replaces one control round-trip per task.  The
+        single-submission fast path is deliberately *not* consulted: it
+        pays one control write per task in the submitting thread, which is
+        exactly what a batch must avoid.
         """
-        place_batch: List[TaskSpec] = []
-        for spec in specs:
-            if (
-                not self.node.alive
-                or not self.node.resources.can_ever_satisfy(spec.resources)
-                or self._spillback.should_forward(
-                    TaskView(
-                        key=spec.task_id,
-                        name=spec.function_name,
-                        resources=spec.resources,
-                        deps_fn=spec.dependencies,
-                    ),
-                    _PendingBacklogView(self.node, len(place_batch)),
-                )
-            ):
-                self.forwarded += 1
-                self._m_spillbacks.inc()
-                self._forward_to_global(spec)
-                continue
-            self.scheduled_locally += 1
-            place_batch.append(spec)
-        if place_batch:
-            self.place_many(place_batch)
+        kept = self._forward_or_keep(specs)
+        if kept:
+            self.place_many(kept)
 
     # -- placement ------------------------------------------------------------
 
@@ -402,33 +382,16 @@ class LocalScheduler:
         if self._trace is not None:
             now = time.perf_counter()
             events = [
-                (
-                    "task_scheduled",
-                    dict(
-                        task=spec.task_id.short(),
-                        name=spec.function_name,
-                        node=self._node_hex,
-                        t=now,
-                    ),
-                )
+                ("task_scheduled", self._lifecycle_payload(spec, now))
                 for spec in specs
             ]
             events.extend(
-                (
-                    "task_inputs_ready",
-                    dict(
-                        task=spec.task_id.short(),
-                        name=spec.function_name,
-                        node=self._node_hex,
-                        t=now,
-                    ),
-                )
+                ("task_inputs_ready", self._lifecycle_payload(spec, now))
                 for spec in ready
             )
         self.gcs.set_task_states(
             [(spec, TaskStatus.SCHEDULED, node.node_id) for spec in specs],
             events=events,
-            batched=self._batched_writes,
         )
         self._m_placed.inc(len(specs))
         with self._cond:
@@ -462,16 +425,20 @@ class LocalScheduler:
         if all_missing:
             self.fetcher.prefetch(all_missing, node)
 
-    def _emit(self, category: str, spec: TaskSpec, **extra) -> None:
+    def _lifecycle_payload(self, spec: TaskSpec, t: float) -> Dict[str, object]:
+        """Payload shared by this node's task-lifecycle trace events."""
+        return dict(
+            task=spec.task_id.short(),
+            name=spec.function_name,
+            node=self._node_hex,
+            t=t,
+        )
+
+    def _emit(self, category: str, spec: TaskSpec) -> None:
         """Record a task-lifecycle trace event (never under ``_cond``)."""
         if self._trace is not None:
             self._trace(
-                category,
-                task=spec.task_id.short(),
-                name=spec.function_name,
-                node=self._node_hex,
-                t=time.perf_counter(),
-                **extra,
+                category, **self._lifecycle_payload(spec, time.perf_counter())
             )
 
     def _input_ready(self, task_id: TaskID, object_id: ObjectID) -> None:
@@ -540,23 +507,17 @@ class LocalScheduler:
                     self.node.resources.release(spec.resources)
                     self._forward_to_global(spec)
                 return
-            if self._pooled:
-                # One coalesced RUNNING write for the whole round (built
-                # from the specs in hand — no read-modify-write), then
-                # queue hand-offs; the per-task write is skipped by the
-                # workers (``status_already_running``).
-                self.gcs.set_task_states(
-                    [
-                        (spec, TaskStatus.RUNNING, self.node.node_id)
-                        for spec in batch
-                    ],
-                    batched=self._batched_writes,
-                )
-                for spec in batch:
-                    self._dispatch_to_worker(spec, already_running=True)
-            else:
-                for spec in batch:
-                    self._dispatch_to_worker(spec)
+            # One coalesced RUNNING write for the whole round (built from
+            # the specs in hand — no read-modify-write), then queue
+            # hand-offs: workers never write RUNNING themselves.
+            self.gcs.set_task_states(
+                [
+                    (spec, TaskStatus.RUNNING, self.node.node_id)
+                    for spec in batch
+                ]
+            )
+            for spec in batch:
+                self._dispatch_to_worker(spec)
 
     def _pick_dispatchable(self) -> Optional[TaskSpec]:
         """First ready task whose resources fit right now (lock held)."""
@@ -578,21 +539,10 @@ class LocalScheduler:
                 return batch
             batch.append(spec)
 
-    def _dispatch_to_worker(
-        self, spec: TaskSpec, already_running: bool = False
-    ) -> None:
-        """Hand a dispatched task (resources held, in ``_running``) to a
-        worker thread — a parked pool thread when pooling is on, a fresh
-        thread otherwise."""
-        if not self._pooled:
-            worker = threading.Thread(
-                target=self._run_task,
-                args=(spec, already_running),
-                name=f"worker-{spec.function_name[:24]}",
-                daemon=True,
-            )
-            worker.start()
-            return
+    def _dispatch_to_worker(self, spec: TaskSpec) -> None:
+        """Hand a dispatched task (resources held, in ``_running``, RUNNING
+        in the GCS) to a parked pool thread, growing the pool if none is
+        idle."""
         spawn = None
         with self._cond:
             if self._idle_workers > 0:
@@ -605,36 +555,24 @@ class LocalScheduler:
                 self._pool_threads.append(spawn)
         if spawn is not None:
             spawn.start()
-        self._work_queue.put((spec, already_running))
+        self._work_queue.put(spec)
 
     def _worker_loop(self) -> None:
         while True:
-            item = self._work_queue.get()
-            if item is None:  # stop() sentinel
+            spec = self._work_queue.get()
+            if spec is None:  # stop() sentinel
                 return
-            spec, already_running = item
-            self._run_task(spec, already_running)
+            try:
+                self._execute(self.node, spec, dict(spec.resources))
+            finally:
+                self.node.resources.release(spec.resources)
+                with self._cond:
+                    self._running.discard(spec.task_id)
+                    self._cond.notify_all()
             with self._cond:
                 if self._stopped:
                     return
                 self._idle_workers += 1
-
-    def _run_task(self, spec: TaskSpec, already_running: bool = False) -> None:
-        try:
-            if already_running:
-                self._execute(
-                    self.node,
-                    spec,
-                    dict(spec.resources),
-                    status_already_running=True,
-                )
-            else:
-                self._execute(self.node, spec, dict(spec.resources))
-        finally:
-            self.node.resources.release(spec.resources)
-            with self._cond:
-                self._running.discard(spec.task_id)
-                self._cond.notify_all()
 
     # -- cancellation ---------------------------------------------------------
 

@@ -161,7 +161,6 @@ class LocalObjectStore:
         wait_stats: Optional[WaitStats] = None,
         metrics: Optional[MetricsRegistry] = None,
         value_cache_capacity_bytes: Optional[int] = DEFAULT_VALUE_CACHE_BYTES,
-        value_cache_enabled: bool = True,
     ):
         self.node_id = node_id
         self.capacity_bytes = capacity_bytes
@@ -185,13 +184,12 @@ class LocalObjectStore:
             os.makedirs(spill_directory, exist_ok=True)
         metrics = metrics or NULL_REGISTRY
         node = node_id.hex()[:8]
-        self.value_cache: Optional[DeserializedValueCache] = None
-        if value_cache_enabled:
-            self.value_cache = DeserializedValueCache(
-                capacity_bytes=value_cache_capacity_bytes,
-                metrics=metrics,
-                node=node,
-            )
+        # A capacity of 0 admits nothing: every read deserializes.
+        self.value_cache = DeserializedValueCache(
+            capacity_bytes=value_cache_capacity_bytes,
+            metrics=metrics,
+            node=node,
+        )
         self._m_puts = metrics.counter(
             "object_store_puts_total", "Objects stored (first copy)", node=node
         )
@@ -289,27 +287,25 @@ class LocalObjectStore:
         can never install a stale value for a reconstructed ObjectID.
         """
         cache = self.value_cache
-        if cache is not None:
-            value, hit = cache.get(object_id)
-            if hit:
-                with self._lock:
-                    if object_id in self._objects:
-                        self._objects.move_to_end(object_id)  # keep LRUs aligned
-                return value, True
+        value, hit = cache.get(object_id)
+        if hit:
+            with self._lock:
+                if object_id in self._objects:
+                    self._objects.move_to_end(object_id)  # keep LRUs aligned
+            return value, True
         with self._lock:
             version = self._versions.get(object_id, 0)
         serialized = self.get(object_id)
         if serialized is None:
             return None, False
         value = deserialize(serialized)
-        if cache is not None:
-            with self._lock:
-                unchanged = (
-                    self._versions.get(object_id, 0) == version
-                    and object_id in self._objects
-                )
-            if unchanged:
-                cache.put(object_id, value, serialized.total_bytes)
+        with self._lock:
+            unchanged = (
+                self._versions.get(object_id, 0) == version
+                and object_id in self._objects
+            )
+        if unchanged:
+            cache.put(object_id, value, serialized.total_bytes)
         return value, True
 
     def contains(self, object_id: ObjectID) -> bool:
@@ -341,8 +337,7 @@ class LocalObjectStore:
         version so racing readers discard their result, and drop any cached
         deserialized value."""
         self._versions[object_id] = self._versions.get(object_id, 0) + 1
-        if self.value_cache is not None:
-            self.value_cache.invalidate(object_id)
+        self.value_cache.invalidate(object_id)
 
     # -- pinning (inputs of executing tasks must not be evicted) -------------
 
@@ -497,8 +492,7 @@ class LocalObjectStore:
             self._objects.clear()
             self._pins.clear()
             self._used_bytes = 0
-            if self.value_cache is not None:
-                self.value_cache.clear()
+            self.value_cache.clear()
             for event in self._events.values():
                 event.clear()
             return lost

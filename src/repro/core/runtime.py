@@ -102,31 +102,12 @@ class RuntimeConfig:
     # log).  Both default on; the micro benchmark measures their cost.
     metrics_enabled: bool = True
     trace_events_enabled: bool = True
-    # Zero-copy data plane knobs.  The deserialized-value cache gives
+    # Zero-copy data plane sizes.  The deserialized-value cache gives
     # repeated same-node reads of an immutable object Plasma-style
-    # zero-(re)work semantics; the prefetch pool replicates a task's
-    # missing inputs in parallel; batched GCS writes coalesce a task's
-    # per-output table updates into one shard write.  All three default
-    # on; `scripts/bench_dataplane.py` measures each against the off
-    # configuration.
-    value_cache_enabled: bool = True
+    # zero-(re)work semantics (a budget of 0 admits nothing); the prefetch
+    # pool replicates a task's missing inputs in parallel.
     value_cache_capacity_bytes: Optional[int] = 256 * 1024 * 1024
     prefetch_parallelism: int = 8
-    gcs_batched_writes: bool = True
-    # Task-throughput fast path knobs (both default on; bench_throughput.py
-    # measures each against the off configuration).  ``submit_fastpath``
-    # lets a local scheduler dispatch a locally-submitted task straight to
-    # an idle pooled worker when its queue is empty, deps are local, and
-    # resources fit — skipping the dispatcher handoff and the separate
-    # SCHEDULED status write.  ``worker_pool`` reuses persistent worker
-    # threads instead of spawning one thread per task.
-    submit_fastpath: bool = True
-    worker_pool: bool = True
-    # Client-side GCS caching: the write-through function cache and the
-    # location-publication hint that lets fetchers with local lineage skip
-    # the authoritative location read while an object is still being
-    # produced.  Off reproduces the every-read-is-remote control plane.
-    gcs_client_cache: bool = True
     # Deterministic fault injection: a FaultSchedule whose planned faults
     # (node kills/restarts, chain-member kills, chunk drops/delays) fire at
     # task-count or placement triggers.  None (the default) installs the
@@ -188,13 +169,8 @@ _CONFIG_FIELD_DOCS: Dict[str, str] = {
     "gcs_flush_threshold": "In-memory lineage entries tolerated before a flush.",
     "metrics_enabled": "Maintain the counters/gauges/histograms registry.",
     "trace_events_enabled": "Record task-lifecycle trace events in the GCS event log.",
-    "value_cache_enabled": "Per-node deserialized-value LRU cache for repeated reads.",
     "value_cache_capacity_bytes": "Byte budget of the deserialized-value cache.",
     "prefetch_parallelism": "Parallel replica fetches for a task's missing inputs.",
-    "gcs_batched_writes": "Coalesce finish-time GCS writes into one batch per task.",
-    "submit_fastpath": "Dispatch local submissions straight to idle pooled workers.",
-    "worker_pool": "Reuse persistent worker threads instead of one thread per task.",
-    "gcs_client_cache": "Client-side caches for function rows and location hints.",
     "fault_schedule": "Deterministic fault-injection plan (None = null injector).",
     "retry_backoff_base": "First app-level retry delay; doubles per attempt.",
     "reporters_enabled": "Per-node reporters publishing load rows into the GCS.",
@@ -229,15 +205,14 @@ class Node:
             wait_stats=runtime.wait_stats,
             metrics=runtime.metrics,
             value_cache_capacity_bytes=runtime.config.value_cache_capacity_bytes,
-            value_cache_enabled=runtime.config.value_cache_enabled,
         )
         self.local_scheduler = LocalScheduler(
             node=self,
             gcs=runtime.gcs,
             fetcher=runtime.fetcher,
             forward_to_global=runtime.route_and_place,
-            execute=lambda node, spec, held, **kw: execute_task(
-                runtime, node, spec, held, **kw
+            execute=lambda node, spec, held: execute_task(
+                runtime, node, spec, held
             ),
             spillback_threshold=runtime.config.spillback_threshold,
             spillback=runtime.make_spillback_policy(),
@@ -251,9 +226,6 @@ class Node:
                 else None
             ),
             faults=runtime.faults,
-            fastpath=runtime.config.submit_fastpath,
-            pooled_workers=runtime.config.worker_pool,
-            batched_writes=runtime.config.gcs_batched_writes,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -303,7 +275,6 @@ class Runtime:
             num_replicas=config.gcs_replicas,
             metrics=self.metrics,
             faults=self.faults,
-            client_cache=config.gcs_client_cache,
         )
         self.transfer = TransferService(
             self.gcs, metrics=self.metrics, faults=self.faults
@@ -369,10 +340,9 @@ class Runtime:
         self.actors = ActorManager(self)
         self.reconstruction = ReconstructionManager(self)
         self.fetcher.reconstruct = self.reconstruction.maybe_reconstruct
-        if config.gcs_client_cache:
-            self.fetcher.lineage_known = (
-                lambda object_id: self.graph.producer_of(object_id) is not None
-            )
+        self.fetcher.lineage_known = (
+            lambda object_id: self.graph.producer_of(object_id) is not None
+        )
 
         # Cancellation registry: task_id -> forced?  A task stays marked
         # after cancellation (the stored error is the durable record); the
@@ -799,23 +769,11 @@ class Runtime:
                     kind="task",
                 ),
             ),
-            batched=self.config.gcs_batched_writes,
         )
 
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-
-    def _submission_context(self) -> Tuple[TaskID, int, Node]:
-        """(parent task, submission index, submitting node) for this thread."""
-        task_id = context.current_task_id()
-        if task_id is not None:
-            node = context.current_node()
-            return task_id, context.next_submission_index(), node
-        with self._driver_lock:
-            index = self._driver_submission_index
-            self._driver_submission_index += 1
-        return self.driver_task_id, index, self.driver_node
 
     def _submission_context_many(self, count: int) -> Tuple[TaskID, int, Node]:
         """Reserve ``count`` consecutive submission indices at once:
@@ -838,6 +796,66 @@ class Runtime:
         except KeyError:
             self.gcs.register_function(function_id, function)
 
+    def _stage_tasks(
+        self,
+        function_id: FunctionID,
+        function_name: str,
+        calls: Sequence[Tuple[Tuple[Any, ...], Tuple[Tuple[str, Any], ...]]],
+        num_returns: int,
+        resources: Optional[Dict[str, float]],
+        max_retries: int,
+        retry_exceptions: Optional[Tuple[type, ...]],
+    ) -> Tuple[List[TaskSpec], List[TaskSpec], Node]:
+        """The driver-side submit stage of every task submission: one spec
+        per ``(args, kwargs)`` call (already encoded), the task rows and
+        their ``task_submitted`` events in one ``gcs.add_tasks`` write per
+        shard, the counter, the task graph.  Returns ``(specs, admitted,
+        node)``; the caller hands ``admitted`` to ``node``'s local scheduler
+        — every spec, except under replay those whose outputs still exist
+        or that are in flight, which keep their deterministic futures."""
+        parent, first, node = self._submission_context_many(len(calls))
+        if resources is None:
+            resources = normalize_resources()
+        specs = [
+            TaskSpec(
+                task_id=deterministic_task_id(parent, first + offset),
+                function_id=function_id,
+                function_name=function_name,
+                args=tuple(args),
+                kwargs=tuple(kwargs),
+                num_returns=num_returns,
+                resources=resources,
+                parent_task_id=parent,
+                max_retries=max_retries,
+                retry_exceptions=retry_exceptions,
+            )
+            for offset, (args, kwargs) in enumerate(calls)
+        ]
+        admitted = rows = specs
+        if context.in_replay():
+            # A parent re-running its submissions: a child may already have
+            # a row, so each takes the checked (existence-verified)
+            # admission, which writes or resets the row itself.  Otherwise
+            # the deterministic (parent, index) pairs have never been used
+            # and the rows cannot exist — no existence read is made.
+            admitted = [s for s in specs if self._admit_replayed_task(s)]
+            rows = []
+        events = None
+        if self._trace_enabled:
+            now = time.perf_counter()
+            events = [
+                (
+                    "task_submitted",
+                    dict(task=spec.task_id.short(), name=function_name, t=now),
+                )
+                for spec in admitted
+            ]
+        self.gcs.add_tasks(rows, events=events)
+        self._m_tasks_submitted.inc(len(admitted))
+        for spec in admitted:
+            self.graph.add_task(spec)
+        return specs, admitted, node
+
     def submit_task(
         self,
         function_id: FunctionID,
@@ -851,44 +869,22 @@ class Runtime:
     ) -> Tuple[ObjectID, ...]:
         """Create and route a task; returns its future object IDs.
 
-        Args must already be encoded (ObjectRefs replaced by ArgRef).
+        Args must already be encoded (ObjectRefs replaced by ArgRef).  The
+        batch of one: :meth:`submit_many`'s stage, then the local
+        scheduler's single-task entry (which may take the fast path).
         """
-        parent, index, node = self._submission_context()
-        task_id = deterministic_task_id(parent, index)
-        spec = TaskSpec(
-            task_id=task_id,
-            function_id=function_id,
-            function_name=function_name,
-            args=tuple(args),
-            kwargs=tuple(kwargs),
-            num_returns=num_returns,
-            resources=resources if resources is not None else normalize_resources(),
-            parent_task_id=parent,
-            max_retries=max_retries,
-            retry_exceptions=retry_exceptions,
+        specs, admitted, node = self._stage_tasks(
+            function_id,
+            function_name,
+            [(args, kwargs)],
+            num_returns,
+            resources,
+            max_retries,
+            retry_exceptions,
         )
-        if context.in_replay():
-            # Replay of a parent re-running its submissions: the child may
-            # already have a row — take the checked (existence-verified)
-            # path and skip re-placement if it is finished or in flight.
-            if not self._admit_replayed_task(spec):
-                return spec.return_ids
-        else:
-            # First submission: the deterministic (parent, index) pair has
-            # never been used, so the task row cannot exist — skip the
-            # replay-existence read entirely.
-            self.gcs.add_task(task_id, spec, check_existing=False)
-        self._m_tasks_submitted.inc()
-        if self._trace_enabled:
-            self.gcs.record_event(
-                "task_submitted",
-                task=task_id.short(),
-                name=function_name,
-                t=time.perf_counter(),
-            )
-        self.graph.add_task(spec)
-        node.local_scheduler.submit(spec)
-        return spec.return_ids
+        if admitted:
+            node.local_scheduler.submit(admitted[0])
+        return specs[0].return_ids
 
     def _admit_replayed_task(self, spec: TaskSpec) -> bool:
         """Existence check for a possibly-replayed submission.
@@ -929,72 +925,26 @@ class Runtime:
         resources: Optional[Dict[str, float]] = None,
         max_retries: int = 0,
         retry_exceptions: Optional[Tuple[type, ...]] = None,
-        batched: Optional[bool] = None,
     ) -> List[Tuple[ObjectID, ...]]:
         """Submit many invocations of one function in one batch.
 
         ``calls`` is a sequence of ``(args, kwargs)`` pairs (already
-        encoded).  The task-row adds and ``task_submitted`` trace events of
-        the whole batch coalesce into one ``ShardedKV.batch`` per shard —
-        the submit-side mirror of the finish-side batching — and every spec
-        shares one resources dict.  Returns one return-ID tuple per call.
-        ``batched`` defaults to ``config.gcs_batched_writes``;
-        ``batched=False`` keeps the per-op ablation path honest.
+        encoded); the batch's task rows and trace events coalesce into one
+        ``ShardedKV.batch`` per shard.  Returns one return-ID tuple per call.
         """
         if not calls:
             return []
-        if batched is None:
-            batched = self.config.gcs_batched_writes
-        parent, first, node = self._submission_context_many(len(calls))
-        if resources is None:
-            resources = normalize_resources()
-        specs = [
-            TaskSpec(
-                task_id=deterministic_task_id(parent, first + offset),
-                function_id=function_id,
-                function_name=function_name,
-                args=tuple(args),
-                kwargs=tuple(kwargs),
-                num_returns=num_returns,
-                resources=resources,
-                parent_task_id=parent,
-                max_retries=max_retries,
-                retry_exceptions=retry_exceptions,
-            )
-            for offset, (args, kwargs) in enumerate(calls)
-        ]
-        if context.in_replay():
-            # Replayed batch: fall back to per-task checked admission.
-            out: List[Tuple[ObjectID, ...]] = []
-            for spec in specs:
-                if self._admit_replayed_task(spec):
-                    self._m_tasks_submitted.inc()
-                    if self._trace_enabled:
-                        self.gcs.record_event(
-                            "task_submitted",
-                            task=spec.task_id.short(),
-                            name=function_name,
-                            t=time.perf_counter(),
-                        )
-                    self.graph.add_task(spec)
-                    node.local_scheduler.submit(spec)
-                out.append(spec.return_ids)
-            return out
-        events = None
-        if self._trace_enabled:
-            now = time.perf_counter()
-            events = [
-                (
-                    "task_submitted",
-                    dict(task=spec.task_id.short(), name=function_name, t=now),
-                )
-                for spec in specs
-            ]
-        self.gcs.add_tasks(specs, events=events, batched=batched)
-        self._m_tasks_submitted.inc(len(specs))
-        for spec in specs:
-            self.graph.add_task(spec)
-        node.local_scheduler.submit_many(specs)
+        specs, admitted, node = self._stage_tasks(
+            function_id,
+            function_name,
+            calls,
+            num_returns,
+            resources,
+            max_retries,
+            retry_exceptions,
+        )
+        if admitted:
+            node.local_scheduler.submit_many(admitted)
         return [spec.return_ids for spec in specs]
 
     def create_actor(
@@ -1007,7 +957,7 @@ class Runtime:
         max_restarts: int = 4,
         name: Optional[str] = None,
     ) -> ActorID:
-        parent, index, _node = self._submission_context()
+        parent, index, _node = self._submission_context_many(1)
         task_id = deterministic_task_id(parent, index, salt="actor")
         actor_id = ActorID(task_id.binary())
         function_id = FunctionID.from_function(cls.__module__, cls.__qualname__)
@@ -1055,7 +1005,7 @@ class Runtime:
         max_retries: Optional[int] = None,
         retry_exceptions: Optional[Tuple[type, ...]] = None,
     ) -> Tuple[ObjectID, ...]:
-        parent, index, _node = self._submission_context()
+        parent, index, _node = self._submission_context_many(1)
         state = self.actors.get_state(actor_id)
         if state is None:
             raise ObjectLostError(actor_id, f"unknown actor {actor_id!r}")
@@ -1125,7 +1075,6 @@ class Runtime:
         self.gcs.add_task_outputs(
             [(object_id, serialized.total_bytes, None,
               node.node_id if stored else None)],
-            batched=self.config.gcs_batched_writes,
         )
         return object_id
 

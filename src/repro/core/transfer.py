@@ -273,8 +273,9 @@ class ObjectFetcher:
         self.reconstruct: Optional[Callable[[ObjectID], None]] = None
         # lineage_known(object_id) — installed by the runtime — answers
         # "does the local task graph know this object's producing task?"
-        # without touching the GCS.  See ensure_local's light path.
-        self.lineage_known: Optional[Callable[[ObjectID], bool]] = None
+        # without touching the GCS.  See ensure_local's light path; until
+        # installed, nothing is known and every fetch takes the full path.
+        self.lineage_known: Callable[[ObjectID], bool] = lambda _oid: False
         self._inflight: Dict[Tuple[NodeID, ObjectID], float] = {}
         self._inflight_lock = make_lock("ObjectFetcher._inflight_lock")
         self._pool: Optional[ThreadPoolExecutor] = None
@@ -440,10 +441,8 @@ class ObjectFetcher:
         # empty and the reconstruct probe would find no entry, so both
         # remote round-trips are skipped and the subscription (or the
         # producing node's own store) announces the object when it exists.
-        if (
-            self.lineage_known is not None
-            and not self.gcs.has_location_hint(object_id)
-            and self.lineage_known(object_id)
+        if not self.gcs.has_location_hint(object_id) and self.lineage_known(
+            object_id
         ):
             return
         with lock:

@@ -150,9 +150,7 @@ def store_outputs(
             node.node_id if stored else None,
         ))
     if publish:
-        runtime.gcs.add_task_outputs(
-            entries, batched=runtime.config.gcs_batched_writes
-        )
+        runtime.gcs.add_task_outputs(entries)
     return entries
 
 
@@ -179,18 +177,14 @@ def execute_task(
     node: "Node",
     spec: TaskSpec,
     held_resources: Dict[str, float],
-    status_already_running: bool = False,
 ) -> None:
-    """Run one stateless task on ``node`` (called on a worker thread)."""
+    """Run one stateless task on ``node`` (called on a pool worker thread)."""
+    # The dispatching scheduler already wrote RUNNING, in its own batch.
     gcs = runtime.gcs
     # A replayed execution (reconstruction / node-death resubmission) may
     # re-run user code that already submitted children: its submissions
     # must take the checked path.  First executions submit children fresh.
     replay = runtime.is_replay_execution(spec.task_id)
-    if not status_already_running:
-        gcs.update_task_status(
-            spec.task_id, TaskStatus.RUNNING, node_id=node.node_id
-        )
     deps = spec.dependencies()
     started = time.perf_counter()
     status = TaskStatus.FINISHED
@@ -285,7 +279,6 @@ def execute_task(
                         kind="task",
                     ),
                 ),
-                batched=runtime.config.gcs_batched_writes,
                 spec=spec,
             )
             runtime.report_task_duration(duration)

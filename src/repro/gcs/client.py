@@ -48,7 +48,6 @@ class GlobalControlStore:
         hop_delay: float = 0.0,
         metrics: Any = None,
         faults: Any = None,
-        client_cache: bool = True,
     ):
         self.kv = ShardedKV(
             num_shards=num_shards,
@@ -65,10 +64,7 @@ class GlobalControlStore:
         # Write-through function cache: registration flows through this
         # client, and function rows are immutable for a given FunctionID,
         # so workers can skip the remote read that would otherwise tax
-        # every single task execution with a chain hop.  ``client_cache``
-        # False turns lookups back into remote reads (the pre-cache
-        # control plane, kept measurable for benchmarks).
-        self._client_cache = client_cache
+        # every single task execution with a chain hop.
         self._function_cache: Dict[FunctionID, Any] = {}
         # Location-publication hint: every location append flows through
         # this client, so an ID absent from this set has never had a copy
@@ -94,7 +90,7 @@ class GlobalControlStore:
         self._function_cache[function_id] = function
 
     def get_function(self, function_id: FunctionID) -> Any:
-        fn = self._function_cache.get(function_id) if self._client_cache else None
+        fn = self._function_cache.get(function_id)
         if fn is None:
             fn = self.kv.get((_FUNC, function_id))
             if fn is None:
@@ -135,7 +131,7 @@ class GlobalControlStore:
         trigger reconstruction), and both keys of one object shard
         together, so the batch is one chain round-trip per shard instead
         of two per output.  ``batched=False`` falls back to per-op writes
-        (the pre-batching path, kept for benchmarks/ablation).
+        (the reference the batch is tested against).
         """
         if not batched:
             for object_id, size, task_id, node_id in entries:
@@ -169,7 +165,7 @@ class GlobalControlStore:
         task-table status update, and the ``task_finished`` event append.
         Output rows precede the status put, so a reader that observes
         ``FINISHED`` can already see the outputs' metadata.  ``batched=False``
-        issues the same writes per-op (the pre-batching path).
+        issues the same writes per-op (the test reference).
 
         When the caller passes the task's ``spec`` (workers hold it — they
         just executed it), the task row is rebuilt in place and the finish
@@ -204,11 +200,7 @@ class GlobalControlStore:
             ),
         ))
         if event is not None:
-            ops.append((
-                "append",
-                (_EVENT, event[0]),
-                self._stamped_event(event[0], event[1]),
-            ))
+            ops.extend(self._event_ops([event]))
         self.kv.batch(ops)
 
     def has_location_hint(self, object_id: ObjectID) -> bool:
@@ -262,17 +254,13 @@ class GlobalControlStore:
     # Task table (durable lineage)
     # ------------------------------------------------------------------
 
-    def add_task(self, task_id: TaskID, spec: Any, check_existing: bool = True) -> None:
-        """Record a task row.  ``check_existing=False`` skips the replay
-        read — only valid for *first* submissions (a fresh deterministic
-        task ID that cannot already be in the table); replayed parents must
-        keep the check so lineage stays stable (exactly-once bookkeeping)."""
-        if check_existing:
-            existing = self.kv.get((_TASK, task_id))
-            if existing is not None:
-                # Replay of an already-recorded task: keep the original spec
-                # so lineage stays stable.
-                return
+    def add_task(self, task_id: TaskID, spec: Any) -> None:
+        """Record a task row unless one exists: a replayed parent may
+        re-submit an already-recorded task, whose original spec is kept so
+        lineage stays stable (exactly-once bookkeeping).  First submissions
+        skip the existence read through :meth:`add_tasks`."""
+        if self.kv.get((_TASK, task_id)) is not None:
+            return
         self.kv.put(
             (_TASK, task_id),
             TaskTableEntry(task_id=task_id, spec=spec, status=TaskStatus.PENDING),
@@ -292,31 +280,28 @@ class GlobalControlStore:
         per shard instead of one round-trip per task, and the submit events
         ride in the same batch.  Events are seq-stamped here in submission
         order, so the cluster timeline ordering invariant holds exactly as
-        it does for per-op writes.  All specs must be first submissions
-        (see :meth:`add_task`); ``batched=False`` issues the same writes
-        per-op (the pre-batching path, kept for benchmarks/ablation).
+        it does for per-op writes.  All specs must be first submissions (a
+        fresh deterministic task ID that cannot already be in the table —
+        no existence read is made); ``batched=False`` issues the same
+        writes per-op (the reference the batch is tested against).
         """
-        if not batched:
-            for spec in specs:
-                self.add_task(spec.task_id, spec, check_existing=False)
-            for category, payload in events or ():
-                self.record_event(category, **payload)
-            return
-        ops: List[tuple] = []
-        for spec in specs:
-            ops.append((
+        ops: List[tuple] = [
+            (
                 "put",
                 (_TASK, spec.task_id),
                 TaskTableEntry(
                     task_id=spec.task_id, spec=spec, status=TaskStatus.PENDING
                 ),
-            ))
-        for category, payload in events or ():
-            ops.append((
-                "append",
-                (_EVENT, category),
-                self._stamped_event(category, payload),
-            ))
+            )
+            for spec in specs
+        ]
+        if not batched:
+            for _op, key, row in ops:
+                self.kv.put(key, row)
+            for category, payload in events or ():
+                self.record_event(category, **payload)
+            return
+        ops.extend(self._event_ops(events))
         if ops:
             self.kv.batch(ops)
 
@@ -324,7 +309,6 @@ class GlobalControlStore:
         self,
         updates: List[Tuple[Any, TaskStatus, Optional[NodeID]]],
         events: Optional[List[Tuple[str, Dict[str, Any]]]] = None,
-        batched: bool = True,
     ) -> None:
         """Write task rows for ``[(spec, status, node_id), ...]`` plus trace
         events in one coalesced shard write.
@@ -337,22 +321,7 @@ class GlobalControlStore:
         chain write per shard.  Only valid for tasks whose status the
         caller currently owns (placed/queued on its node); events are
         seq-stamped in list order so timeline ordering holds.
-        ``batched=False`` issues the same writes per-op.
         """
-        if not batched:
-            for spec, status, node_id in updates:
-                self.kv.put(
-                    (_TASK, spec.task_id),
-                    TaskTableEntry(
-                        task_id=spec.task_id,
-                        spec=spec,
-                        status=status,
-                        node_id=node_id,
-                    ),
-                )
-            for category, payload in events or ():
-                self.record_event(category, **payload)
-            return
         ops: List[tuple] = []
         for spec, status, node_id in updates:
             ops.append((
@@ -365,12 +334,7 @@ class GlobalControlStore:
                     node_id=node_id,
                 ),
             ))
-        for category, payload in events or ():
-            ops.append((
-                "append",
-                (_EVENT, category),
-                self._stamped_event(category, payload),
-            ))
+        ops.extend(self._event_ops(events))
         if ops:
             self.kv.batch(ops)
 
@@ -472,6 +436,15 @@ class GlobalControlStore:
         return EventRecord.make(category, **payload).stamp(
             next(self._event_seq), time.time()
         )
+
+    def _event_ops(
+        self, events: Optional[List[Tuple[str, Dict[str, Any]]]]
+    ) -> List[tuple]:
+        """Batch ops appending ``events``, seq-stamped in list order."""
+        return [
+            ("append", (_EVENT, category), self._stamped_event(category, payload))
+            for category, payload in events or ()
+        ]
 
     def record_event(self, category: str, **payload: Any) -> None:
         self.kv.append((_EVENT, category), self._stamped_event(category, payload))

@@ -163,6 +163,23 @@ class TestInitValidation:
         with pytest.raises(TypeError, match="gcs_shards"):
             repro.init(definitely_not_a_field=1)
 
+    @pytest.mark.parametrize(
+        "retired",
+        [
+            "gcs_batched_writes",
+            "worker_pool",
+            "submit_fastpath",
+            "gcs_client_cache",
+            "value_cache_enabled",
+        ],
+    )
+    def test_retired_toggle_fails_loudly(self, retired):
+        """The legacy-path toggles are gone: an old config is refused, not
+        silently ignored."""
+        with pytest.raises(TypeError, match=retired):
+            repro.init(**{retired: False})
+        assert not repro.is_initialized()
+
     def test_describe_covers_every_field(self):
         rows = repro.RuntimeConfig.describe()
         names = {row["name"] for row in rows}

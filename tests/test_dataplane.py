@@ -116,12 +116,6 @@ class TestDeserializedValueCache:
         cache.put(ObjectID.from_seed("big"), "x" * 100, 1000)
         assert len(cache) == 0
 
-    def test_cache_disabled_store_still_reads(self):
-        store = make_store(value_cache_enabled=False)
-        assert store.value_cache is None
-        oid = put_value(store, "a", 42)
-        assert store.load_value(oid) == (42, True)
-
     def test_racing_readers_never_observe_stale_value_after_reput(self):
         """Readers hammering load_value while an ObjectID is repeatedly
         deleted and re-created with different content (the reconstruction-
@@ -180,8 +174,8 @@ class TestResolveArgsMemo:
             "deserialize",
             lambda s: calls.append(1) or real(s),
         )
-        # Disable the cache so the memo alone carries the dedup.
-        node.store.value_cache = None
+        # A cache that admits nothing: the memo alone carries the dedup.
+        node.store.value_cache = DeserializedValueCache(capacity_bytes=0)
         spec = TaskSpec(
             task_id=TaskID.from_seed("memo"),
             function_id=None,

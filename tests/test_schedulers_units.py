@@ -1,5 +1,7 @@
 """Focused tests for the local and global schedulers."""
 
+import sys
+import threading
 import time
 
 import pytest
@@ -112,6 +114,45 @@ class TestLocalScheduler:
         assert scheduler.scheduled_locally >= 1
         # Light load: nothing needed the global scheduler.
         assert scheduler.forwarded == 0
+
+    def test_concurrent_submitters_lose_no_counter_updates(self):
+        """Every submission is counted exactly once — kept (fast path or
+        checked path) or forwarded — even when many threads submit to one
+        local scheduler at the same time."""
+
+        @repro.remote
+        def quick():
+            return 1
+
+        threads_n, per_thread = 8, 25
+        rt = repro.init(num_nodes=2, num_cpus_per_node=2, spillback_threshold=2)
+        refs = [[] for _ in range(threads_n)]
+
+        def submitter(out):
+            for _ in range(per_thread):
+                out.append(quick.remote())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=submitter, args=(out,)) for out in refs
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        flat = [ref for out in refs for ref in out]
+        assert repro.get(flat, timeout=60) == [1] * (threads_n * per_thread)
+        scheduler = rt.driver_node.local_scheduler
+        assert (
+            scheduler.scheduled_locally + scheduler.forwarded
+            == threads_n * per_thread
+        )
+        assert scheduler.forwarded > 0  # both counting sites were exercised
 
     def test_stop_halts_dispatch(self, runtime):
         node = runtime.nodes()[1]

@@ -1,7 +1,7 @@
 """Task-throughput fast path (PR 8): batched ``submit_many`` submission,
 the local-scheduler submit fast path, pooled workers, and the client-side
-GCS caches — correctness under contention, node death, and ablation
-(batched vs per-op writes must leave identical GCS state)."""
+GCS caches — correctness under contention and node death; single and batch
+submission, and batched and per-op writes, must leave identical GCS state."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ import threading
 import pytest
 
 import repro
-from repro.common.ids import FunctionID, NodeID, ObjectID
+from repro.common.ids import FunctionID, NodeID, ObjectID, TaskID
+from repro.core.task_spec import TaskSpec
 from repro.gcs.client import GlobalControlStore
 from repro.gcs.shard import ShardedKV
 from repro.gcs.tables import TaskStatus
@@ -52,16 +53,53 @@ class TestSubmitMany:
         with pytest.raises(TypeError):
             repro.submit_many(lambda x: x, [(1,)])
 
+    def test_batched_and_unbatched_submission_identical_tables(self):
+        """``add_tasks`` is purely a write-coalescing choice: the batch and
+        its per-op reference must leave the same task rows and the same
+        event-log shape behind."""
+
+        def tables(batched: bool):
+            gcs = GlobalControlStore(num_shards=4)
+            specs = [
+                TaskSpec(
+                    task_id=TaskID.from_seed(f"wave-{i}"),
+                    function_id=FunctionID.from_seed("add_one"),
+                    function_name="add_one",
+                    args=(i,),
+                    kwargs=(),
+                    num_returns=1,
+                )
+                for i in range(12)
+            ]
+            events = [
+                ("task_submitted", dict(task=spec.task_id.short(), t=0.0))
+                for spec in specs
+            ]
+            try:
+                gcs.add_tasks(specs, events=events, batched=batched)
+                rows = [gcs.get_task(spec.task_id) for spec in specs]
+                log = [
+                    (record.seq, record.as_dict()["task"])
+                    for record in gcs.events("task_submitted")
+                ]
+                return rows, log
+            finally:
+                gcs.kv.close()
+
+        batched_rows, batched_log = tables(True)
+        unbatched_rows, unbatched_log = tables(False)
+        assert batched_rows == unbatched_rows
+        assert all(row.status == TaskStatus.PENDING for row in batched_rows)
+        assert batched_log == unbatched_log
+        assert len(batched_log) == 12
+
     @staticmethod
-    def _run_wave(batched: bool):
+    def _run_wave(submit):
         rt = repro.init(
             num_nodes=1, num_cpus_per_node=4, spillback_threshold=1000
         )
         try:
-            refs = add_one.submit_many(
-                [(i,) for i in range(12)], batched=batched
-            )
-            values = repro.get(refs, timeout=30)
+            values = repro.get(submit(range(12)), timeout=30)
             rows = sorted(
                 (entry.spec.function_name, entry.spec.args, entry.status)
                 for entry in rt.gcs.tasks_with_status(TaskStatus.FINISHED)
@@ -74,17 +112,19 @@ class TestSubmitMany:
         finally:
             repro.shutdown()
 
-    def test_batched_and_unbatched_submission_identical_tables(self):
-        """The ``--no-batch`` ablation is purely a write-coalescing choice:
-        both paths must leave the same task rows and the same event-log
-        shape behind."""
-        batched_values, batched_rows, batched_events = self._run_wave(True)
-        unbatched_values, unbatched_rows, unbatched_events = self._run_wave(
-            False
+    def test_single_submits_and_one_batch_leave_identical_tables(self):
+        """``.remote()`` is the batch of one: twelve single submissions
+        and one ``submit_many`` of the same twelve calls go through the
+        same submit stage and leave the same rows and event counts."""
+        single = self._run_wave(lambda xs: [add_one.remote(x) for x in xs])
+        batch = self._run_wave(
+            lambda xs: add_one.submit_many([(x,) for x in xs])
         )
-        assert batched_values == unbatched_values
-        assert batched_rows == unbatched_rows
-        assert batched_events == unbatched_events
+        assert single == batch
+        values, rows, events = single
+        assert values == [x + 1 for x in range(12)]
+        assert len(rows) == 12
+        assert events["task_submitted"] == 12
 
 
 # ---------------------------------------------------------------------------
@@ -107,15 +147,6 @@ class TestSubmitFastpath:
                 dict(record.payload).get("policy") == "fastpath"
                 for record in scheduled
             )
-        finally:
-            repro.shutdown()
-
-    def test_fast_path_off_when_disabled(self):
-        rt = repro.init(num_nodes=1, num_cpus_per_node=4, submit_fastpath=False)
-        try:
-            for i in range(4):
-                assert repro.get(add_one.remote(i), timeout=10) == i + 1
-            assert counter_value(rt, "scheduler_fastpath_total") == 0
         finally:
             repro.shutdown()
 
@@ -194,16 +225,6 @@ class TestClientSideCaches:
         gcs.kv.get = lambda *a, **k: (reads.append(a), original(*a, **k))[1]
         assert gcs.get_function(fid)() == 42
         assert reads == []
-
-    def test_function_cache_disabled_reads_through(self):
-        gcs = GlobalControlStore(client_cache=False)
-        fid = FunctionID.from_seed("uncached-fn")
-        gcs.register_function(fid, lambda: 7)
-        reads = []
-        original = gcs.kv.get
-        gcs.kv.get = lambda *a, **k: (reads.append(a), original(*a, **k))[1]
-        assert gcs.get_function(fid)() == 7
-        assert len(reads) == 1
 
     def test_location_hint_follows_publication(self):
         gcs = GlobalControlStore()
