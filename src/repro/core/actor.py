@@ -32,22 +32,13 @@ from repro.common.ids import ActorID, NodeID
 from repro.common.serialization import deserialize, serialize
 from repro.core import context
 from repro.core.task_spec import TaskSpec
-from repro.core.worker import (
-    normalize_returns,
-    pin_inputs,
-    resolve_args,
-    retry_delay,
-    should_retry,
-    store_outputs,
-)
+from repro.core.worker import resolve_args, run_task, write_finish
 from repro.gcs.tables import TaskStatus
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.runtime import Node, Runtime
 
-_ACTOR_LOG = "actor_log"
 _ACTOR_CKPT = "actor_ckpt"
-_ACTOR_CREATION = "actor_creation"
 
 
 class ActorState:
@@ -113,7 +104,6 @@ class ActorManager:
     ) -> ActorState:
         actor_id = creation_spec.actor_id
         assert actor_id is not None
-        gcs = self.runtime.gcs
         # The name (if any) was already claimed by the caller — the claim
         # must precede the durable task row so duplicates have no effect.
         state = ActorState(
@@ -127,8 +117,7 @@ class ActorManager:
         )
         with self._lock:
             self.actors[actor_id] = state
-        gcs.register_actor(actor_id, cls.__name__, None)
-        gcs.kv.put((_ACTOR_CREATION, actor_id), creation_spec)
+        self.runtime.gcs.register_actor(actor_id, cls.__name__, None)
         self._start_incarnation(state)
         return state
 
@@ -159,26 +148,23 @@ class ActorManager:
     # ------------------------------------------------------------------
 
     def submit_method(self, state_spec_builder, actor_id: ActorID):
-        """Assign the next method counter and deliver the spec.
+        """Assign the next method counter, record the spec, deliver it.
 
         ``state_spec_builder(counter)`` builds the TaskSpec once the counter
         is known (counters define the stateful-edge order).
         """
-        with self._lock:
-            state = self.actors.get(actor_id)
+        state = self.get_state(actor_id)
         if state is None:
             raise ActorDiedError(f"unknown actor {actor_id!r}")
         with state.cond:
             counter = state.submitted
             state.submitted += 1
         spec = state_spec_builder(counter)
-        gcs = self.runtime.gcs
-        # The task-table row must exist before the spec can reach the actor
-        # thread: the method may start the instant it lands in the mailbox,
-        # and its first act is an update_task_status against that row.  (With
-        # any real GCS write latency the actor reliably wins that race.)
-        gcs.add_task(spec.task_id, spec)
-        gcs.kv.append((_ACTOR_LOG, actor_id), spec)
+        # The task row and the method-log entry must be durable before the
+        # spec can reach the actor thread: the method may start the instant
+        # it lands in the mailbox, and a restart rebuilds the mailbox from
+        # the log alone.
+        self.runtime.record_submissions([spec], [spec])
         if state.dead_forever:
             self._store_method_error(state, spec)
             return spec
@@ -187,14 +173,25 @@ class ActorManager:
             state.cond.notify_all()
         return spec
 
-    def _store_method_error(self, state: ActorState, spec: TaskSpec) -> None:
-        node = self.runtime.driver_node
+    def _store_method_error(
+        self,
+        state: ActorState,
+        spec: TaskSpec,
+        cause: Optional[BaseException] = None,
+    ) -> None:
+        """Finish (FAILED) a method that will never run."""
         error = TaskExecutionError(
             spec.task_id,
-            ActorDiedError(f"actor {state.class_name} died permanently"),
+            cause or ActorDiedError(f"actor {state.class_name} died permanently"),
         )
-        store_outputs(self.runtime, node, spec, [error] * spec.num_returns)
-        self.runtime.gcs.update_task_status(spec.task_id, TaskStatus.FAILED)
+        write_finish(
+            self.runtime,
+            self.runtime.driver_node,
+            spec,
+            TaskStatus.FAILED,
+            [error] * spec.num_returns,
+            time.perf_counter(),
+        )
 
     # ------------------------------------------------------------------
     # The actor loop (one thread per incarnation)
@@ -202,11 +199,7 @@ class ActorManager:
 
     def _stale(self, state: ActorState, incarnation: int) -> bool:
         with state.cond:
-            return (
-                state.incarnation != incarnation
-                or state.dead_forever
-                or self.runtime.stopped
-            )
+            return self._stale_locked(state, incarnation)
 
     def _actor_loop(
         self, state: ActorState, incarnation: int, interrupt: Completion
@@ -238,7 +231,7 @@ class ActorManager:
             # chain-replicated kv.log is a blocking RPC, and anything
             # submitted after this read reaches the mailbox via
             # submit_method's live delivery (setdefault dedupes).
-            method_log = self.runtime.gcs.kv.log((_ACTOR_LOG, state.actor_id))
+            method_log = gcs.actor_method_log(state.actor_id)
             with state.cond:
                 previously_executed = state.next_counter
                 state.instance = instance
@@ -358,6 +351,20 @@ class ActorManager:
             if spec.actor_counter >= from_counter:
                 state.mailbox.setdefault(spec.actor_counter, spec)
 
+    def _advance(
+        self, state: ActorState, incarnation: int, spec: TaskSpec
+    ) -> Optional[int]:
+        """Move the method counter past ``spec`` and return it — or None
+        when this loop went stale meanwhile: the restart or death path then
+        owns the method's outcome (replays or fails it from the counter it
+        read), and the loop must not publish over it."""
+        with state.cond:
+            if self._stale_locked(state, incarnation):
+                return None
+            state.next_counter = spec.actor_counter + 1
+            state.cond.notify_all()  # wake quiesce_actor waiters
+            return state.next_counter
+
     def _execute_method(
         self,
         state: ActorState,
@@ -369,169 +376,67 @@ class ActorManager:
     ) -> None:
         runtime = self.runtime
         gcs = runtime.gcs
+        started = time.perf_counter()
         if runtime.is_cancelled(spec.task_id):
             # A cancelled method is *flagged*, never dequeued: the mailbox
             # must stay counter-contiguous or the actor loop would block
             # forever on the gap.  Skip execution here, still advancing the
             # counter and storing cancelled outputs for any waiting get().
-            self._skip_cancelled_method(state, node, spec)
-            return
-        with state.cond:
-            is_replay = spec.actor_counter < state.replay_boundary
-        if is_replay and spec.is_read_only:
-            # Read-only methods do not mutate state: skip replaying them if
-            # their outputs still exist (the Section 5.1 optimization).
-            if all(
+            status = TaskStatus.CANCELLED
+            values = [TaskCancelledError(spec.task_id)] * spec.num_returns
+        else:
+            with state.cond:
+                is_replay = spec.actor_counter < state.replay_boundary
+            if is_replay and spec.is_read_only and all(
                 runtime.transfer.live_locations(oid) for oid in spec.return_ids
             ):
-                with state.cond:
-                    state.next_counter = spec.actor_counter + 1
-                    state.cond.notify_all()  # wake quiesce_actor waiters
+                # Read-only methods do not mutate state: skip replaying them
+                # if their outputs still exist (the Section 5.1 optimization).
+                self._advance(state, incarnation, spec)
                 return
-        if is_replay:
-            with self._lock:
-                self.replayed_methods += 1
-        runtime.trace_event(
-            "task_scheduled",
-            task=spec.task_id.hex()[:8],
-            name=spec.function_name,
-            node=node.node_id.hex()[:8],
-            t=time.perf_counter(),
-        )
-        runtime.fetcher.prefetch(spec.dependencies(), node)
-        for dep in spec.dependencies():
-            if not runtime.fetch_to_node(
-                dep,
+            if is_replay:
+                with self._lock:
+                    self.replayed_methods += 1
+            runtime.fetcher.prefetch(spec.dependencies(), node)
+            for dep in spec.dependencies():
+                if not runtime.fetch_to_node(
+                    dep,
+                    node,
+                    cancelled=lambda: self._stale(state, incarnation),
+                    interrupt=interrupt,
+                ):
+                    return
+            # The start, written as the local scheduler's fast path writes a
+            # task's: RUNNING row and both lifecycle events in one batch.
+            events = None
+            if runtime.config.trace_events_enabled:
+                payload = node.local_scheduler.lifecycle_payload
+                events = [
+                    ("task_scheduled", payload(spec, started)),
+                    ("task_inputs_ready", payload(spec, time.perf_counter())),
+                ]
+            gcs.set_task_states(
+                [(spec, TaskStatus.RUNNING, node.node_id)], events=events
+            )
+            started = time.perf_counter()
+            status, values = run_task(
+                runtime,
                 node,
-                cancelled=lambda: self._stale(state, incarnation),
-                interrupt=interrupt,
-            ):
-                return
-        runtime.trace_event(
-            "task_inputs_ready",
-            task=spec.task_id.hex()[:8],
-            name=spec.function_name,
-            node=node.node_id.hex()[:8],
-            t=time.perf_counter(),
-        )
-        gcs.update_task_status(spec.task_id, TaskStatus.RUNNING, node_id=node.node_id)
-        started = time.perf_counter()
-        status = TaskStatus.FINISHED
-        deps = spec.dependencies()
-        pin_inputs(runtime, node, deps)
-        args, kwargs, input_error = resolve_args(node, spec)
-        if input_error is not None:
-            values = [input_error] * spec.num_returns
-        else:
-            method = getattr(instance, spec.actor_method)
-            attempt = 0
-            while True:
-                try:
-                    # Replayed methods (and retry attempts after a partial
-                    # failure) may resubmit children that already exist.
-                    with context.execution_scope(
-                        runtime,
-                        node,
-                        spec.task_id,
-                        dict(spec.resources),
-                        is_replay=is_replay or attempt > 0,
-                    ):
-                        output = method(*args, **kwargs)
-                    values = normalize_returns(spec, output)
-                    break
-                except TaskCancelledError as exc:
-                    status = TaskStatus.CANCELLED
-                    values = [exc] * spec.num_returns
-                    break
-                except NodeDiedError:
-                    # Never retried in place: bubble to the actor loop's
-                    # quiet-exit path; the restart replays this method.
-                    raise
-                except BaseException as exc:  # noqa: BLE001
-                    if should_retry(spec, exc, attempt) and not (
-                        runtime.is_cancelled(spec.task_id)
-                    ):
-                        # In-place retry: the attempt is invisible to the
-                        # method counter, so a retried method still counts
-                        # once toward checkpoint_interval.
-                        runtime.record_task_retry(spec, exc, attempt)
-                        time.sleep(retry_delay(runtime, attempt))
-                        attempt += 1
-                        continue
-                    status = TaskStatus.FAILED
-                    values = [
-                        TaskExecutionError(spec.task_id, exc)
-                    ] * spec.num_returns
-                    break
-        entries = store_outputs(runtime, node, spec, values, publish=False)
-        for dep in deps:
-            node.store.unpin(dep)
-        with state.cond:
-            state.next_counter = spec.actor_counter + 1
-            executed = state.next_counter
-            state.cond.notify_all()  # wake quiesce_actor waiters
-        duration = time.perf_counter() - started
-        gcs.finish_task(
-            spec.task_id,
-            status,
-            node.node_id,
-            entries,
-            event=(
-                "task_finished",
-                dict(
-                    task=spec.task_id.short(),
-                    name=spec.function_name,
-                    node=node.node_id.short(),
-                    start=started,
-                    duration=duration,
-                    status=status.value,
-                    kind="actor_method",
-                ),
-            ),
-            spec=spec,
-        )
+                spec,
+                getattr(instance, spec.actor_method),
+                dict(spec.resources),
+                is_replay,
+            )
+        executed = self._advance(state, incarnation, spec)
+        if executed is None:
+            return
+        write_finish(runtime, node, spec, status, values, started)
         gcs.update_actor(state.actor_id, methods_executed=executed)
-        runtime.report_task_duration(duration)
-        runtime.discard_cancellation_event(spec.task_id)
         if (
             state.checkpoint_interval
             and executed % state.checkpoint_interval == 0
         ):
             self._save_checkpoint(state, instance, executed)
-
-    def _skip_cancelled_method(
-        self, state: ActorState, node: "Node", spec: TaskSpec
-    ) -> None:
-        """Advance past a cancelled mailbox entry without running it."""
-        runtime = self.runtime
-        error = TaskCancelledError(spec.task_id)
-        entries = store_outputs(
-            runtime, node, spec, [error] * spec.num_returns, publish=False
-        )
-        with state.cond:
-            state.next_counter = spec.actor_counter + 1
-            executed = state.next_counter
-            state.cond.notify_all()  # wake quiesce_actor waiters
-        runtime.gcs.finish_task(
-            spec.task_id,
-            TaskStatus.CANCELLED,
-            node.node_id,
-            entries,
-            event=(
-                "task_finished",
-                dict(
-                    task=spec.task_id.short(),
-                    name=spec.function_name,
-                    node=node.node_id.short(),
-                    start=time.perf_counter(),
-                    duration=0.0,
-                    status=TaskStatus.CANCELLED.value,
-                    kind="actor_method",
-                ),
-            ),
-            spec=spec,
-        )
-        runtime.gcs.update_actor(state.actor_id, methods_executed=executed)
 
     def _save_checkpoint(self, state: ActorState, instance: Any, counter: int) -> None:
         if hasattr(instance, "save_checkpoint"):
@@ -640,9 +545,9 @@ class ActorManager:
     def _fail_pending_methods(
         self, state: ActorState, cause: Optional[BaseException] = None
     ) -> None:
-        """Write ActorDiedError outputs for methods that will never run."""
-        log = self.runtime.gcs.kv.log((_ACTOR_LOG, state.actor_id))
-        node = self.runtime.driver_node
+        """Fail every method that will never run: the log entries at or past
+        the counter whose outputs do not exist (a replay's still may)."""
+        log = self.runtime.gcs.actor_method_log(state.actor_id)
         with state.cond:
             executed = state.next_counter
         for spec in log:
@@ -650,14 +555,7 @@ class ActorManager:
                 self.runtime.transfer.live_locations(oid)
                 for oid in spec.return_ids
             ):
-                error = TaskExecutionError(
-                    spec.task_id,
-                    cause
-                    or ActorDiedError(
-                        f"actor {state.class_name} died permanently"
-                    ),
-                )
-                store_outputs(self.runtime, node, spec, [error] * spec.num_returns)
+                self._store_method_error(state, spec, cause)
 
     # ------------------------------------------------------------------
     # Reconstruction entry point (object fetch path)

@@ -273,7 +273,7 @@ class LocalScheduler:
         # the same batch.
         events = None
         if self._trace is not None:
-            base = self._lifecycle_payload(spec, time.perf_counter())
+            base = self.lifecycle_payload(spec, time.perf_counter())
             events = [
                 ("task_scheduled", dict(base, policy="fastpath")),
                 ("task_inputs_ready", base),
@@ -382,11 +382,11 @@ class LocalScheduler:
         if self._trace is not None:
             now = time.perf_counter()
             events = [
-                ("task_scheduled", self._lifecycle_payload(spec, now))
+                ("task_scheduled", self.lifecycle_payload(spec, now))
                 for spec in specs
             ]
             events.extend(
-                ("task_inputs_ready", self._lifecycle_payload(spec, now))
+                ("task_inputs_ready", self.lifecycle_payload(spec, now))
                 for spec in ready
             )
         self.gcs.set_task_states(
@@ -425,7 +425,7 @@ class LocalScheduler:
         if all_missing:
             self.fetcher.prefetch(all_missing, node)
 
-    def _lifecycle_payload(self, spec: TaskSpec, t: float) -> Dict[str, object]:
+    def lifecycle_payload(self, spec: TaskSpec, t: float) -> Dict[str, object]:
         """Payload shared by this node's task-lifecycle trace events."""
         return dict(
             task=spec.task_id.short(),
@@ -438,7 +438,7 @@ class LocalScheduler:
         """Record a task-lifecycle trace event (never under ``_cond``)."""
         if self._trace is not None:
             self._trace(
-                category, **self._lifecycle_payload(spec, time.perf_counter())
+                category, **self.lifecycle_payload(spec, time.perf_counter())
             )
 
     def _input_ready(self, task_id: TaskID, object_id: ObjectID) -> None:

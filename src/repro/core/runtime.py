@@ -54,7 +54,7 @@ from repro.core.resources import ResourcePool, normalize_resources
 from repro.core.task_graph import TaskGraph
 from repro.core.task_spec import TaskSpec
 from repro.core.transfer import ObjectFetcher, TransferService
-from repro.core.worker import execute_task
+from repro.core.worker import execute_task, write_finish
 from repro.gcs.client import GlobalControlStore
 from repro.gcs.tables import TaskStatus
 
@@ -739,37 +739,16 @@ class Runtime:
             for node in self.nodes():
                 removed = node.local_scheduler.cancel(task_id)
                 if removed is not None:
-                    self._finish_cancelled(removed)
+                    write_finish(
+                        self,
+                        self.driver_node,
+                        removed,
+                        TaskStatus.CANCELLED,
+                        [TaskCancelledError(task_id)] * removed.num_returns,
+                        time.perf_counter(),
+                    )
                     break
         return True
-
-    def _finish_cancelled(self, spec: TaskSpec) -> None:
-        """Store cancelled outputs for a task that was dequeued unrun."""
-        from repro.core.worker import store_outputs
-
-        error = TaskCancelledError(spec.task_id)
-        node = self.driver_node
-        entries = store_outputs(
-            self, node, spec, [error] * spec.num_returns, publish=False
-        )
-        self.gcs.finish_task(
-            spec.task_id,
-            TaskStatus.CANCELLED,
-            None,
-            entries,
-            event=(
-                "task_finished",
-                dict(
-                    task=spec.task_id.hex()[:8],
-                    name=spec.function_name,
-                    node="-",
-                    start=time.perf_counter(),
-                    duration=0.0,
-                    status=TaskStatus.CANCELLED.value,
-                    kind="task",
-                ),
-            ),
-        )
 
     # ------------------------------------------------------------------
     # Submission
@@ -807,12 +786,11 @@ class Runtime:
         retry_exceptions: Optional[Tuple[type, ...]],
     ) -> Tuple[List[TaskSpec], List[TaskSpec], Node]:
         """The driver-side submit stage of every task submission: one spec
-        per ``(args, kwargs)`` call (already encoded), the task rows and
-        their ``task_submitted`` events in one ``gcs.add_tasks`` write per
-        shard, the counter, the task graph.  Returns ``(specs, admitted,
-        node)``; the caller hands ``admitted`` to ``node``'s local scheduler
-        — every spec, except under replay those whose outputs still exist
-        or that are in flight, which keep their deterministic futures."""
+        per ``(args, kwargs)`` call (already encoded), recorded by
+        :meth:`record_submissions`.  Returns ``(specs, admitted, node)``;
+        the caller hands ``admitted`` to ``node``'s local scheduler — every
+        spec, except under replay those whose outputs still exist or that
+        are in flight, which keep their deterministic futures."""
         parent, first, node = self._submission_context_many(len(calls))
         if resources is None:
             resources = normalize_resources()
@@ -840,21 +818,31 @@ class Runtime:
             # and the rows cannot exist — no existence read is made.
             admitted = [s for s in specs if self._admit_replayed_task(s)]
             rows = []
+        self.record_submissions(admitted, rows)
+        self._m_tasks_submitted.inc(len(admitted))
+        return specs, admitted, node
+
+    def record_submissions(
+        self, admitted: List[TaskSpec], rows: List[TaskSpec]
+    ) -> None:
+        """The one "record these submissions" step of tasks and actor
+        methods: the rows of the first submissions among ``admitted``
+        (``rows`` — a replayed parent's children already have theirs) and a
+        ``task_submitted`` event per admitted spec in one ``gcs.add_tasks``
+        write per shard, then the task graph.  Durable on return."""
         events = None
         if self._trace_enabled:
             now = time.perf_counter()
             events = [
                 (
                     "task_submitted",
-                    dict(task=spec.task_id.short(), name=function_name, t=now),
+                    dict(task=spec.task_id.short(), name=spec.function_name, t=now),
                 )
                 for spec in admitted
             ]
         self.gcs.add_tasks(rows, events=events)
-        self._m_tasks_submitted.inc(len(admitted))
         for spec in admitted:
             self.graph.add_task(spec)
-        return specs, admitted, node
 
     def submit_task(
         self,
@@ -1040,18 +1028,10 @@ class Runtime:
                 retry_exceptions=retry_exceptions,
             )
 
-        # submit_method registers the task row itself, before the spec can
-        # reach the actor thread (which immediately updates its status).
+        # submit_method records the spec (record_submissions) once the
+        # counter is known, before the spec can reach the actor thread.
         spec = self.actors.submit_method(build, actor_id)
         self._m_methods_submitted.inc()
-        if self._trace_enabled:
-            self.gcs.record_event(
-                "task_submitted",
-                task=spec.task_id.short(),
-                name=spec.function_name,
-                t=time.perf_counter(),
-            )
-        self.graph.add_task(spec)
         return spec.return_ids
 
     # ------------------------------------------------------------------

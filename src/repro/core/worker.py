@@ -1,9 +1,11 @@
-"""Stateless worker execution of tasks.
+"""Execution of tasks and actor methods: one run stage, one finish writer.
 
 A worker executes one task at a time: it pins and deserializes the task's
 inputs from the local object store (they are guaranteed local by the local
 scheduler), runs the function, and writes outputs back to the local store,
-registering them in the GCS object table.
+registering them in the GCS object table.  An actor's thread runs its
+methods through the same two stages (:func:`run_task`,
+:func:`write_finish`); only what precedes them differs.
 
 Error semantics follow Ray: an exception raised by a task is captured as a
 :class:`TaskExecutionError` stored *in place of* the return value; every
@@ -14,7 +16,7 @@ propagates the error instead of running.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import (
     NodeDiedError,
@@ -53,7 +55,7 @@ def should_retry(spec: TaskSpec, exc: BaseException, attempt: int) -> bool:
 
 def retry_delay(runtime: "Runtime", attempt: int) -> float:
     """Exponential backoff before retry ``attempt`` (0-based), capped."""
-    base = getattr(runtime.config, "retry_backoff_base", 0.02)
+    base = runtime.config.retry_backoff_base
     return min(base * (2 ** attempt), RETRY_BACKOFF_CAP)
 
 
@@ -118,26 +120,12 @@ def normalize_returns(spec: TaskSpec, output: Any) -> List[Any]:
     return list(output)
 
 
-def store_outputs(
-    runtime: "Runtime",
-    node: "Node",
-    spec: TaskSpec,
-    values: List[Any],
-    publish: bool = True,
-) -> list:
-    """Write outputs to the local store and the GCS object table.
-
-    All of one task's per-output GCS rows (location append + metadata put)
-    go out as a single batched shard write.  Within the batch the location
-    precedes the metadata for each object: once the object-table entry is
-    visible, a concurrent reader that sees it with *no* locations may
-    legitimately trigger reconstruction, so the location must already be
-    published (or the store put must have genuinely failed).
-
-    With ``publish=False`` only the local puts happen and the GCS rows are
-    returned to the caller, which folds them into the task's single
-    finish-time batch (``GlobalControlStore.finish_task``) together with
-    the status update and the ``task_finished`` event.
+def store_outputs(node: "Node", spec: TaskSpec, values: List[Any]) -> list:
+    """Write outputs to the local store and return their GCS object-table
+    rows ``(object_id, size, task_id, node_id_or_None)`` — ``None`` when the
+    store put failed and there is no location to publish.  :func:`write_finish`
+    folds the rows into the task's single finish-time batch
+    (``GlobalControlStore.finish_task``), location before metadata.
     """
     entries = []
     for object_id, value in zip(spec.return_ids, values):
@@ -149,8 +137,6 @@ def store_outputs(
             spec.task_id,
             node.node_id if stored else None,
         ))
-    if publish:
-        runtime.gcs.add_task_outputs(entries)
     return entries
 
 
@@ -172,6 +158,124 @@ def pin_inputs(runtime: "Runtime", node: "Node", deps) -> None:
             runtime.fetch_to_node(dep, node)
 
 
+def run_task(
+    runtime: "Runtime",
+    node: "Node",
+    spec: TaskSpec,
+    function: Callable[..., Any],
+    held_resources: Dict[str, float],
+    is_replay: bool,
+) -> Tuple[TaskStatus, List[Any]]:
+    """Run user code for ``spec`` on ``node``: the one execution stage of
+    stateless tasks (``function`` from the function table) and actor methods
+    (``function`` bound to the instance).  Returns ``(status, values)`` for
+    :func:`write_finish`; an upstream error among the inputs is propagated
+    instead of running.
+
+    ``NodeDiedError`` (a blocking get inside the body noticed this node's
+    death) is never retried or recorded: it propagates to the caller's
+    quiet-exit path, whose recovery re-runs the spec elsewhere.
+    """
+    task_id = spec.task_id
+    deps = spec.dependencies()
+
+    def as_outputs(error: BaseException) -> List[Any]:
+        return [error] * spec.num_returns
+
+    try:
+        pin_inputs(runtime, node, deps)
+        if runtime.is_cancelled(task_id):
+            # Cancelled after dispatch but before user code started.
+            return TaskStatus.CANCELLED, as_outputs(TaskCancelledError(task_id))
+        args, kwargs, input_error = resolve_args(node, spec)
+        if isinstance(input_error, TaskCancelledError):
+            return TaskStatus.CANCELLED, as_outputs(input_error)
+        if input_error is not None:
+            return TaskStatus.FINISHED, as_outputs(input_error)
+        attempt = 0
+        while True:
+            try:
+                # A replayed execution may re-run user code that already
+                # submitted children, and so may attempt > 0 of a first
+                # execution (the failed attempt submitted before raising):
+                # their submissions must take the checked path.
+                with context.execution_scope(
+                    runtime,
+                    node,
+                    task_id,
+                    held_resources,
+                    is_replay=is_replay or attempt > 0,
+                ):
+                    output = function(*args, **kwargs)
+                values = normalize_returns(spec, output)
+                break
+            except TaskCancelledError as exc:
+                # Cooperative stop from inside the body.
+                return TaskStatus.CANCELLED, as_outputs(exc)
+            except NodeDiedError:
+                raise
+            except BaseException as exc:  # noqa: BLE001 - error channel
+                if should_retry(spec, exc, attempt) and not (
+                    runtime.is_cancelled(task_id)
+                ):
+                    # In place: invisible to an actor's method counter, so
+                    # a retried method counts once toward its checkpoint
+                    # interval.
+                    runtime.record_task_retry(spec, exc, attempt)
+                    time.sleep(retry_delay(runtime, attempt))
+                    attempt += 1
+                    continue
+                return TaskStatus.FAILED, as_outputs(
+                    TaskExecutionError(task_id, exc)
+                )
+        if runtime.cancel_forced(task_id):
+            # force-cancelled while running: the work happened, but the
+            # contract is that every get() raises.
+            return TaskStatus.CANCELLED, as_outputs(TaskCancelledError(task_id))
+        return TaskStatus.FINISHED, values
+    finally:
+        for dep in deps:
+            node.store.unpin(dep)
+
+
+def write_finish(
+    runtime: "Runtime",
+    node: "Node",
+    spec: TaskSpec,
+    status: TaskStatus,
+    values: List[Any],
+    started: float,
+) -> None:
+    """The one finish writer: store ``values`` as ``spec``'s outputs on
+    ``node`` and publish them, the terminal task row and the
+    ``task_finished`` event in a single GCS batch.  Used for specs that
+    ran (``run_task``'s verdict) and for specs that never will (an error
+    value, ``started`` = now)."""
+    entries = store_outputs(node, spec, values)
+    duration = time.perf_counter() - started
+    runtime.gcs.finish_task(
+        spec.task_id,
+        status,
+        node.node_id,
+        entries,
+        event=(
+            "task_finished",
+            dict(
+                task=spec.task_id.short(),
+                name=spec.function_name,
+                node=node.node_id.short(),
+                start=started,
+                duration=duration,
+                status=status.value,
+                kind="actor_method" if spec.is_actor_method else "task",
+            ),
+        ),
+        spec=spec,
+    )
+    runtime.report_task_duration(duration)
+    runtime.discard_cancellation_event(spec.task_id)
+
+
 def execute_task(
     runtime: "Runtime",
     node: "Node",
@@ -180,109 +284,26 @@ def execute_task(
 ) -> None:
     """Run one stateless task on ``node`` (called on a pool worker thread)."""
     # The dispatching scheduler already wrote RUNNING, in its own batch.
-    gcs = runtime.gcs
-    # A replayed execution (reconstruction / node-death resubmission) may
-    # re-run user code that already submitted children: its submissions
-    # must take the checked path.  First executions submit children fresh.
+    # A replayed execution (reconstruction / node-death resubmission) is
+    # flagged so its child submissions take the checked path.
     replay = runtime.is_replay_execution(spec.task_id)
-    deps = spec.dependencies()
     started = time.perf_counter()
-    status = TaskStatus.FINISHED
-    entries: list = []
-    node_died = False
     try:
-        pin_inputs(runtime, node, deps)
-        if runtime.is_cancelled(spec.task_id):
-            # Cancelled after dispatch but before user code started.
-            status = TaskStatus.CANCELLED
-            cancel_error = TaskCancelledError(spec.task_id)
-            values = [cancel_error] * spec.num_returns
-        else:
-            args, kwargs, input_error = resolve_args(node, spec)
-            if input_error is not None:
-                values = [input_error] * spec.num_returns
-                if isinstance(input_error, TaskCancelledError):
-                    status = TaskStatus.CANCELLED
-            else:
-                function = gcs.get_function(spec.function_id)
-                attempt = 0
-                while True:
-                    try:
-                        # Attempt > 0 is a replay even for a first execution:
-                        # the failed attempt may already have submitted
-                        # children before raising.
-                        with context.execution_scope(
-                            runtime,
-                            node,
-                            spec.task_id,
-                            held_resources,
-                            is_replay=replay or attempt > 0,
-                        ):
-                            output = function(*args, **kwargs)
-                        values = normalize_returns(spec, output)
-                        break
-                    except TaskCancelledError as exc:
-                        # Cooperative stop from inside the task body.
-                        status = TaskStatus.CANCELLED
-                        values = [exc] * spec.num_returns
-                        break
-                    except NodeDiedError:
-                        # A blocking get inside the task noticed this
-                        # node's death: never retried here — bubble to the
-                        # quiet-exit path below.
-                        raise
-                    except BaseException as exc:  # noqa: BLE001 - error channel
-                        if should_retry(spec, exc, attempt) and not (
-                            runtime.is_cancelled(spec.task_id)
-                        ):
-                            runtime.record_task_retry(spec, exc, attempt)
-                            time.sleep(retry_delay(runtime, attempt))
-                            attempt += 1
-                            continue
-                        status = TaskStatus.FAILED
-                        error = TaskExecutionError(spec.task_id, exc)
-                        values = [error] * spec.num_returns
-                        break
-                if status is TaskStatus.FINISHED and runtime.cancel_forced(
-                    spec.task_id
-                ):
-                    # force-cancelled while running: the work happened, but
-                    # the contract is that every get() raises.
-                    status = TaskStatus.CANCELLED
-                    values = [TaskCancelledError(spec.task_id)] * spec.num_returns
-        entries = store_outputs(runtime, node, spec, values, publish=False)
+        status, values = run_task(
+            runtime,
+            node,
+            spec,
+            runtime.gcs.get_function(spec.function_id),
+            held_resources,
+            replay,
+        )
     except NodeDiedError:
         # The node died under this worker: kill_node has already
         # resubmitted the task, so the replacement execution owns the
         # outputs and the finish-state write.  Exit without recording
         # anything for this stranded attempt.
-        node_died = True
-    finally:
-        for dep in deps:
-            node.store.unpin(dep)
-        if not node_died:
-            duration = time.perf_counter() - started
-            gcs.finish_task(
-                spec.task_id,
-                status,
-                node.node_id,
-                entries,
-                event=(
-                    "task_finished",
-                    dict(
-                        task=spec.task_id.short(),
-                        name=spec.function_name,
-                        node=node.node_id.short(),
-                        start=started,
-                        duration=duration,
-                        status=status.value,
-                        kind="task",
-                    ),
-                ),
-                spec=spec,
-            )
-            runtime.report_task_duration(duration)
-            runtime.reconstruction.task_finished(spec.task_id)
-            runtime.discard_cancellation_event(spec.task_id)
-            if replay:
-                runtime.clear_replay_hint(spec.task_id)
+        return
+    write_finish(runtime, node, spec, status, values, started)
+    runtime.reconstruction.task_finished(spec.task_id)
+    if replay:
+        runtime.clear_replay_hint(spec.task_id)

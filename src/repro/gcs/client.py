@@ -31,6 +31,7 @@ _TASK = "task"  # task table (lineage)
 _FUNC = "function"  # function table
 _ACTOR = "actor"  # actor table
 _ACTOR_NAME = "actor_name"  # user-visible name -> actor id
+_ACTOR_LOG = "actor_log"  # per-actor method specs, in submission order
 _EVENT = "event"  # event log
 _NODE_REPORT = "node_report"  # per-node reporter snapshot rows
 _DEPLOYMENT = "deployment"  # serve: current row per deployment name
@@ -284,20 +285,26 @@ class GlobalControlStore:
         fresh deterministic task ID that cannot already be in the table —
         no existence read is made); ``batched=False`` issues the same
         writes per-op (the reference the batch is tested against).
+
+        An actor-method spec is also appended to its actor's method log, in
+        the same batch: the log shards by ``ActorID`` and the row by
+        ``TaskID``, and shard groups flush concurrently, so a method
+        submission is still one round-trip.
         """
-        ops: List[tuple] = [
-            (
+        ops: List[tuple] = []
+        for spec in specs:
+            ops.append((
                 "put",
                 (_TASK, spec.task_id),
                 TaskTableEntry(
                     task_id=spec.task_id, spec=spec, status=TaskStatus.PENDING
                 ),
-            )
-            for spec in specs
-        ]
+            ))
+            if spec.is_actor_method:
+                ops.append(("append", (_ACTOR_LOG, spec.actor_id), spec))
         if not batched:
-            for _op, key, row in ops:
-                self.kv.put(key, row)
+            for op, key, value in ops:
+                getattr(self.kv, op)(key, value)
             for category, payload in events or ():
                 self.record_event(category, **payload)
             return
@@ -394,6 +401,11 @@ class GlobalControlStore:
 
     def get_actor(self, actor_id: ActorID) -> Optional[ActorTableEntry]:
         return self.kv.get((_ACTOR, actor_id))
+
+    def actor_method_log(self, actor_id: ActorID) -> List[Any]:
+        """Every method spec submitted to ``actor_id``, in submission order
+        (appended by :meth:`add_tasks`)."""
+        return self.kv.log((_ACTOR_LOG, actor_id))
 
     # ------------------------------------------------------------------
     # Actor names (the ``.options(name=...)`` / ``get_actor`` registry)

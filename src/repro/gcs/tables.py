@@ -55,11 +55,13 @@ class TaskTableEntry:
 
 @dataclass(frozen=True)
 class ActorTableEntry:
-    """An actor's durable record used for reconstruction.
+    """An actor's durable liveness and progress record.
 
-    ``methods_executed`` counts method invocations applied to the current
-    incarnation; together with ``checkpoint_index`` it determines how many
-    methods must be replayed after a failure (paper Figure 11b).
+    ``methods_executed`` and ``checkpoint_index`` report progress to
+    readers (tools, the dashboard); they do not drive recovery.  A restart
+    replays from the counter stored *with* the checkpoint blob and the
+    actor's method log (``GlobalControlStore.actor_method_log``): every
+    logged spec at or past that counter (paper Figure 11b).
     """
 
     actor_id: ActorID

@@ -1,8 +1,13 @@
 """Public API: actors — serial execution, state, handles, failures."""
 
+import threading
+from collections import Counter as Tally
+
 import pytest
 
 import repro
+from repro.common.errors import ActorDiedError
+from repro.gcs.tables import TaskStatus
 
 
 @repro.remote
@@ -114,6 +119,46 @@ class TestActorKill:
         repro.kill(counter)
         with pytest.raises(repro.TaskExecutionError):
             repro.get(counter.incr.remote(), timeout=10)
+
+    def test_permanent_kill_leaves_every_method_row_terminal(self, runtime):
+        """One outcome per method of a killed actor: its row is terminal,
+        FINISHED iff ``get`` returns, with exactly one ``task_finished``."""
+        entered, release = threading.Event(), threading.Event()
+
+        @repro.remote
+        class Gate:
+            def work(self, hold):
+                if hold:
+                    entered.set()
+                    release.wait(10)
+                return "ok"
+
+        gate = Gate.remote()
+        done = gate.work.remote(False)
+        running = gate.work.remote(True)
+        assert entered.wait(10)
+        queued = [gate.work.remote(False) for _ in range(2)]
+        repro.kill(gate, restart=False)
+        late = gate.work.remote(False)  # submitted to an already-dead actor
+        release.set()
+        runtime.actors.get_state(gate.actor_id).thread.join(10)  # quiescence
+
+        refs = [done, running, *queued, late]
+        finished = Tally(
+            r.as_dict()["task"] for r in runtime.gcs.events("task_finished")
+        )
+        for ref in refs:
+            task_id = runtime.graph.producer_of(ref.object_id)
+            status = runtime.gcs.get_task(task_id).status
+            assert finished[task_id.short()] == 1
+            if ref is done:
+                assert repro.get(ref, timeout=10) == "ok"
+                assert status is TaskStatus.FINISHED
+            else:
+                with pytest.raises(repro.TaskExecutionError) as info:
+                    repro.get(ref, timeout=10)
+                assert isinstance(info.value.cause, ActorDiedError)
+                assert status is TaskStatus.FAILED
 
     def test_kill_with_restart_replays_state(self, runtime):
         """A crash-restart rebuilds the actor by replaying its methods."""

@@ -16,6 +16,7 @@ import pytest
 
 import repro
 from repro.common.errors import TaskCancelledError
+from repro.gcs.tables import TaskStatus
 
 
 @repro.remote
@@ -27,6 +28,13 @@ def quick(x):
 def spin(seconds):
     time.sleep(seconds)
     return "done"
+
+
+@repro.remote
+class Spinner:
+    def spin(self, seconds):
+        time.sleep(seconds)
+        return "done"
 
 
 def test_cancel_queued_task_dequeues(runtime):
@@ -93,6 +101,39 @@ def test_force_cancel_replaces_finished_outputs(runtime):
     assert repro.cancel(ref, force=True) is True
     with pytest.raises(TaskCancelledError):
         repro.get(ref, timeout=10)
+
+
+def test_force_cancel_replaces_finished_actor_method_outputs(runtime):
+    spinner = Spinner.remote()
+    ref = spinner.spin.remote(0.3)
+    time.sleep(0.05)
+    assert repro.cancel(ref, force=True) is True
+    with pytest.raises(TaskCancelledError):
+        repro.get(ref, timeout=10)
+    repro.shutdown()  # quiescence: the method's finish batch has landed
+    task_id = runtime.graph.producer_of(ref.object_id)
+    assert runtime.gcs.get_task(task_id).status is TaskStatus.CANCELLED
+
+
+@pytest.mark.parametrize("kind", ["task", "method"])
+def test_consumer_of_cancelled_output_is_recorded_cancelled(runtime, kind):
+    blockers = [spin.remote(0.3) for _ in range(8)]
+    root = quick.remote(1)  # queued behind the blockers
+    consume = quick if kind == "task" else Spinner.remote().spin
+    child = consume.remote(root)
+    assert repro.cancel(root) is True
+    with pytest.raises(TaskCancelledError):
+        repro.get(child, timeout=10)
+    repro.get(blockers, timeout=10)
+    repro.shutdown()  # quiescence: the consumer's finish batch has landed
+    task_id = runtime.graph.producer_of(child.object_id)
+    assert runtime.gcs.get_task(task_id).status is TaskStatus.CANCELLED
+    (event,) = [
+        r.as_dict()
+        for r in runtime.gcs.events("task_finished")
+        if r.as_dict()["task"] == task_id.short()
+    ]
+    assert event["status"] == "cancelled"
 
 
 def test_cancelled_error_propagates_to_dependents(runtime):

@@ -1,0 +1,137 @@
+"""Hop budgets: what one operation costs in GCS shard calls, exactly.
+
+Clock-free: hop delay 0, a counting shim on ``ShardedKV`` keyed by calling
+thread, counts read at quiescence (``repro.shutdown()`` joins every runtime
+thread and itself makes no GCS call).  The numbers are the table in
+``docs/ARCHITECTURE.md`` ("Shard calls per operation"): a change that moves
+a count must edit that table, and the failure message is the per-thread
+list of calls.
+"""
+
+import threading
+from collections import Counter as Tally
+
+import repro
+from repro.gcs.tables import TaskStatus
+
+
+@repro.remote
+def echo(x):
+    return x
+
+
+@repro.remote
+class Echo:
+    def echo(self, x):
+        return x
+
+
+class ShardCalls:
+    """Records every ``ShardedKV.get/put/append/batch/log`` call made after
+    construction as ``(thread, op, tables)``."""
+
+    OPS = ("get", "put", "append", "batch", "log")
+
+    def __init__(self, kv):
+        self.calls = []
+        for op in self.OPS:
+            setattr(kv, op, self._counted(op, getattr(kv, op)))
+
+    def _counted(self, op, original):
+        def call(first, *rest):
+            if op == "batch":
+                what = tuple((o, key[0]) for o, key, _value in first)
+            else:
+                what = first[0]
+            self.calls.append((threading.current_thread().name, op, what))
+            return original(first, *rest)
+
+        return call
+
+    def by_thread(self):
+        threads = {}
+        for thread, op, what in self.calls:
+            threads.setdefault(thread, []).append((op, what))
+        return threads
+
+    def describe(self):
+        return "\n".join(
+            f"{thread}:\n" + "\n".join(f"    {call}" for call in calls)
+            for thread, calls in self.by_thread().items()
+        )
+
+
+def run_counted(submit, expect=7):
+    """Shard calls of ``get(submit())`` on an idle one-node cluster, split
+    into (caller's, everyone's) and read at quiescence."""
+    calls = ShardCalls(repro.api.get_runtime().gcs.kv)
+    assert repro.get(submit(), timeout=10) == expect
+    caller = list(calls.by_thread().get(threading.current_thread().name, ()))
+    repro.shutdown()
+    return caller, calls
+
+
+def test_task_on_idle_node_costs_two_blocking_calls_three_in_all():
+    runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
+    runtime.ensure_function_registered(echo._function_id, echo._func)
+    caller, calls = run_counted(lambda: echo.remote(7))
+    assert (len(caller), len(calls.calls)) == (2, 3), calls.describe()
+    assert [op for op, _ in caller] == ["batch", "batch"], calls.describe()
+
+
+def test_submit_many_costs_two_blocking_calls_plus_one_per_task():
+    runtime = repro.init(num_nodes=1, num_cpus_per_node=8)
+    runtime.ensure_function_registered(echo._function_id, echo._func)
+    caller, calls = run_counted(
+        lambda: echo.submit_many([(i,) for i in range(8)]), list(range(8))
+    )
+    # add_tasks + place_many's SCHEDULED batch on the caller; the
+    # dispatcher's one RUNNING batch for the round; a finish batch per task.
+    assert (len(caller), len(calls.calls)) == (2, 2 + 1 + 8), calls.describe()
+
+
+def test_actor_method_costs_one_blocking_call_five_in_all():
+    runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
+    actor = Echo.remote()
+    # ``ready`` is set after the loop's last start-up write.
+    assert runtime.actors.get_state(actor.actor_id).ready.wait(10)
+    caller, calls = run_counted(lambda: actor.echo.remote(7))
+    assert (len(caller), len(calls.calls)) == (1, 5), calls.describe()
+    # The caller's one call holds everything a restart or a reader needs.
+    assert caller == [
+        ("batch", (("put", "task"), ("append", "actor_log"), ("append", "event")))
+    ], calls.describe()
+    (actor_thread,) = [
+        c for t, c in calls.by_thread().items() if t.startswith("actor-")
+    ]
+    assert [op for op, _ in actor_thread] == [
+        "batch",  # start: RUNNING row + task_scheduled + task_inputs_ready
+        "batch",  # finish: outputs + FINISHED row + task_finished
+        "get",  # update_actor(methods_executed) is a
+        "put",  # read-modify-write of the recovery record
+    ], calls.describe()
+
+
+def test_tasks_and_methods_leave_the_same_records(single_node_runtime):
+    runtime = single_node_runtime
+    actor = Echo.remote()
+    refs = [echo.remote(i) for i in range(12)]
+    refs += [actor.echo.remote(i) for i in range(12)]
+    assert repro.get(refs, timeout=10) == list(range(12)) * 2
+    repro.shutdown()  # quiescence: every finish batch has landed
+    gcs = runtime.gcs
+    for category in (
+        "task_submitted",
+        "task_scheduled",
+        "task_inputs_ready",
+        "task_finished",
+    ):
+        names = Tally(r.as_dict()["name"] for r in gcs.events(category))
+        assert names == {"echo": 12, "Echo.echo": 12}, category
+    rows = {"echo": [], "Echo.echo": []}
+    for entry in gcs.tasks_with_status(TaskStatus.FINISHED):
+        if entry.spec.function_name in rows:
+            rows[entry.spec.function_name].append((entry.spec.args, entry.status))
+    assert sorted(rows["echo"]) == sorted(rows["Echo.echo"])
+    assert len(rows["echo"]) == 12
+
