@@ -244,7 +244,7 @@ class LocalScheduler:
                 return False
             if not node.resources.try_acquire(spec.resources):
                 return False
-        # Placement-fault parity with ``place()``: a kill injected at
+        # Placement-fault parity with ``place_many``: a kill injected at
         # placement must be discovered by the placement that triggered it.
         if self._faults.enabled:
             self._faults.on_place(node.node_id)
@@ -303,66 +303,26 @@ class LocalScheduler:
 
     def place(self, spec: TaskSpec) -> None:
         """This node has been chosen to run ``spec``."""
-        if self._faults.enabled:
-            # An ``at_placement`` fault fires *here*, before the alive
-            # check, so a kill injected mid-placement is discovered by the
-            # very placement that triggered it and spills back to global.
-            self._faults.on_place(self.node.node_id)
-        if not self.node.alive:
-            # Placed on a node that died in the meantime: bounce to global.
-            self._forward_to_global(spec)
-            return
-        self.gcs.update_task_status(
-            spec.task_id, TaskStatus.SCHEDULED, node_id=self.node.node_id
-        )
-        self._m_placed.inc()
-        self._emit("task_scheduled", spec)
-        missing = {
-            dep
-            for dep in spec.dependencies()
-            if not self.node.store.contains(dep)
-        }
-        if not missing:
-            self._emit("task_inputs_ready", spec)
-            self._enqueue_ready(spec)
-            return
-        with self._cond:
-            if self._stopped:
-                # The node died between the alive check above and here: a
-                # spec registered now would be invisible to the kill path's
-                # drain (it already ran) and lost forever.  stop()/drain()
-                # hold this condition, so the check is authoritative.
-                bounced = True
-            else:
-                bounced = False
-                self._waiting[spec.task_id] = set(missing)
-                self._waiting_specs[spec.task_id] = spec
-        if bounced:
-            self._forward_to_global(spec)
-            return
-        # Register every readiness callback first (fires immediately for
-        # anything already arrived), then fan the fetches out to the
-        # prefetch pool so the missing inputs replicate in parallel.
-        for dep in missing:
-            self.node.store.on_available(
-                dep, lambda oid, tid=spec.task_id: self._input_ready(tid, oid)
-            )
-        self.fetcher.prefetch(list(missing), self.node)
+        self.place_many([spec])
 
     def place_many(self, specs: List[TaskSpec]) -> None:
-        """Place a batch chosen for this node.
+        """Place the specs chosen for this node: the one placement path.
 
-        Semantically ``place()`` per spec, but the whole batch's SCHEDULED
-        rows and ``task_scheduled``/``task_inputs_ready`` events coalesce
-        into one shard write, and the ready sub-batch is enqueued under one
-        condition acquisition with a single wake-up.
+        The whole batch's SCHEDULED rows and ``task_scheduled`` /
+        ``task_inputs_ready`` events coalesce into one shard write, and the
+        ready sub-batch is enqueued under one condition acquisition with a
+        single wake-up.
         """
         node = self.node
         if self._faults.enabled:
-            # One placement trigger per task, as on the per-spec path.
+            # An ``at_placement`` fault fires *here*, once per task and
+            # before the alive check, so a kill injected mid-placement is
+            # discovered by the very placement that triggered it and
+            # spills back to global.
             for _ in specs:
                 self._faults.on_place(node.node_id)
         if not node.alive:
+            # Placed on a node that died in the meantime: bounce to global.
             for spec in specs:
                 self._forward_to_global(spec)
             return
@@ -409,11 +369,15 @@ class LocalScheduler:
                         self._ready_since[spec.task_id] = now_mono
                     self._cond.notify_all()
         if bounced:
-            # Stopped between the alive check and registration (see
-            # ``place``): none of the batch was registered — reroute all.
+            # The node died between the alive check above and here: specs
+            # registered now would be invisible to the kill path's drain
+            # (it already ran) and lost forever.  stop()/drain() hold this
+            # condition, so the check is authoritative — reroute all.
             for spec in specs:
                 self._forward_to_global(spec)
             return
+        # Register every readiness callback first (fires immediately for
+        # anything already arrived), then start the fetches.
         all_missing: List[ObjectID] = []
         for spec, missing in missing_by_spec:
             for dep in missing:

@@ -104,10 +104,8 @@ class RuntimeConfig:
     trace_events_enabled: bool = True
     # Zero-copy data plane sizes.  The deserialized-value cache gives
     # repeated same-node reads of an immutable object Plasma-style
-    # zero-(re)work semantics (a budget of 0 admits nothing); the prefetch
-    # pool replicates a task's missing inputs in parallel.
+    # zero-(re)work semantics (a budget of 0 admits nothing).
     value_cache_capacity_bytes: Optional[int] = 256 * 1024 * 1024
-    prefetch_parallelism: int = 8
     # Deterministic fault injection: a FaultSchedule whose planned faults
     # (node kills/restarts, chain-member kills, chunk drops/delays) fire at
     # task-count or placement triggers.  None (the default) installs the
@@ -170,7 +168,6 @@ _CONFIG_FIELD_DOCS: Dict[str, str] = {
     "metrics_enabled": "Maintain the counters/gauges/histograms registry.",
     "trace_events_enabled": "Record task-lifecycle trace events in the GCS event log.",
     "value_cache_capacity_bytes": "Byte budget of the deserialized-value cache.",
-    "prefetch_parallelism": "Parallel replica fetches for a task's missing inputs.",
     "fault_schedule": "Deterministic fault-injection plan (None = null injector).",
     "retry_backoff_base": "First app-level retry delay; doubles per attempt.",
     "reporters_enabled": "Per-node reporters publishing load rows into the GCS.",
@@ -279,12 +276,7 @@ class Runtime:
         self.transfer = TransferService(
             self.gcs, metrics=self.metrics, faults=self.faults
         )
-        self.fetcher = ObjectFetcher(
-            self.gcs,
-            self.transfer,
-            metrics=self.metrics,
-            prefetch_parallelism=config.prefetch_parallelism,
-        )
+        self.fetcher = ObjectFetcher(self.gcs, self.transfer, metrics=self.metrics)
         self.graph = TaskGraph()
         self.global_schedulers = [
             GlobalScheduler(
@@ -710,6 +702,16 @@ class Runtime:
                 f"object {object_id!r} was not produced by a task "
                 "(put objects cannot be cancelled)"
             )
+        spec = self.graph.task(task_id)
+        nodes = self.nodes()
+        if spec is not None and all(
+            any(node.store.contains(oid) for node in nodes)
+            for oid in spec.return_ids
+        ):
+            # The finish writer stores a task's outputs before it writes
+            # the terminal row: a caller may already hold the result of a
+            # task whose row still reads RUNNING.
+            return False
         entry = self.gcs.get_task(task_id)
         if entry is not None and entry.status in (
             TaskStatus.FINISHED,
@@ -717,7 +719,6 @@ class Runtime:
             TaskStatus.CANCELLED,
         ):
             return False
-        spec = self.graph.task(task_id)
         with self._cancel_lock:
             already = task_id in self._cancelled
             self._cancelled[task_id] = self._cancelled.get(task_id, False) or force
@@ -736,7 +737,7 @@ class Runtime:
         if spec is not None and spec.actor_id is None:
             # Try to dequeue before it ever runs; racing with dispatch is
             # fine — the worker's entry check catches the loser.
-            for node in self.nodes():
+            for node in nodes:
                 removed = node.local_scheduler.cancel(task_id)
                 if removed is not None:
                     write_finish(
@@ -1098,9 +1099,10 @@ class Runtime:
         def on_location_update(op: str, _node_id: NodeID) -> None:
             # A retraction may have removed the last live copy of an object
             # with no lineage: deliver the ObjectLostError verdict by event
-            # instead of re-querying the GCS every poll round.
+            # instead of re-querying the GCS every poll round.  The check
+            # reads the GCS, so it is queued off the publishing thread.
             if op == "remove":
-                check_lost()
+                self.transfer.enqueue(check_lost)
 
         unsubscribe = self.gcs.subscribe_object_locations(
             object_id, on_location_update
@@ -1169,8 +1171,8 @@ class Runtime:
         with context.blocked():
             if len(id_list) > 1:
                 # Start every missing fetch before blocking on the first:
-                # transfers overlap on the prefetch pool while we join the
-                # availability completions in order.
+                # transfers overlap on the transfer threads while we join
+                # the availability completions in order.
                 self.fetcher.prefetch(id_list, node)
             for object_id in id_list:
                 while True:

@@ -8,16 +8,18 @@ connections — and records the new location in the GCS.  When more than one
 live replica of a large object exists, alternating stripes are read from
 different replicas (the multi-connection replication of Section 5.1 /
 Figure 9), and each buffer is written stripe-by-stripe into a single
-preallocated destination allocation: one copy, no intermediate chunk list.
+preallocated destination: one copy, no intermediate chunk list.  Bytes move
+only on the service's own ``transfer-<i>`` threads — never on the thread
+that asked for the object or the one that published its location
+(``gcs/kv.py``: "subscribers must be quick and must not block").
 
 :class:`ObjectFetcher` implements the full Figure 7 control path for making
-an object local: check the local store, look up locations in the GCS,
-transfer if a copy exists, otherwise register a pub-sub callback on the
-object's GCS entry, and fall back to lineage reconstruction when the object
-existed but every copy has been lost.  ``prefetch`` fans a task's missing
-inputs out to a bounded worker pool so they replicate in parallel; callers
-join on the destination store's availability completions, exactly as for a
-single fetch.
+an object local: check the local store, register a pub-sub callback on the
+object's GCS entry, then queue the attempt — look up locations in the GCS,
+transfer if a copy exists, and fall back to lineage reconstruction when the
+object existed but every copy has been lost.  ``prefetch`` is that per
+missing input of a task; callers join on the destination store's
+availability completions, exactly as for a single fetch.
 
 Both classes signal completions through the destination store: a
 successful replication runs ``dst.store.put``, which sets the object's
@@ -27,12 +29,12 @@ blocked reader — there is no polling anywhere on this path.
 
 from __future__ import annotations
 
-import threading
+import mmap
+import queue
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.common.lockwatch import make_lock, make_rlock
+from repro.common.lockwatch import make_lock, make_thread
 from repro.common.faults import NULL_FAULTS
 from repro.common.ids import NodeID, ObjectID
 from repro.common.metrics import MetricsRegistry, NULL_REGISTRY
@@ -44,8 +46,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 DEFAULT_CHUNK_BYTES = 1 << 20  # 1 MiB stripes
 DEFAULT_CHUNK_DELAY_SECONDS = 0.002  # injected per-stripe stall
-DEFAULT_PREFETCH_PARALLELISM = 8
 MAX_STRIPE_SOURCES = 4
+# ``data_flow`` measured the same at 4 and at 8; fewer idle threads is less RSS.
+TRANSFER_THREADS = 4
 
 
 def _byte_view(buf) -> memoryview:
@@ -87,9 +90,11 @@ def striped_copy_multi(
 
     All sources hold the same immutable object (replicas on different
     nodes); chunk ``i`` of each buffer is read from source ``i % len``.
-    Each destination buffer is one preallocated ``bytearray`` written in
-    place — a single copy with no intermediate chunk list, at half the
-    peak memory of the old join-of-chunks implementation.
+    Each destination buffer is preallocated and written in place — a
+    single copy with no intermediate chunk list.  One of at least a stripe
+    is an anonymous mapping, as the paper's store is: its pages go back to
+    the OS with the last view of the object, where a malloc'd megabyte
+    stays in the arena of whichever thread asked for it.
 
     ``chunk_hook`` is the fault-injection probe: called once per stripe
     with the global stripe index, it may return ``"delay"`` (stall this
@@ -104,7 +109,7 @@ def striped_copy_multi(
     for index, buf in enumerate(primary.buffers):
         views = [_byte_view(src.buffers[index]) for src in sources]
         nbytes = views[0].nbytes
-        out = bytearray(nbytes)
+        out = mmap.mmap(-1, nbytes) if nbytes >= chunk_bytes else bytearray(nbytes)
         out_view = memoryview(out)
         for offset in range(0, nbytes, chunk_bytes):
             if chunk_hook is not None:
@@ -124,7 +129,8 @@ def striped_copy_multi(
 
 
 class TransferService:
-    """Copies objects between node stores and updates the object table."""
+    """Copies objects between node stores and updates the object table,
+    on its own threads (:meth:`enqueue`)."""
 
     def __init__(
         self,
@@ -164,6 +170,41 @@ class TransferService:
             "Replica count each replication striped from",
             buckets=(1, 2, 3, 4, 8),
         )
+        self._m_errors = metrics.counter(
+            "prefetch_errors_total",
+            "Queued fetch work that raised (recovered by the blocking path)",
+        )
+        # Pre-started, not grown on demand: starting a thread from inside
+        # a location callback would yield the GIL in the middle of the
+        # publisher's finish sequence.
+        self._work: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._threads = [
+            make_thread(self._drain, name=f"transfer-{index}")
+            for index in range(TRANSFER_THREADS)
+        ]
+        for thread in self._threads:
+            thread.start()
+
+    def enqueue(self, work: Callable[[], None]) -> None:
+        """Run ``work`` on a transfer thread; safe in a pub-sub callback."""
+        self._work.put(work)
+
+    def _drain(self) -> None:
+        while True:
+            work = self._work.get()
+            if work is None:  # close() sentinel
+                return
+            try:
+                work()
+            except Exception:  # noqa: BLE001 - blocking readers re-arm the fetch
+                self._m_errors.inc()
+
+    def close(self) -> None:
+        """Stop the transfer threads once the work queued so far has run."""
+        for _ in self._threads:
+            self._work.put(None)
+        for thread in self._threads:
+            thread.join(2.0)
 
     def register_node(self, node: "Node") -> None:
         with self._nodes_lock:
@@ -263,11 +304,9 @@ class ObjectFetcher:
         gcs: "GlobalControlStore",
         transfer: TransferService,
         metrics: Optional[MetricsRegistry] = None,
-        prefetch_parallelism: int = DEFAULT_PREFETCH_PARALLELISM,
     ):
         self.gcs = gcs
         self.transfer = transfer
-        self.prefetch_parallelism = prefetch_parallelism
         # reconstruct(object_id) is installed by the runtime after the
         # reconstruction manager exists (breaks a construction cycle).
         self.reconstruct: Optional[Callable[[ObjectID], None]] = None
@@ -278,72 +317,35 @@ class ObjectFetcher:
         self.lineage_known: Callable[[ObjectID], bool] = lambda _oid: False
         self._inflight: Dict[Tuple[NodeID, ObjectID], float] = {}
         self._inflight_lock = make_lock("ObjectFetcher._inflight_lock")
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = make_lock("ObjectFetcher._pool_lock")
         metrics = metrics or NULL_REGISTRY
         self._m_fetch_seconds = metrics.histogram(
             "fetch_seconds",
             "Latency from a fetch request to the object being local",
         )
         self._m_prefetch_requests = metrics.counter(
-            "prefetch_requests_total", "Inputs handed to the prefetch pool"
+            "prefetch_requests_total", "Missing inputs whose fetch was started"
         )
         self._m_prefetch_batch = metrics.histogram(
             "prefetch_batch_size",
             "Missing inputs prefetched in parallel per task",
             buckets=(1, 2, 4, 8, 16, 32, 64, 128),
         )
-        self._m_prefetch_errors = metrics.counter(
-            "prefetch_errors_total",
-            "Prefetch attempts that raised (recovered by the blocking path)",
-        )
-
-    # -- parallel input prefetch --------------------------------------------
-
-    def _executor(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.prefetch_parallelism,
-                    thread_name_prefix="prefetch",
-                )
-            return self._pool
-
-    def _guarded_ensure(self, object_id: ObjectID, node: "Node") -> None:
-        try:
-            self.ensure_local(object_id, node)
-        except Exception:  # noqa: BLE001 - blocking readers re-arm the fetch
-            self._m_prefetch_errors.inc()
-
-    def ensure_local_async(self, object_id: ObjectID, node: "Node") -> None:
-        """``ensure_local`` on the prefetch pool (inline when the pool is
-        disabled).  Errors are swallowed: every blocking reader re-issues
-        ``ensure_local`` from its backstop, so a failed prefetch only costs
-        latency, never correctness."""
-        if self.prefetch_parallelism <= 0:
-            self.ensure_local(object_id, node)
-            return
-        self._executor().submit(self._guarded_ensure, object_id, node)
 
     def prefetch(self, object_ids: Sequence[ObjectID], node: "Node") -> int:
-        """Start parallel fetches for every non-local ID; returns how many
-        were issued.  Non-blocking: join on the store's availability
+        """Start a fetch for every non-local ID; returns how many were
+        issued.  Non-blocking: join on the store's availability
         completions (``fetch_to_node`` / ``on_available``)."""
         missing = [oid for oid in object_ids if not node.store.contains(oid)]
-        if not missing:
-            return 0
-        self._m_prefetch_batch.observe(len(missing))
+        if missing:
+            self._m_prefetch_batch.observe(len(missing))
+            self._m_prefetch_requests.inc(len(missing))
         for object_id in missing:
-            self._m_prefetch_requests.inc()
-            self.ensure_local_async(object_id, node)
+            self.ensure_local(object_id, node)
         return len(missing)
 
     def close(self) -> None:
-        """Shut down the prefetch pool (runtime shutdown)."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+        """Stop the transfer threads (runtime shutdown)."""
+        self.transfer.close()
 
     # -- the Figure 7 fetch path --------------------------------------------
 
@@ -371,7 +373,8 @@ class ObjectFetcher:
     def ensure_local(self, object_id: ObjectID, node: "Node") -> None:
         """Arrange for ``object_id`` to (eventually) appear in ``node``'s
         store.  Non-blocking: callers observe arrival through
-        ``node.store.on_available`` / ``availability_event``."""
+        ``node.store.on_available`` / ``availability_event``.  Only the
+        registration runs on the caller; the rest is queued."""
         if not node.alive or node.store.contains(object_id):
             return
         key = (node.node_id, object_id)
@@ -388,38 +391,47 @@ class ObjectFetcher:
 
         node.store.on_available(object_id, finished)
 
-        # Subscribe *before* checking locations so a concurrent creation
-        # cannot be missed (Figure 7b step 2).
-        # RLock: performing the transfer publishes the *new* location, which
-        # re-enters our own subscription callback on this thread.
+        # Queued work for one fetch is serialized by ``lock``; ``done`` is
+        # what a late item (queued before the copy landed) finds.
         state = {"done": False}
-        lock = make_rlock("ObjectFetcher.ensure_local.lock")
+        lock = make_lock("ObjectFetcher.ensure_local.lock")
 
         def try_transfer() -> bool:
+            # With ``lock`` held: is this fetch over?
+            if state["done"]:
+                return True
             if not node.alive:
                 # Stop trying; the node is gone.  Release the in-flight
                 # marker ourselves — no arrival will ever clear it, and the
                 # NodeID may be reborn via restart_node.
                 with self._inflight_lock:
                     self._inflight.pop(key, None)
-                return True
-            if node.store.contains(object_id):
-                return True
-            return self.transfer.transfer(object_id, node)
+                over = True
+            else:
+                over = node.store.contains(object_id) or self.transfer.transfer(
+                    object_id, node
+                )
+            if over:
+                state["done"] = True
+                unsubscribe()
+            return over
 
-        def on_location_update(op: str, _node_id: NodeID) -> None:
-            if op == "add":
-                with lock:
-                    if state["done"]:
-                        return
-                    if try_transfer():
-                        state["done"] = True
-                        unsubscribe()
-                return
+        def first_attempt() -> None:
+            with lock:
+                # No live copy.  If the object has lineage and its producing
+                # task is not already running, trigger reconstruction.
+                if not try_transfer() and self.reconstruct is not None:
+                    self.reconstruct(object_id)
+
+        def on_added() -> None:
+            with lock:
+                try_transfer()
+
+        def on_removed() -> None:
             # A retraction (node death / eviction) may have removed the
-            # last live copy *after* our initial reconstruct check ran —
-            # e.g. the producer finished on a node that then died before
-            # the copy landed here.  Without this, every waiter is
+            # last live copy *after* the first attempt's reconstruct check
+            # ran — e.g. the producer finished on a node that then died
+            # before the copy landed here.  Without this, every waiter is
             # subscribed only to future "add" events that will never come.
             with lock:
                 if state["done"]:
@@ -430,8 +442,14 @@ class ObjectFetcher:
             ):
                 self.reconstruct(object_id)
 
+        # Subscribe *before* checking locations so a concurrent creation
+        # cannot be missed (Figure 7b step 2).  The callback runs on the
+        # publishing thread, so it only enqueues.
         unsubscribe = self.gcs.subscribe_object_locations(
-            object_id, on_location_update
+            object_id,
+            lambda op, _node_id: self.transfer.enqueue(
+                on_added if op == "add" else on_removed
+            ),
         )
         # Light path — checked *after* subscribing, so a publication that
         # raced ahead of the subscription is visible in the hint (writers
@@ -445,12 +463,4 @@ class ObjectFetcher:
             object_id
         ):
             return
-        with lock:
-            if try_transfer():
-                state["done"] = True
-                unsubscribe()
-                return
-            # No live copy.  If the object has lineage and its producing
-            # task is not already running, trigger reconstruction.
-            if self.reconstruct is not None:
-                self.reconstruct(object_id)
+        self.transfer.enqueue(first_attempt)

@@ -171,6 +171,7 @@ class TestInitValidation:
             "submit_fastpath",
             "gcs_client_cache",
             "value_cache_enabled",
+            "prefetch_parallelism",
         ],
     )
     def test_retired_toggle_fails_loudly(self, retired):

@@ -10,6 +10,7 @@
 * already finished -> no-op, ``cancel`` returns False.
 """
 
+import threading
 import time
 
 import pytest
@@ -61,6 +62,37 @@ def test_cancel_is_idempotent_and_false_after_finish(runtime):
     with pytest.raises(TaskCancelledError):
         repro.get(victim, timeout=10)
     repro.get(blockers, timeout=10)
+
+
+def test_cancel_is_false_once_the_result_is_held(runtime, monkeypatch):
+    """The finish writer stores the outputs before it writes the FINISHED
+    row; a ``get`` can return inside that window, and a ``cancel`` made
+    there has nothing to stop either."""
+    real = runtime.gcs.finish_task
+    holding, release = threading.Event(), threading.Event()
+
+    def held_finish_task(*args, **kwargs):
+        holding.set()
+        assert release.wait(30)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runtime.gcs, "finish_task", held_finish_task)
+    ref = quick.remote(5)
+    assert repro.get(ref, timeout=10) == 10
+    assert holding.wait(10)
+    task_id = runtime.graph.producer_of(ref.object_id)
+    assert runtime.gcs.get_task(task_id).status is TaskStatus.RUNNING
+    cancelled = runtime.metrics.counter("tasks_cancelled_total", "")
+    before = cancelled.value
+    try:
+        assert repro.cancel(ref) is False
+    finally:
+        release.set()
+    assert cancelled.value == before
+    assert not runtime.is_cancelled(task_id)
+    assert runtime.gcs.events("task_cancelled") == []
+    repro.shutdown()  # quiescence: the held finish batch has landed
+    assert runtime.gcs.get_task(task_id).status is TaskStatus.FINISHED
 
 
 def test_cancel_interrupts_blocked_get(runtime):

@@ -201,20 +201,13 @@ class TestParallelPrefetch:
         for oid in ids:
             assert remote.store.availability_event(oid).wait(timeout=10)
         counter = runtime.metrics.counter(
-            "prefetch_requests_total", "Inputs handed to the prefetch pool"
+            "prefetch_requests_total", "Missing inputs whose fetch was started"
         )
         assert counter.value >= 8
 
     def test_prefetch_skips_local_objects(self, runtime):
         ref = repro.put("here")
         assert runtime.fetcher.prefetch([ref.object_id], runtime.driver_node) == 0
-
-    def test_zero_parallelism_falls_back_to_inline_fetch(self, runtime):
-        runtime.fetcher.prefetch_parallelism = 0
-        ref = repro.put(np.ones(100))
-        remote = [n for n in runtime.nodes() if n is not runtime.driver_node][0]
-        runtime.fetcher.prefetch([ref.object_id], remote)
-        assert remote.store.contains(ref.object_id)
 
     def test_many_input_task_executes(self, runtime):
         refs = [repro.put(i) for i in range(16)]
@@ -404,6 +397,7 @@ class TestNodeTableLocking:
             t.start()
         for t in threads:
             t.join(timeout=30)
+        service.close()
         assert not errors
         assert len(service.live_locations(object_id)) == 500
 

@@ -112,6 +112,66 @@ def test_actor_method_costs_one_blocking_call_five_in_all():
     ], calls.describe()
 
 
+def test_forwarded_task_costs_two_blocking_calls_six_in_all():
+    runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
+    runtime.add_node({"CPU": 2, "far": 1})  # the only node that fits
+    gate = threading.Event()
+
+    @repro.remote(resources={"far": 1})
+    def held(x):
+        assert gate.wait(10)
+        return x
+
+    runtime.ensure_function_registered(held._function_id, held._func)
+    calls = ShardCalls(runtime.gcs.kv)
+    me = threading.current_thread().name
+    ref = held.remote(7)
+    caller = list(calls.by_thread()[me])
+    # Subscribe the driver's fetch before the result exists, so that the
+    # copy back is triggered by the worker's publication.
+    runtime.fetcher.ensure_local(ref.object_id, runtime.driver_node)
+    gate.set()
+    assert repro.get(ref, timeout=10) == 7
+    repro.shutdown()
+    # add_tasks + place_many's SCHEDULED batch (global placement reads
+    # nothing for a by-value argument) on the caller; the far dispatcher's
+    # RUNNING batch; the finish batch; the copy's location read and write.
+    assert (len(caller), len(calls.calls)) == (2, 6), calls.describe()
+    assert [op for op, _ in caller] == ["batch", "batch"], calls.describe()
+    assert calls.by_thread()[me] == caller, calls.describe()
+    # The copy is made by a transfer thread: not by the worker whose
+    # finish batch published the location, and not by the reader.
+    movers = [
+        thread
+        for thread, op, what in calls.calls
+        if (op, what) in (("log", "object_loc"), ("append", "object_loc"))
+    ]
+    assert len(movers) == 2, calls.describe()
+    assert all(t.startswith("transfer-") for t in movers), calls.describe()
+
+
+def test_task_queued_behind_its_input_costs_two_blocking_calls():
+    runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
+    runtime.ensure_function_registered(echo._function_id, echo._func)
+    gate = threading.Event()
+
+    @repro.remote
+    def held(x):
+        assert gate.wait(10)
+        return x
+
+    unfinished = held.remote(7)
+    calls = ShardCalls(runtime.gcs.kv)
+    ref = echo.remote(unfinished)
+    caller = list(calls.by_thread()[threading.current_thread().name])
+    gate.set()
+    assert repro.get(ref, timeout=10) == 7
+    repro.shutdown()
+    # add_tasks, then place_many's SCHEDULED batch; the input's fetch is
+    # registration only (no location published yet, lineage known).
+    assert [op for op, _ in caller] == ["batch", "batch"], calls.describe()
+
+
 def test_tasks_and_methods_leave_the_same_records(single_node_runtime):
     runtime = single_node_runtime
     actor = Echo.remote()

@@ -1,10 +1,17 @@
 """Object transfer between node stores and the fetch-or-reconstruct path."""
 
+import threading
+
 import numpy as np
 
 import repro
+from repro.common.ids import ObjectID
 from repro.common.serialization import deserialize, serialize
 from repro.core.transfer import striped_copy
+
+
+def _far_node(runtime):
+    return [n for n in runtime.nodes() if n is not runtime.driver_node][0]
 
 
 class TestStripedCopy:
@@ -47,8 +54,6 @@ class TestTransferService:
         assert runtime.transfer.transfer_count == count
 
     def test_transfer_with_no_copy_returns_false(self, runtime):
-        from repro.common.ids import ObjectID
-
         dst = runtime.nodes()[1]
         assert not runtime.transfer.transfer(ObjectID.from_seed("ghost"), dst)
 
@@ -65,15 +70,15 @@ class TestTransferService:
 class TestFetcher:
     def test_ensure_local_is_idempotent(self, runtime):
         ref = repro.put(np.zeros(10))
-        dst = [n for n in runtime.nodes() if n is not runtime.driver_node][0]
+        dst = _far_node(runtime)
         runtime.fetcher.ensure_local(ref.object_id, dst)
         runtime.fetcher.ensure_local(ref.object_id, dst)
-        assert dst.store.contains(ref.object_id)
+        assert dst.store.availability_event(ref.object_id).wait(timeout=10)
+        assert runtime.transfer.transfer_count == 1
 
     def test_fetch_waits_for_future_creation(self, runtime):
         """Fetching an object that does not exist yet subscribes and
         completes when the producer publishes it (Figure 7b)."""
-        import threading
         import time
 
         @repro.remote
@@ -84,3 +89,81 @@ class TestFetcher:
         ref = produce.remote()
         value = repro.get(ref, timeout=10)
         assert value == "late"
+
+
+class TestTransferThreads:
+    """``gcs/kv.py``: "callbacks run on the publishing thread ...
+    subscribers must be quick and must not block"."""
+
+    def test_location_publishers_do_not_wait_for_the_copy(self, runtime, monkeypatch):
+        src, dst = runtime.driver_node, _far_node(runtime)
+        real = runtime.transfer.transfer
+        entered, release = threading.Event(), threading.Event()
+
+        def held_transfer(object_id, node):
+            entered.set()
+            return release.wait(30) and real(object_id, node)
+
+        monkeypatch.setattr(runtime.transfer, "transfer", held_transfer)
+        # In src's store but never published: the fetch subscribes, and its
+        # queued first attempt is the one holding a transfer thread.
+        object_id = ObjectID.from_seed("published-late")
+        value = serialize(np.arange(1000))
+        assert src.store.put(object_id, value)
+        runtime.fetcher.ensure_local(object_id, dst)
+        assert entered.wait(10)
+        # Both publications run this fetch's callback; both return.
+        runtime.gcs.add_object_location(object_id, src.node_id)
+        runtime.gcs.add_task_outputs(
+            [(object_id, value.total_bytes, None, src.node_id)]
+        )
+        assert not release.is_set() and not dst.store.contains(object_id)
+        release.set()
+        assert dst.store.availability_event(object_id).wait(timeout=10)
+        np.testing.assert_array_equal(
+            deserialize(dst.store.get(object_id)), np.arange(1000)
+        )
+
+    def test_raising_transfer_is_counted_and_leaves_the_fetch_armed(
+        self, runtime, monkeypatch
+    ):
+        src, dst = runtime.driver_node, _far_node(runtime)
+        real = runtime.transfer.transfer
+        raised = threading.Event()
+        errors = runtime.metrics.counter("prefetch_errors_total", "")
+
+        def flaky_transfer(object_id, node):
+            if not raised.is_set():
+                raised.set()
+                raise RuntimeError("injected transfer failure")
+            return real(object_id, node)
+
+        monkeypatch.setattr(runtime.transfer, "transfer", flaky_transfer)
+        ref = repro.put(np.ones(100))
+        runtime.fetcher.ensure_local(ref.object_id, dst)
+        assert raised.wait(10)
+        # The marker stays (a repeated ensure_local is still deduplicated)
+        # and so does the subscription: the next publication retries.
+        assert runtime.fetcher.inflight_count(dst.node_id) == 1
+        runtime.gcs.add_object_location(ref.object_id, src.node_id)
+        assert dst.store.availability_event(ref.object_id).wait(timeout=10)
+        assert runtime.fetcher.inflight_count(dst.node_id) == 0
+        repro.shutdown()  # quiescence: the transfer threads are joined
+        assert errors.value == 1
+
+    def test_fetch_queued_for_a_node_that_died_releases_its_marker(
+        self, runtime, monkeypatch
+    ):
+        dst = _far_node(runtime)
+        queued = []
+        monkeypatch.setattr(runtime.transfer, "enqueue", queued.append)
+        ref = repro.put(np.ones(100))
+        runtime.fetcher.ensure_local(ref.object_id, dst)
+        assert runtime.fetcher.inflight_count(dst.node_id) == 1
+        # Only the flag: kill_node's own forget_node must not be what
+        # clears the marker here.
+        dst.alive = False
+        (first_attempt,) = queued
+        first_attempt()
+        assert runtime.fetcher.inflight_count(dst.node_id) == 0
+        assert runtime.transfer.transfer_count == 0
