@@ -317,9 +317,9 @@ class RemoteFunction:
 
         Each element is a tuple of positional arguments (``()`` for a
         no-arg call; use ``.remote()`` for keyword arguments).  The whole
-        batch's GCS task-row adds and ``task_submitted`` events coalesce
-        into one write per shard, which is the cheap way to launch large
-        fan-outs.  Returns one future per call (or one tuple of futures
+        batch's GCS task rows and lifecycle events ride in its placement
+        writes — one for every call the submitting node keeps — which is
+        the cheap way to launch large fan-outs.  Returns one future per call (or one tuple of futures
         per call when ``num_returns > 1``), in submission order.
         """
         runtime = get_runtime()

@@ -164,7 +164,7 @@ class ActorManager:
         # spec can reach the actor thread: the method may start the instant
         # it lands in the mailbox, and a restart rebuilds the mailbox from
         # the log alone.
-        self.runtime.record_submissions([spec], [spec])
+        self.runtime.record_submissions([spec])
         if state.dead_forever:
             self._store_method_error(state, spec)
             return spec

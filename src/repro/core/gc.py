@@ -38,20 +38,26 @@ def free_objects(
     With ``delete_lineage`` the producing tasks' records are removed too,
     so the objects become permanently unrecoverable (and their GCS rows
     stop consuming memory).  Returns the number of store copies dropped.
+    Every copy's location retraction goes out in one GCS write, after the
+    store deletes and before any lineage delete.
     """
-    dropped = 0
-    for object_id in object_ids:
-        for node in runtime.nodes():
-            if node.store.delete(object_id):
-                runtime.gcs.remove_object_location(object_id, node.node_id)
-                dropped += 1
-        if delete_lineage:
+    object_ids = list(object_ids)
+    nodes = runtime.nodes()
+    retractions = [
+        (object_id, node.node_id)
+        for object_id in object_ids
+        for node in nodes
+        if node.store.delete(object_id)
+    ]
+    runtime.gcs.remove_object_locations(retractions)
+    if delete_lineage:
+        for object_id in object_ids:
             task_id = runtime.gcs.creating_task(object_id)
             runtime.gcs.kv.delete((_OBJ, object_id))
             runtime.gcs.kv.delete((_OBJ_LOC, object_id))
             if task_id is not None:
                 runtime.gcs.kv.delete((_TASK, task_id))
-    return dropped
+    return len(retractions)
 
 
 class LineageGarbageCollector:

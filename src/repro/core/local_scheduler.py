@@ -40,7 +40,7 @@ import queue
 import threading
 import time
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.lockwatch import make_condition, make_thread
 from repro.common.events import BACKSTOP_INTERVAL, WaitStats
@@ -53,6 +53,9 @@ from repro.gcs.tables import TaskStatus
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.runtime import Node
+
+#: A ``(category, payload)`` trace event, as ``gcs.set_task_states`` takes it.
+Event = Tuple[str, Dict[str, object]]
 
 
 class _PendingBacklogView(RuntimeNodeView):
@@ -96,7 +99,7 @@ class LocalScheduler:
         node: "Node",
         gcs,
         fetcher,
-        forward_to_global: Callable[[TaskSpec], None],
+        forward_to_global: Callable[..., None],
         execute: Callable[["Node", TaskSpec, Dict[str, float]], None],
         spillback_threshold: int = 16,
         spillback: Optional[object] = None,
@@ -173,22 +176,34 @@ class LocalScheduler:
 
     # -- submission (bottom-up entry point) ----------------------------------
 
-    def submit(self, spec: TaskSpec) -> None:
-        """A co-located driver or worker created this task."""
-        if self._fastpath and self._try_fastpath(spec):
-            return
-        if self._forward_or_keep([spec]):
-            self.place(spec)
+    def submit(self, spec: TaskSpec, submitted: Optional[Event]) -> None:
+        """A co-located driver or worker created this task.
 
-    def _forward_or_keep(self, specs: List[TaskSpec]) -> List[TaskSpec]:
+        ``submitted`` is its ``task_submitted`` event (``None`` with tracing
+        off).  A first submission has no task row yet: the row and the
+        event go out in the placement write the spec reaches first — the
+        fast path's RUNNING batch or a ``place_many`` SCHEDULED batch, here
+        or on the node the global scheduler picks.
+        """
+        if self._fastpath and self._try_fastpath(spec, submitted):
+            return
+        kept, events = self._forward_or_keep([spec], [submitted])
+        if kept:
+            self.place_many(kept, events)
+
+    def _forward_or_keep(
+        self, specs: List[TaskSpec], submitted: List[Optional[Event]]
+    ) -> Tuple[List[TaskSpec], List[Optional[Event]]]:
         """Forward every spec that must leave this node to a global
-        scheduler and return the ones that stay.  The spillback policy sees
-        the backlog grow as earlier members of ``specs`` are kept, so a
-        batch decides exactly as the same submissions made one by one."""
+        scheduler, with its ``submitted`` event, and return the ones that
+        stay with theirs.  The spillback policy sees the backlog grow as
+        earlier members of ``specs`` are kept, so a batch decides exactly as
+        the same submissions made one by one."""
         node = self.node
         kept: List[TaskSpec] = []
+        kept_events: List[Optional[Event]] = []
         forwarded = 0
-        for spec in specs:
+        for spec, event in zip(specs, submitted):
             if (
                 not node.alive
                 or not node.resources.can_ever_satisfy(spec.resources)
@@ -204,17 +219,18 @@ class LocalScheduler:
             ):
                 forwarded += 1
                 self._m_spillbacks.inc()
-                self._forward_to_global(spec)
+                self._forward_to_global(spec, event)
             else:
                 kept.append(spec)
+                kept_events.append(event)
         # Drivers and workers submitting nested tasks land here at once:
         # the counters move under the condition, once per call.
         with self._cond:
             self.scheduled_locally += len(kept)
             self.forwarded += forwarded
-        return kept
+        return kept, kept_events
 
-    def _try_fastpath(self, spec: TaskSpec) -> bool:
+    def _try_fastpath(self, spec: TaskSpec, submitted: Optional[Event]) -> bool:
         """Dispatch a fresh submission straight to a worker, if it is safe.
 
         When this node is idle enough — queues empty, every input already
@@ -222,9 +238,11 @@ class LocalScheduler:
         would have stayed local anyway — the whole submit→dispatch pipeline
         (global-scheduler hop, ``ClusterView`` construction, the SCHEDULED
         status write, the dispatcher queue round-trip) collapses into one
-        RUNNING status write and a hand-off to a pooled worker.  Any check
-        failing falls back to the ordinary checked path; the shortcut never
-        changes *where* a task runs, only how many hops it takes to start.
+        RUNNING write of the task's row, carrying its ``submitted`` event,
+        and a hand-off to a pooled worker.  A check failing before that
+        write returns False and the caller takes the ordinary checked path
+        with the event unsent; the shortcut never changes *where* a task
+        runs, only how many hops it takes to start.
         """
         node = self.node
         if not node.alive:
@@ -251,11 +269,24 @@ class LocalScheduler:
             if not node.alive:
                 node.resources.release(spec.resources)
                 return False
+        # The row first: durable before the task is visible to
+        # ``kill_node``'s drain/running snapshots or to a worker.  One write
+        # instead of SCHEDULED-then-RUNNING: the kill and reconstruction
+        # paths treat both states identically (in flight on this node), and
+        # the lifecycle events ride in the same batch.
+        events = [submitted] if submitted is not None else []
+        if self._trace is not None:
+            base = self.lifecycle_payload(spec, time.perf_counter())
+            events.append(("task_scheduled", dict(base, policy="fastpath")))
+            events.append(("task_inputs_ready", base))
+        self.gcs.set_task_states(
+            [(spec, TaskStatus.RUNNING, node.node_id)], events=events
+        )
         with self._cond:
             if self._stopped:
-                # ``kill_node`` ran between the checks above and here; its
-                # drain/running snapshots (serialized by this condition)
-                # never saw the task, so hand it back for rerouting.
+                # ``kill_node`` ran during the write; its drain/running
+                # snapshots (serialized by this condition) never saw the
+                # task, so reroute it — its event is already written.
                 bounced = True
             else:
                 bounced = False
@@ -263,30 +294,18 @@ class LocalScheduler:
                 self.scheduled_locally += 1
         if bounced:
             node.resources.release(spec.resources)
-            return False
+            self._forward_to_global(spec)
+            return True
         self._m_placed.inc()
         self._m_fastpath.inc()
-        # One coalesced write instead of SCHEDULED-then-RUNNING plus two
-        # event appends: the kill and reconstruction paths treat both
-        # states identically (in flight on this node), so the intermediate
-        # write carries no information, and the lifecycle events ride in
-        # the same batch.
-        events = None
-        if self._trace is not None:
-            base = self.lifecycle_payload(spec, time.perf_counter())
-            events = [
-                ("task_scheduled", dict(base, policy="fastpath")),
-                ("task_inputs_ready", base),
-            ]
-        self.gcs.set_task_states(
-            [(spec, TaskStatus.RUNNING, node.node_id)],
-            events=events,
-        )
         self._dispatch_to_worker(spec)
         return True
 
-    def submit_many(self, specs: List[TaskSpec]) -> None:
-        """Submit one ``submit_many`` batch created on this node.
+    def submit_many(
+        self, specs: List[TaskSpec], submitted: List[Optional[Event]]
+    ) -> None:
+        """Submit one ``submit_many`` batch created on this node, with each
+        spec's ``task_submitted`` event (see :meth:`submit`).
 
         Decisions match per-spec :meth:`submit` exactly, but every task
         kept here is placed through :meth:`place_many`, whose whole-batch
@@ -295,23 +314,27 @@ class LocalScheduler:
         pays one control write per task in the submitting thread, which is
         exactly what a batch must avoid.
         """
-        kept = self._forward_or_keep(specs)
+        kept, events = self._forward_or_keep(specs, submitted)
         if kept:
-            self.place_many(kept)
+            self.place_many(kept, events)
 
     # -- placement ------------------------------------------------------------
 
-    def place(self, spec: TaskSpec) -> None:
+    def place(self, spec: TaskSpec, submitted: Optional[Event]) -> None:
         """This node has been chosen to run ``spec``."""
-        self.place_many([spec])
+        self.place_many([spec], [submitted])
 
-    def place_many(self, specs: List[TaskSpec]) -> None:
+    def place_many(
+        self, specs: List[TaskSpec], submitted: List[Optional[Event]]
+    ) -> None:
         """Place the specs chosen for this node: the one placement path.
 
-        The whole batch's SCHEDULED rows and ``task_scheduled`` /
-        ``task_inputs_ready`` events coalesce into one shard write, and the
-        ready sub-batch is enqueued under one condition acquisition with a
-        single wake-up.
+        The whole batch's SCHEDULED rows, the ``submitted`` events not yet
+        written (a first submission's row is born here) and the
+        ``task_scheduled`` / ``task_inputs_ready`` events coalesce into one
+        shard write, and the ready sub-batch is enqueued under one condition
+        acquisition with a single wake-up.  A spec bounced before the write
+        is forwarded with its event; one bounced after it, without.
         """
         node = self.node
         if self._faults.enabled:
@@ -323,8 +346,8 @@ class LocalScheduler:
                 self._faults.on_place(node.node_id)
         if not node.alive:
             # Placed on a node that died in the meantime: bounce to global.
-            for spec in specs:
-                self._forward_to_global(spec)
+            for spec, event in zip(specs, submitted):
+                self._forward_to_global(spec, event)
             return
         ready: List[TaskSpec] = []
         missing_by_spec: List[tuple] = []
@@ -338,13 +361,13 @@ class LocalScheduler:
                 missing_by_spec.append((spec, missing))
             else:
                 ready.append(spec)
-        events = None
+        events = [event for event in submitted if event is not None]
         if self._trace is not None:
             now = time.perf_counter()
-            events = [
+            events.extend(
                 ("task_scheduled", self.lifecycle_payload(spec, now))
                 for spec in specs
-            ]
+            )
             events.extend(
                 ("task_inputs_ready", self.lifecycle_payload(spec, now))
                 for spec in ready
@@ -372,7 +395,8 @@ class LocalScheduler:
             # The node died between the alive check above and here: specs
             # registered now would be invisible to the kill path's drain
             # (it already ran) and lost forever.  stop()/drain() hold this
-            # condition, so the check is authoritative — reroute all.
+            # condition, so the check is authoritative — reroute all (their
+            # submitted events are already written).
             for spec in specs:
                 self._forward_to_global(spec)
             return

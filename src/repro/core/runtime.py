@@ -27,6 +27,7 @@ from repro.common.errors import (
     GetTimeoutError,
     NodeDiedError,
     ObjectLostError,
+    ResourceRequestError,
     RuntimeNotInitializedError,
     TaskCancelledError,
     TaskExecutionError,
@@ -46,7 +47,7 @@ from repro.common.serialization import serialize
 from repro.core import context
 from repro.core.actor import ActorManager
 from repro.core.global_scheduler import GlobalScheduler
-from repro.core.local_scheduler import LocalScheduler
+from repro.core.local_scheduler import Event, LocalScheduler
 from repro.core.object_store import LocalObjectStore
 from repro.core.reconstruction import ReconstructionManager
 from repro.core import scheduling
@@ -446,9 +447,7 @@ class Runtime:
         self.gcs.record_event("node_death", node=node_id.hex()[:8], lost=len(lost))
         for spec in drained:
             if spec.actor_id is None:
-                self.gcs.update_task_status(spec.task_id, TaskStatus.PENDING)
-                self.mark_replay(spec.task_id)
-                self.route_and_place(spec)
+                self._resubmit(spec, node)
         # Tasks RUNNING on the dead node are lost with it: their worker
         # threads are stranded (they exit quietly via NodeDiedError) and
         # their outputs will never materialize, so resubmit each one now.
@@ -472,10 +471,28 @@ class Runtime:
                     if not self.transfer.live_locations(object_id):
                         self.reconstruction.maybe_reconstruct(object_id)
                 continue
-            self.gcs.update_task_status(task_id, TaskStatus.PENDING)
-            self.mark_replay(task_id)
-            self.route_and_place(entry.spec)
+            self._resubmit(entry.spec, node)
         self.actors.on_node_death(node_id)
+
+    def _resubmit(self, spec: TaskSpec, dead: Node) -> None:
+        """Re-place a task the ``dead`` node will never finish; its new
+        placement write rewrites the row.  A task no live node can run is
+        finished FAILED instead (a ``ResourceRequestError`` cause in each
+        output), so a ``get`` raises rather than hangs and the kill goes
+        on."""
+        self.mark_replay(spec.task_id)
+        try:
+            self.route_and_place(spec)
+        except ResourceRequestError as exc:
+            self.clear_replay_hint(spec.task_id)
+            write_finish(
+                self,
+                next(iter(self.live_nodes()), dead),
+                spec,
+                TaskStatus.FAILED,
+                [TaskExecutionError(spec.task_id, exc)] * spec.num_returns,
+                time.perf_counter(),
+            )
 
     def restart_node(self, node_id: NodeID) -> Node:
         """Rejoin a previously killed node under the same NodeID.
@@ -579,9 +596,15 @@ class Runtime:
         if self._trace_enabled:
             self.gcs.record_event(category, **payload)
 
-    def route_and_place(self, spec: TaskSpec) -> None:
+    def route_and_place(
+        self, spec: TaskSpec, submitted: Optional[Event] = None
+    ) -> None:
+        """Place ``spec`` where a global scheduler decides; ``submitted`` (a
+        first submission's ``task_submitted`` event) rides in that node's
+        placement write.  Raises ``ResourceRequestError`` when no live node
+        can ever run it."""
         node = self.global_scheduler_for(spec).schedule(spec)
-        node.local_scheduler.place(spec)
+        node.local_scheduler.place(spec, submitted)
 
     def report_task_duration(self, seconds: float) -> None:
         if self.faults.enabled:
@@ -785,13 +808,15 @@ class Runtime:
         resources: Optional[Dict[str, float]],
         max_retries: int,
         retry_exceptions: Optional[Tuple[type, ...]],
-    ) -> Tuple[List[TaskSpec], List[TaskSpec], Node]:
+    ) -> Tuple[List[TaskSpec], List[TaskSpec], List[Optional[Event]], Node]:
         """The driver-side submit stage of every task submission: one spec
-        per ``(args, kwargs)`` call (already encoded), recorded by
-        :meth:`record_submissions`.  Returns ``(specs, admitted, node)``;
-        the caller hands ``admitted`` to ``node``'s local scheduler — every
-        spec, except under replay those whose outputs still exist or that
-        are in flight, which keep their deterministic futures."""
+        per ``(args, kwargs)`` call (already encoded), added to the task
+        graph.  Returns ``(specs, admitted, events, node)``; the caller
+        hands ``admitted`` with their ``task_submitted`` ``events`` to
+        ``node``'s local scheduler, whose placement write is each row's
+        first — every spec, except under replay those whose outputs still
+        exist or that are in flight, which keep their deterministic
+        futures."""
         parent, first, node = self._submission_context_many(len(calls))
         if resources is None:
             resources = normalize_resources()
@@ -810,7 +835,7 @@ class Runtime:
             )
             for offset, (args, kwargs) in enumerate(calls)
         ]
-        admitted = rows = specs
+        admitted = specs
         if context.in_replay():
             # A parent re-running its submissions: a child may already have
             # a row, so each takes the checked (existence-verified)
@@ -818,31 +843,31 @@ class Runtime:
             # the deterministic (parent, index) pairs have never been used
             # and the rows cannot exist — no existence read is made.
             admitted = [s for s in specs if self._admit_replayed_task(s)]
-            rows = []
-        self.record_submissions(admitted, rows)
-        self._m_tasks_submitted.inc(len(admitted))
-        return specs, admitted, node
-
-    def record_submissions(
-        self, admitted: List[TaskSpec], rows: List[TaskSpec]
-    ) -> None:
-        """The one "record these submissions" step of tasks and actor
-        methods: the rows of the first submissions among ``admitted``
-        (``rows`` — a replayed parent's children already have theirs) and a
-        ``task_submitted`` event per admitted spec in one ``gcs.add_tasks``
-        write per shard, then the task graph.  Durable on return."""
-        events = None
-        if self._trace_enabled:
-            now = time.perf_counter()
-            events = [
-                (
-                    "task_submitted",
-                    dict(task=spec.task_id.short(), name=spec.function_name, t=now),
-                )
-                for spec in admitted
-            ]
-        self.gcs.add_tasks(rows, events=events)
         for spec in admitted:
+            self.graph.add_task(spec)
+        return specs, admitted, self._submitted_events(admitted), node
+
+    def _submitted_events(self, specs: List[TaskSpec]) -> List[Optional[Event]]:
+        """One ``task_submitted`` event per spec (``None`` with tracing off)."""
+        if not self._trace_enabled:
+            return [None] * len(specs)
+        now = time.perf_counter()
+        return [
+            (
+                "task_submitted",
+                dict(task=spec.task_id.short(), name=spec.function_name, t=now),
+            )
+            for spec in specs
+        ]
+
+    def record_submissions(self, specs: List[TaskSpec]) -> None:
+        """Record actor-method submissions: each row, its method-log entry
+        and its ``task_submitted`` event in one ``gcs.add_tasks`` write per
+        shard, then the task graph.  Durable on return — before the spec
+        can reach the mailbox, whose first write is the method's start."""
+        events = self._submitted_events(specs)
+        self.gcs.add_tasks(specs, events=[e for e in events if e is not None])
+        for spec in specs:
             self.graph.add_task(spec)
 
     def submit_task(
@@ -862,7 +887,7 @@ class Runtime:
         batch of one: :meth:`submit_many`'s stage, then the local
         scheduler's single-task entry (which may take the fast path).
         """
-        specs, admitted, node = self._stage_tasks(
+        specs, admitted, events, node = self._stage_tasks(
             function_id,
             function_name,
             [(args, kwargs)],
@@ -872,7 +897,8 @@ class Runtime:
             retry_exceptions,
         )
         if admitted:
-            node.local_scheduler.submit(admitted[0])
+            node.local_scheduler.submit(admitted[0], events[0])
+            self._m_tasks_submitted.inc()
         return specs[0].return_ids
 
     def _admit_replayed_task(self, spec: TaskSpec) -> bool:
@@ -918,12 +944,13 @@ class Runtime:
         """Submit many invocations of one function in one batch.
 
         ``calls`` is a sequence of ``(args, kwargs)`` pairs (already
-        encoded); the batch's task rows and trace events coalesce into one
-        ``ShardedKV.batch`` per shard.  Returns one return-ID tuple per call.
+        encoded); the task rows and trace events of every call the
+        submitting node keeps coalesce into one placement
+        ``ShardedKV.batch``.  Returns one return-ID tuple per call.
         """
         if not calls:
             return []
-        specs, admitted, node = self._stage_tasks(
+        specs, admitted, events, node = self._stage_tasks(
             function_id,
             function_name,
             calls,
@@ -933,7 +960,8 @@ class Runtime:
             retry_exceptions,
         )
         if admitted:
-            node.local_scheduler.submit_many(admitted)
+            node.local_scheduler.submit_many(admitted, events)
+            self._m_tasks_submitted.inc(len(admitted))
         return [spec.return_ids for spec in specs]
 
     def create_actor(

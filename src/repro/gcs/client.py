@@ -118,6 +118,18 @@ class GlobalControlStore:
     def remove_object_location(self, object_id: ObjectID, node_id: NodeID) -> None:
         self.kv.append((_OBJ_LOC, object_id), ("remove", node_id))
 
+    def remove_object_locations(
+        self, retractions: List[Tuple[ObjectID, NodeID]]
+    ) -> None:
+        """Retract many ``(object_id, node_id)`` copies in one coalesced
+        shard write (subscribers see each ``remove`` as from
+        :meth:`remove_object_location`)."""
+        if retractions:
+            self.kv.batch([
+                ("append", (_OBJ_LOC, object_id), ("remove", node_id))
+                for object_id, node_id in retractions
+            ])
+
     def add_task_outputs(
         self,
         entries: List[Tuple[ObjectID, int, Optional[TaskID], Optional[NodeID]]],
@@ -259,7 +271,9 @@ class GlobalControlStore:
         """Record a task row unless one exists: a replayed parent may
         re-submit an already-recorded task, whose original spec is kept so
         lineage stays stable (exactly-once bookkeeping).  First submissions
-        skip the existence read through :meth:`add_tasks`."""
+        make no existence read: their first row is written blind, by their
+        placement (:meth:`set_task_states`) or, for an actor method, by
+        :meth:`add_tasks`."""
         if self.kv.get((_TASK, task_id)) is not None:
             return
         self.kv.put(
@@ -273,8 +287,10 @@ class GlobalControlStore:
         events: Optional[List[Tuple[str, Dict[str, Any]]]] = None,
         batched: bool = True,
     ) -> None:
-        """Record many first-submission task rows (plus their
-        ``task_submitted`` trace events) in coalesced shard writes.
+        """Record many first-submission task rows as PENDING (plus their
+        ``task_submitted`` trace events) in coalesced shard writes — the
+        actor-method submit write (a task's first row is its placement
+        write, :meth:`set_task_states`).
 
         The submit-side mirror of :meth:`finish_task`: one
         :meth:`ShardedKV.batch` call groups every row into one chain write
@@ -326,8 +342,10 @@ class GlobalControlStore:
         read-modify-write round-trip — and every row plus the batch's
         ``task_scheduled``/``task_inputs_ready`` events collapse into one
         chain write per shard.  Only valid for tasks whose status the
-        caller currently owns (placed/queued on its node); events are
-        seq-stamped in list order so timeline ordering holds.
+        caller currently owns (placed/queued on its node); for a first
+        submission this is the row's first write, and its
+        ``task_submitted`` event leads ``events``.  Events are seq-stamped
+        in list order so timeline ordering holds.
         """
         ops: List[tuple] = []
         for spec, status, node_id in updates:

@@ -4,10 +4,13 @@ These tests exercise the *real* recovery code paths of the runtime — the
 behaviours Figures 11a/11b measure at cluster scale.
 """
 
+import threading
+
 import pytest
 
 import repro
-from repro.common.errors import ObjectLostError
+from repro.common.errors import ObjectLostError, ResourceRequestError
+from repro.gcs.tables import TaskStatus
 
 
 @repro.remote
@@ -18,6 +21,11 @@ def step(x):
 @repro.remote
 def blob(i):
     return bytes(10_000) + bytes([i % 256])
+
+
+@repro.remote
+def echo(x):
+    return x
 
 
 @repro.remote
@@ -163,3 +171,122 @@ class TestClusterElasticity:
         runtime.kill_node(victim.node_id)
         runtime.kill_node(victim.node_id)  # no error
         assert len(runtime.live_nodes()) == 1
+
+
+class HeldRowWrite:
+    """Holds the first ``ShardedKV.batch`` that writes a task row on
+    ``thread`` until ``release`` is set; ``entered`` is set once it holds."""
+
+    def __init__(self, kv, thread):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self._thread = thread
+        self._batch = kv.batch
+        kv.batch = self.batch
+
+    def batch(self, ops):
+        if (
+            threading.current_thread() is self._thread
+            and not self.entered.is_set()
+            and any(op == "put" and key[0] == "task" for op, key, _ in ops)
+        ):
+            self.entered.set()
+            assert self.release.wait(10)
+        return self._batch(ops)
+
+
+class TestKillWhileRowInFlight:
+    """A node dies while the submission it is placing has its task row in
+    flight: the task still runs once, on the survivor, and is submitted
+    once."""
+
+    @staticmethod
+    def kill_during_row_write(runtime, submit):
+        victim = runtime.driver_node
+        result = {}
+        submitter = threading.Thread(target=lambda: result.update(ref=submit()))
+        held = HeldRowWrite(runtime.gcs.kv, submitter)
+        submitter.start()
+        assert held.entered.wait(10)
+        runtime.kill_node(victim.node_id)
+        held.release.set()
+        submitter.join(10)
+        return victim, result["ref"]
+
+    @staticmethod
+    def check_tables(runtime, victim, survivor, ref):
+        task_id = runtime.graph.producer_of(ref.object_id)
+        submitted = [
+            record
+            for record in runtime.gcs.events("task_submitted")
+            if record.as_dict()["task"] == task_id.short()
+        ]
+        assert len(submitted) == 1
+        repro.shutdown()  # quiescence: every write has landed
+        row = runtime.gcs.get_task(task_id)
+        assert (row.status, row.node_id) == (TaskStatus.FINISHED, survivor.node_id)
+        in_flight_on_victim = [
+            entry
+            for status in (TaskStatus.RUNNING, TaskStatus.SCHEDULED)
+            for entry in runtime.gcs.tasks_with_status(status)
+            if entry.node_id == victim.node_id
+        ]
+        assert in_flight_on_victim == []
+
+    def test_fast_path(self):
+        runtime = repro.init(num_nodes=2, num_cpus_per_node=2)
+        survivor = runtime.nodes()[1]
+        victim, ref = self.kill_during_row_write(runtime, lambda: echo.remote(7))
+        assert repro.get(ref, timeout=10) == 7
+        self.check_tables(runtime, victim, survivor, ref)
+
+    def test_queued_behind_an_input(self):
+        runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
+        survivor = runtime.add_node({"CPU": 2, "far": 1})
+        gate = threading.Event()
+
+        @repro.remote(resources={"far": 1})
+        def held(x):
+            assert gate.wait(10)
+            return x
+
+        unfinished = held.remote(7)
+        victim, ref = self.kill_during_row_write(
+            runtime, lambda: echo.remote(unfinished)
+        )
+        gate.set()
+        assert repro.get(ref, timeout=10) == 7
+        self.check_tables(runtime, victim, survivor, ref)
+
+
+class TestKillWithNoSurvivorThatFits:
+    def test_kill_finishes_and_unplaceable_tasks_fail(self):
+        runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
+        far = runtime.add_node({"CPU": 2, "far": 1})
+        started = threading.Event()
+        gate = threading.Event()
+
+        @repro.remote(resources={"far": 1})
+        def held(x):
+            started.set()
+            assert gate.wait(10)
+            return x
+
+        running = held.remote(1)
+        assert started.wait(10)
+        queued = held.remote(2)  # waits for the one "far" slot
+        deaths = []
+        on_node_death = runtime.actors.on_node_death
+        runtime.actors.on_node_death = lambda node_id: (
+            deaths.append(node_id),
+            on_node_death(node_id),
+        )
+        runtime.kill_node(far.node_id)
+        assert deaths == [far.node_id]
+        for ref in (running, queued):
+            with pytest.raises(repro.TaskExecutionError) as info:
+                repro.get(ref, timeout=10)
+            assert isinstance(info.value.cause, ResourceRequestError)
+            row = runtime.gcs.get_task(runtime.graph.producer_of(ref.object_id))
+            assert row.status == TaskStatus.FAILED
+        gate.set()  # let the stranded attempt exit

@@ -71,23 +71,37 @@ def run_counted(submit, expect=7):
     return caller, calls
 
 
-def test_task_on_idle_node_costs_two_blocking_calls_three_in_all():
+def assert_row_first(caller, calls):
+    """Every blocking batch that writes a task row leads with it: the row
+    is the first thing durable about the task."""
+    for op, what in caller:
+        if op == "batch" and ("put", "task") in what:
+            assert what[0] == ("put", "task"), calls.describe()
+
+
+def test_task_on_idle_node_costs_one_blocking_call_two_in_all():
     runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
     runtime.ensure_function_registered(echo._function_id, echo._func)
     caller, calls = run_counted(lambda: echo.remote(7))
-    assert (len(caller), len(calls.calls)) == (2, 3), calls.describe()
-    assert [op for op, _ in caller] == ["batch", "batch"], calls.describe()
+    assert (len(caller), len(calls.calls)) == (1, 2), calls.describe()
+    # The fast path's one write is the row's first: RUNNING +
+    # task_submitted + task_scheduled + task_inputs_ready.
+    assert caller == [
+        ("batch", (("put", "task"),) + (("append", "event"),) * 3)
+    ], calls.describe()
 
 
-def test_submit_many_costs_two_blocking_calls_plus_one_per_task():
+def test_submit_many_costs_one_blocking_call_plus_one_per_task():
     runtime = repro.init(num_nodes=1, num_cpus_per_node=8)
     runtime.ensure_function_registered(echo._function_id, echo._func)
     caller, calls = run_counted(
         lambda: echo.submit_many([(i,) for i in range(8)]), list(range(8))
     )
-    # add_tasks + place_many's SCHEDULED batch on the caller; the
+    # place_many's SCHEDULED batch (rows + every event) on the caller; the
     # dispatcher's one RUNNING batch for the round; a finish batch per task.
-    assert (len(caller), len(calls.calls)) == (2, 2 + 1 + 8), calls.describe()
+    assert (len(caller), len(calls.calls)) == (1, 1 + 1 + 8), calls.describe()
+    assert [op for op, _ in caller] == ["batch"], calls.describe()
+    assert_row_first(caller, calls)
 
 
 def test_actor_method_costs_one_blocking_call_five_in_all():
@@ -112,7 +126,7 @@ def test_actor_method_costs_one_blocking_call_five_in_all():
     ], calls.describe()
 
 
-def test_forwarded_task_costs_two_blocking_calls_six_in_all():
+def test_forwarded_task_costs_one_blocking_call_five_in_all():
     runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
     runtime.add_node({"CPU": 2, "far": 1})  # the only node that fits
     gate = threading.Event()
@@ -133,11 +147,12 @@ def test_forwarded_task_costs_two_blocking_calls_six_in_all():
     gate.set()
     assert repro.get(ref, timeout=10) == 7
     repro.shutdown()
-    # add_tasks + place_many's SCHEDULED batch (global placement reads
+    # The far node's place_many SCHEDULED batch (global placement reads
     # nothing for a by-value argument) on the caller; the far dispatcher's
     # RUNNING batch; the finish batch; the copy's location read and write.
-    assert (len(caller), len(calls.calls)) == (2, 6), calls.describe()
-    assert [op for op, _ in caller] == ["batch", "batch"], calls.describe()
+    assert (len(caller), len(calls.calls)) == (1, 5), calls.describe()
+    assert [op for op, _ in caller] == ["batch"], calls.describe()
+    assert_row_first(caller, calls)
     assert calls.by_thread()[me] == caller, calls.describe()
     # The copy is made by a transfer thread: not by the worker whose
     # finish batch published the location, and not by the reader.
@@ -150,7 +165,7 @@ def test_forwarded_task_costs_two_blocking_calls_six_in_all():
     assert all(t.startswith("transfer-") for t in movers), calls.describe()
 
 
-def test_task_queued_behind_its_input_costs_two_blocking_calls():
+def test_task_queued_behind_its_input_costs_one_blocking_call():
     runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
     runtime.ensure_function_registered(echo._function_id, echo._func)
     gate = threading.Event()
@@ -167,9 +182,42 @@ def test_task_queued_behind_its_input_costs_two_blocking_calls():
     gate.set()
     assert repro.get(ref, timeout=10) == 7
     repro.shutdown()
-    # add_tasks, then place_many's SCHEDULED batch; the input's fetch is
-    # registration only (no location published yet, lineage known).
-    assert [op for op, _ in caller] == ["batch", "batch"], calls.describe()
+    # place_many's SCHEDULED batch; the input's fetch is registration
+    # only (no location published yet, lineage known).
+    assert [op for op, _ in caller] == ["batch"], calls.describe()
+    assert_row_first(caller, calls)
+
+
+def test_put_costs_one_blocking_batch():
+    runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
+    calls = ShardCalls(runtime.gcs.kv)
+    repro.put(7)
+    repro.shutdown()
+    # add_task_outputs: the location append and the metadata row, which
+    # shard together.
+    assert calls.calls == [
+        (
+            threading.current_thread().name,
+            "batch",
+            (("append", "object_loc"), ("put", "object")),
+        )
+    ], calls.describe()
+
+
+def test_free_costs_one_blocking_batch_for_all_copies():
+    runtime = repro.init(num_nodes=2, num_cpus_per_node=2)
+    refs = [repro.put(i) for i in range(2)]
+    far = runtime.nodes()[1]
+    for ref in refs:
+        assert runtime.fetch_to_node(ref.object_id, far, timeout=10)
+    calls = ShardCalls(runtime.gcs.kv)
+    assert repro.free(refs) == 4
+    caller = list(calls.by_thread()[threading.current_thread().name])
+    repro.shutdown()
+    # One retraction per copy, all in one batch.
+    assert caller == [
+        ("batch", (("append", "object_loc"),) * 4)
+    ], calls.describe()
 
 
 def test_tasks_and_methods_leave_the_same_records(single_node_runtime):

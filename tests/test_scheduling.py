@@ -7,6 +7,7 @@ import pytest
 
 import repro
 from repro.common.errors import ResourceRequestError
+from repro.tools import ClusterInspector
 
 
 @repro.remote
@@ -65,6 +66,23 @@ class TestResourceAwareness:
     def test_infeasible_request_raises(self, runtime):
         with pytest.raises(ResourceRequestError):
             gpu_task.remote()  # no GPU node anywhere in this cluster
+
+    def test_rejected_submission_leaves_no_trace(self, runtime):
+        """A submission the scheduler rejects leaves no task row, no
+        ``task_submitted`` event and no ``tasks_submitted_total`` bump."""
+
+        def submitted_total():
+            series = runtime.metrics.to_dict()["tasks_submitted_total"]["series"]
+            return sum(s["value"] for s in series)
+
+        with pytest.raises(ResourceRequestError):
+            gpu_task.remote()
+        with pytest.raises(ResourceRequestError):
+            gpu_task.submit_many([(), ()])
+        assert ClusterInspector(runtime).pending_tasks() == []
+        assert runtime.gcs.num_tasks() == 0
+        assert runtime.gcs.events("task_submitted") == []
+        assert submitted_total() == 0
 
     def test_custom_resources(self):
         rt = repro.init(num_nodes=1, num_cpus_per_node=2)
