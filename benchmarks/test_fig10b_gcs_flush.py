@@ -13,7 +13,7 @@ sawtooth) are the assertion.
 import pytest
 
 from benchmarks.conftest import print_table
-from repro.common.ids import TaskID
+from repro.common.ids import NodeID, TaskID
 from repro.gcs.client import GlobalControlStore
 from repro.gcs.flush import GcsFlusher
 from repro.gcs.tables import TaskStatus
@@ -23,11 +23,13 @@ MEMORY_CAPACITY_ENTRIES = 1500  # the "memory capacity of the system"
 FLUSH_CAP = 400
 
 
+NODE = NodeID.from_seed("node")
+
+
 def submit_noop_tasks(gcs, start, count):
     for i in range(start, start + count):
         task_id = TaskID.from_seed(f"noop-{i}")
-        gcs.add_task(task_id, None)
-        gcs.update_task_status(task_id, TaskStatus.FINISHED)
+        gcs.finish_task(task_id, TaskStatus.FINISHED, NODE, [], spec=None)
 
 
 def run(flushing: bool, tmp_path):

@@ -30,8 +30,11 @@ contains no wall-clock values.  Planned faults with count-based triggers
 and chunk decisions (a pure hash of ``(seed, object_id, chunk_index)``)
 produce an identical log whenever the schedule receives the same hook-call
 sequence — and two runs of a sequential workload do exactly that.
-Wall-clock (``after_seconds``) triggers are provided for long benches but
-excluded from the determinism guarantee; prefer count triggers.
+Fired faults apply one at a time, in firing order, so an outcome never
+depends on how two hook threads interleave: a fault fired while another is
+being applied is applied by that thread, right after it.  Wall-clock
+(``after_seconds``) triggers are provided for long benches but excluded
+from the determinism guarantee; prefer count triggers.
 """
 
 from __future__ import annotations
@@ -40,8 +43,9 @@ import hashlib
 import random
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Deque, List, Optional, Sequence, Set, Tuple
 from repro.common.lockwatch import make_lock
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -177,6 +181,10 @@ class FaultSchedule(NullFaultInjector):
 
         self._lock = make_lock("FaultSchedule._lock")
         self._pending: List[Tuple[int, PlannedFault]] = list(enumerate(faults))
+        # Fired faults awaiting application, with their hook's context;
+        # ``_applying`` is set while one is being applied (see _apply_due).
+        self._due: Deque[tuple] = deque()
+        self._applying = False
         self._log: List[Tuple[Any, ...]] = []
         self._tasks = 0
         self._placements = 0
@@ -280,27 +288,27 @@ class FaultSchedule(NullFaultInjector):
     def on_task_finished(self) -> None:
         with self._lock:
             self._tasks += 1
-            due = self._collect_due_locked("tasks")
-        self._apply_all(due)
+            self._collect_due_locked("tasks")
+        self._apply_due()
 
     def on_place(self, node_id: Any) -> None:
         with self._lock:
             self._placements += 1
-            due = self._collect_due_locked("placement")
-        self._apply_all(due, context_node_id=node_id)
+            self._collect_due_locked("placement", node_id)
+        self._apply_due()
 
     def on_chain_write(self, shard_index: int, chain: Any = None) -> None:
         with self._lock:
             self._chain_writes += 1
-            due = self._collect_due_locked("chain")
-        self._apply_all(due, context_shard=shard_index, context_chain=chain)
+            self._collect_due_locked("chain", None, shard_index, chain)
+        self._apply_due()
 
     def poll(self) -> None:
         """Fire any due wall-clock triggers (benches call this between
         measurement windows; count triggers need no polling)."""
         with self._lock:
-            due = self._collect_due_locked("time")
-        self._apply_all(due)
+            self._collect_due_locked("time")
+        self._apply_due()
 
     def chunk_fault(self, object_id: Any, chunk_index: int) -> Optional[str]:
         """Deterministic per-stripe decision: ``"drop"``, ``"delay"``, or
@@ -342,8 +350,9 @@ class FaultSchedule(NullFaultInjector):
     # Firing
     # ------------------------------------------------------------------
 
-    def _collect_due_locked(self, source: str) -> List[Tuple[int, PlannedFault]]:
-        """Due planned faults for one hook kind (lock held).
+    def _collect_due_locked(self, source: str, *context: Any) -> None:
+        """Queue the due planned faults for one hook kind, with the hook's
+        ``context`` (see :meth:`_apply`), in firing order (lock held).
 
         A count trigger fires only from the hook that advances its counter
         (wall-clock triggers fire from any hook), so a ``TARGET_SELF``
@@ -351,11 +360,10 @@ class FaultSchedule(NullFaultInjector):
         independent of cross-thread hook interleaving.
         """
         if not self._pending:
-            return []
+            return
         elapsed = (
             time.monotonic() - self._started if self._started is not None else 0.0
         )
-        due: List[Tuple[int, PlannedFault]] = []
         remaining: List[Tuple[int, PlannedFault]] = []
         for index, fault in self._pending:
             t = fault.trigger
@@ -372,19 +380,33 @@ class FaultSchedule(NullFaultInjector):
                 and t.after_chain_writes is not None
                 and self._chain_writes >= t.after_chain_writes
             )
-            (due if fired else remaining).append((index, fault))
+            if fired:
+                self._due.append((index, fault) + context)
+            else:
+                remaining.append((index, fault))
         self._pending = remaining
-        return due
 
-    def _apply_all(
-        self,
-        due: Sequence[Tuple[int, PlannedFault]],
-        context_node_id: Any = None,
-        context_shard: Optional[int] = None,
-        context_chain: Any = None,
-    ) -> None:
-        for index, fault in due:
-            self._apply(index, fault, context_node_id, context_shard, context_chain)
+    def _apply_due(self) -> None:
+        """Apply queued faults one at a time, in the order they fired.
+
+        Whoever finds no fault being applied applies the queue, including
+        faults that its own applications fire; a hook that finds one in
+        progress leaves its faults queued and returns.  So a restart fired
+        while its node's kill is still running applies after that kill, not
+        against the half-killed node, and no hook ever waits on another
+        thread's fault.
+        """
+        while self._due:  # unlocked peek: the hook that queues one drains
+            with self._lock:
+                if self._applying or not self._due:
+                    return
+                self._applying = True
+                queued = self._due.popleft()
+            try:
+                self._apply(*queued)
+            finally:
+                with self._lock:
+                    self._applying = False
 
     @staticmethod
     def _mirror_to_gcs(runtime: "Runtime", index: int, fault: PlannedFault,
@@ -425,14 +447,15 @@ class FaultSchedule(NullFaultInjector):
         self,
         index: int,
         fault: PlannedFault,
-        context_node_id: Any,
-        context_shard: Optional[int],
-        context_chain: Any,
+        context_node_id: Any = None,
+        context_shard: Optional[int] = None,
+        context_chain: Any = None,
     ) -> None:
-        """Execute one planned fault.  Unbound schedules (dry runs / the
-        determinism tests) log the decision without touching a cluster.
-        Applying never raises into the instrumented layer: an injection
-        error becomes a ``"failed"`` outcome."""
+        """Execute one planned fault with its hook's context.  Unbound
+        schedules (dry runs / the determinism tests) log the decision
+        without touching a cluster.  Applying never raises into the
+        instrumented layer: an injection error becomes a ``"failed"``
+        outcome."""
         runtime = self._runtime
         action = fault.action
         if runtime is None:

@@ -38,8 +38,6 @@ from repro.gcs.tables import TaskStatus
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.runtime import Node, Runtime
 
-_ACTOR_CKPT = "actor_ckpt"
-
 
 class ActorState:
     """Mutable bookkeeping for one actor (all incarnations)."""
@@ -121,13 +119,16 @@ class ActorManager:
         self._start_incarnation(state)
         return state
 
-    def _choose_node(self, state: ActorState) -> "Node":
-        return self.runtime.global_scheduler_for(state.creation_spec).schedule(
-            state.creation_spec
-        )
+    def _place(self, state: ActorState) -> "Node":
+        """Choose the node for the actor's next incarnation and write the
+        creation task's row SCHEDULED there: its placement write."""
+        spec = state.creation_spec
+        node = self.runtime.global_scheduler_for(spec).schedule(spec)
+        self.runtime.gcs.set_task_states([(spec, TaskStatus.SCHEDULED, node.node_id)])
+        return node
 
     def _start_incarnation(self, state: ActorState) -> None:
-        node = self._choose_node(state)
+        node = self._place(state)
         with state.cond:
             state.interrupt.set()  # wake any wait of the previous incarnation
             state.interrupt = Completion(stats=self.runtime.wait_stats)
@@ -159,12 +160,16 @@ class ActorManager:
         with state.cond:
             counter = state.submitted
             state.submitted += 1
+            node = state.node  # None only until the first placement
         spec = state_spec_builder(counter)
         # The task row and the method-log entry must be durable before the
         # spec can reach the actor thread: the method may start the instant
         # it lands in the mailbox, and a restart rebuilds the mailbox from
-        # the log alone.
-        self.runtime.record_submissions([spec])
+        # the log alone.  The mailbox is the method's queue, so its row is
+        # placed (SCHEDULED) on the actor's node.
+        self.runtime.record_submissions(
+            [spec], node.node_id if node is not None else None
+        )
         if state.dead_forever:
             self._store_method_error(state, spec)
             return spec
@@ -217,7 +222,7 @@ class ActorManager:
                 return
             attempts += 1
             if attempts % 10 == 0:
-                replacement = self._choose_node(state)
+                replacement = self._place(state)
                 if replacement is not node:
                     with state.cond:
                         state.node = replacement
@@ -304,29 +309,28 @@ class ActorManager:
                 interrupt=interrupt,
             ):
                 return None
-        args, kwargs, input_error = resolve_args(node, spec)
-        if input_error is not None:
-            self._kill_forever(state, cause=input_error)
-            return None
-        try:
-            # A restarted incarnation re-runs __init__, which may resubmit
-            # children the first incarnation already created.
-            with context.execution_scope(
-                runtime, node, spec.task_id, None, is_replay=incarnation > 0
-            ):
-                instance = state.cls(*args, **kwargs)
-        except BaseException as exc:  # noqa: BLE001
-            self._kill_forever(
-                state, cause=TaskExecutionError(spec.task_id, exc)
-            )
-            return None
-        runtime.gcs.update_task_status(
-            spec.task_id, TaskStatus.FINISHED, node_id=node.node_id
-        )
+        started = time.perf_counter()
+        instance = None
+        args, kwargs, cause = resolve_args(node, spec)
+        if cause is None:
+            try:
+                # A restarted incarnation re-runs __init__, which may
+                # resubmit children the first incarnation already created.
+                with context.execution_scope(
+                    runtime, node, spec.task_id, None, is_replay=incarnation > 0
+                ):
+                    instance = state.cls(*args, **kwargs)
+            except BaseException as exc:  # noqa: BLE001
+                cause = TaskExecutionError(spec.task_id, exc)
+        if cause is not None:
+            self._kill_forever(state, cause)
+        # The creation is a task: it finishes through the one finish writer.
+        status = TaskStatus.FINISHED if cause is None else TaskStatus.FAILED
+        write_finish(runtime, node, spec, status, [], started)
         return instance
 
     def _restore_checkpoint(self, state: ActorState, instance: Any) -> int:
-        ckpt = self.runtime.gcs.kv.get((_ACTOR_CKPT, state.actor_id))
+        ckpt = self.runtime.gcs.get_actor_checkpoint(state.actor_id)
         if ckpt is None:
             return 0
         counter, blob = ckpt
@@ -446,7 +450,7 @@ class ActorManager:
         # Seal: the checkpoint must not alias live actor state (the actor
         # keeps mutating its arrays after the snapshot is taken).
         blob = serialize(payload).seal()
-        self.runtime.gcs.kv.put((_ACTOR_CKPT, state.actor_id), (counter, blob))
+        self.runtime.gcs.put_actor_checkpoint(state.actor_id, counter, blob)
         self.runtime.gcs.update_actor(state.actor_id, checkpoint_index=counter)
         with self._lock:
             self.checkpoints_taken += 1
@@ -535,9 +539,6 @@ class ActorManager:
             state.dead_forever = True
             state.interrupt.set()
             state.cond.notify_all()
-        self.runtime.gcs.update_task_status(
-            state.creation_spec.task_id, TaskStatus.FAILED
-        )
         self._release_name(state)
         self.runtime.gcs.update_actor(state.actor_id, alive=False)
         self._fail_pending_methods(state, cause)

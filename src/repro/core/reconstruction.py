@@ -45,6 +45,13 @@ class ReconstructionManager:
         with self._lock:
             self._inflight.discard(task_id)
 
+    def in_flight(self, task_id: TaskID) -> bool:
+        """Is ``task_id`` being re-placed by reconstruction?  True from the
+        decision until the replay finishes — including the window before
+        its placement write rewrites the row."""
+        with self._lock:
+            return task_id in self._inflight
+
     def maybe_reconstruct(self, object_id: ObjectID) -> None:
         """Reconstruct ``object_id`` if it is lost and has lineage.
 
@@ -73,16 +80,8 @@ class ReconstructionManager:
         with self._lock:
             if task_id in self._inflight:
                 return
-            if task_entry.status in (
-                TaskStatus.PENDING,
-                TaskStatus.SCHEDULED,
-                TaskStatus.RUNNING,
-            ):
-                node = (
-                    runtime.transfer.node(task_entry.node_id)
-                    if task_entry.node_id
-                    else None
-                )
+            if task_entry.status in (TaskStatus.SCHEDULED, TaskStatus.RUNNING):
+                node = runtime.transfer.node(task_entry.node_id)
                 if node is not None and node.alive:
                     return  # in flight on a live node; just wait
             self._inflight.add(task_id)
@@ -90,7 +89,6 @@ class ReconstructionManager:
             self.reconstructed_objects += spec.num_returns
         self._m_tasks.inc()
         self._m_objects.inc(spec.num_returns)
-        runtime.gcs.update_task_status(task_id, TaskStatus.PENDING)
         runtime.gcs.record_event(
             "task_reconstructed",
             task=task_id.hex()[:8],

@@ -455,23 +455,18 @@ class Runtime:
         # object-table entry was never created, so reconstruction has
         # nothing to replay.  Actor methods are replayed separately by the
         # actor-restart path (on_node_death), which preserves the
-        # stateful-edge order.
+        # stateful-edge order.  A task that already finished needs nothing
+        # here: a worker that finished on the dead node replays its own
+        # outputs (execute_task), and outputs stored before the kill were
+        # dropped above like every copy on this node.
         for task_id in running:
             entry = self.lookup_task(task_id)
-            if entry is None or entry.spec.actor_id is not None:
-                continue
-            if entry.status in (TaskStatus.FINISHED, TaskStatus.FAILED,
-                                TaskStatus.CANCELLED):
-                # Finished inside the kill window: alive flipped before its
-                # store_outputs ran, so the outputs were either never stored
-                # (no location was ever published — no retraction event will
-                # ever announce the loss) or dropped above.  Replay lineage
-                # for any output with no live copy.
-                for object_id in entry.spec.return_ids:
-                    if not self.transfer.live_locations(object_id):
-                        self.reconstruction.maybe_reconstruct(object_id)
-                continue
-            self._resubmit(entry.spec, node)
+            if (
+                entry is not None
+                and entry.spec.actor_id is None
+                and entry.status in (TaskStatus.SCHEDULED, TaskStatus.RUNNING)
+            ):
+                self._resubmit(entry.spec, node)
         self.actors.on_node_death(node_id)
 
     def _resubmit(self, spec: TaskSpec, dead: Node) -> None:
@@ -626,7 +621,8 @@ class Runtime:
         """Task-table lookup with fallback to flushed (on-disk) lineage.
 
         A flushed record found on disk is re-admitted to the in-memory
-        table so the reconstruction path can update its status.
+        table, unless a re-placement wrote the row first; the row the table
+        holds is returned.
         """
         entry = self.gcs.get_task(task_id)
         if entry is not None or self.flusher is None:
@@ -634,9 +630,7 @@ class Runtime:
         restored = self.flusher.restore_task(task_id)
         if restored is None:
             return None
-        self.gcs.add_task(task_id, restored.spec)
-        self.gcs.update_task_status(task_id, restored.status)
-        return self.gcs.get_task(task_id)
+        return self.gcs.add_task(restored)
 
     def record_task_retry(
         self, spec: TaskSpec, exc: BaseException, attempt: int
@@ -810,13 +804,13 @@ class Runtime:
         retry_exceptions: Optional[Tuple[type, ...]],
     ) -> Tuple[List[TaskSpec], List[TaskSpec], List[Optional[Event]], Node]:
         """The driver-side submit stage of every task submission: one spec
-        per ``(args, kwargs)`` call (already encoded), added to the task
-        graph.  Returns ``(specs, admitted, events, node)``; the caller
-        hands ``admitted`` with their ``task_submitted`` ``events`` to
-        ``node``'s local scheduler, whose placement write is each row's
-        first — every spec, except under replay those whose outputs still
-        exist or that are in flight, which keep their deterministic
-        futures."""
+        per ``(args, kwargs)`` call (already encoded).  Returns ``(specs,
+        admitted, events, node)``; the caller hands ``admitted`` with their
+        ``task_submitted`` ``events`` to ``node``'s local scheduler, whose
+        placement write is each row's first, then records them with
+        :meth:`_accepted` — every spec, except under replay those whose
+        outputs still exist or that are in flight, which keep their
+        deterministic futures."""
         parent, first, node = self._submission_context_many(len(calls))
         if resources is None:
             resources = normalize_resources()
@@ -839,13 +833,20 @@ class Runtime:
         if context.in_replay():
             # A parent re-running its submissions: a child may already have
             # a row, so each takes the checked (existence-verified)
-            # admission, which writes or resets the row itself.  Otherwise
-            # the deterministic (parent, index) pairs have never been used
-            # and the rows cannot exist — no existence read is made.
+            # admission.  Otherwise the deterministic (parent, index) pairs
+            # have never been used and the rows cannot exist — no existence
+            # read is made.
             admitted = [s for s in specs if self._admit_replayed_task(s)]
-        for spec in admitted:
-            self.graph.add_task(spec)
         return specs, admitted, self._submitted_events(admitted), node
+
+    def _accepted(self, specs: List[TaskSpec]) -> None:
+        """Record submissions the scheduler accepted: their task-graph
+        entries and the submission counter.  A rejected submission
+        (``ResourceRequestError``) never reaches here, so it leaves no
+        trace; no ref to a spec escapes before this runs."""
+        for spec in specs:
+            self.graph.add_task(spec)
+        self._m_tasks_submitted.inc(len(specs))
 
     def _submitted_events(self, specs: List[TaskSpec]) -> List[Optional[Event]]:
         """One ``task_submitted`` event per spec (``None`` with tracing off)."""
@@ -860,13 +861,18 @@ class Runtime:
             for spec in specs
         ]
 
-    def record_submissions(self, specs: List[TaskSpec]) -> None:
-        """Record actor-method submissions: each row, its method-log entry
-        and its ``task_submitted`` event in one ``gcs.add_tasks`` write per
-        shard, then the task graph.  Durable on return — before the spec
-        can reach the mailbox, whose first write is the method's start."""
+    def record_submissions(
+        self, specs: List[TaskSpec], node_id: Optional[NodeID]
+    ) -> None:
+        """Record actor-method submissions placed on their actor's node:
+        each row (SCHEDULED there), its method-log entry and its
+        ``task_submitted`` event in one ``gcs.add_tasks`` write per shard,
+        then the task graph.  Durable on return — before the spec can reach
+        the mailbox, whose first write is the method's start."""
         events = self._submitted_events(specs)
-        self.gcs.add_tasks(specs, events=[e for e in events if e is not None])
+        self.gcs.add_tasks(
+            specs, node_id, events=[e for e in events if e is not None]
+        )
         for spec in specs:
             self.graph.add_task(spec)
 
@@ -898,37 +904,32 @@ class Runtime:
         )
         if admitted:
             node.local_scheduler.submit(admitted[0], events[0])
-            self._m_tasks_submitted.inc()
+            self._accepted(admitted)
         return specs[0].return_ids
 
     def _admit_replayed_task(self, spec: TaskSpec) -> bool:
         """Existence check for a possibly-replayed submission.
 
-        Returns True if the task should be (re)placed: either it is new
-        (row added) or its previous execution is dead with lost outputs.
-        Returns False when its outputs still exist or it is in flight on a
-        live node — the caller returns the deterministic futures as-is.
+        Returns True if the task should be placed: either it is new or its
+        previous execution is dead with lost outputs — its placement write
+        then writes the row.  Returns False when its outputs still exist or
+        it is in flight (being reconstructed, or placed on a live node) —
+        the caller returns the deterministic futures as-is.
         """
         task_id = spec.task_id
+        if self.reconstruction.in_flight(task_id):
+            return False
         existing = self.gcs.get_task(task_id)
         if existing is None:
-            self.gcs.add_task(task_id, spec)
             return True
         if existing.status == TaskStatus.FINISHED and all(
             self.transfer.live_locations(oid) for oid in spec.return_ids
         ):
             return False
-        if existing.status in (
-            TaskStatus.PENDING,
-            TaskStatus.SCHEDULED,
-            TaskStatus.RUNNING,
-        ):
-            running_node = (
-                self.transfer.node(existing.node_id) if existing.node_id else None
-            )
+        if existing.status in (TaskStatus.SCHEDULED, TaskStatus.RUNNING):
+            running_node = self.transfer.node(existing.node_id)
             if running_node is not None and running_node.alive:
                 return False
-        self.gcs.update_task_status(task_id, TaskStatus.PENDING)
         return True
 
     def submit_many(
@@ -961,7 +962,7 @@ class Runtime:
         )
         if admitted:
             node.local_scheduler.submit_many(admitted, events)
-            self._m_tasks_submitted.inc(len(admitted))
+            self._accepted(admitted)
         return [spec.return_ids for spec in specs]
 
     def create_actor(
@@ -995,7 +996,6 @@ class Runtime:
             # Claim the name before any durable side effect: a duplicate
             # raises ValueError here and no actor or task row is created.
             self.gcs.register_actor_name(name, actor_id)
-        self.gcs.add_task(task_id, spec)
         self.graph.add_task(spec)
         self.actors.create_actor(
             cls,

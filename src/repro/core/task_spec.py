@@ -95,15 +95,15 @@ class TaskSpec:
                 deps.append(value.object_id)
         return tuple(deps)
 
+    @property
+    def kind(self) -> str:
+        """``"actor_creation"``, ``"actor_method"`` or ``"task"``."""
+        if self.is_actor_creation:
+            return "actor_creation"
+        return "actor_method" if self.is_actor_method else "task"
+
     def describe(self) -> str:
-        kind = (
-            "actor_creation"
-            if self.is_actor_creation
-            else "actor_method"
-            if self.is_actor_method
-            else "task"
-        )
-        return f"{kind}:{self.function_name}#{self.task_id.hex()[:8]}"
+        return f"{self.kind}:{self.function_name}#{self.task_id.hex()[:8]}"
 
 
 @dataclass(frozen=True)

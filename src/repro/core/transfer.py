@@ -383,7 +383,15 @@ class ObjectFetcher:
                 return
             self._inflight[key] = time.monotonic()
 
+        # Queued work for one fetch is serialized by ``lock``; ``done`` is
+        # what a late item (queued before the copy landed) finds.
+        state = {"done": False}
+        lock = make_lock("ObjectFetcher.ensure_local.lock")
+
         def finished(_oid: ObjectID) -> None:
+            # The copy landed: a late item must not act on a later loss
+            # (say a ``free``) of the object this fetch already delivered.
+            state["done"] = True
             with self._inflight_lock:
                 started = self._inflight.pop(key, None)
             if started is not None:
@@ -391,14 +399,10 @@ class ObjectFetcher:
 
         node.store.on_available(object_id, finished)
 
-        # Queued work for one fetch is serialized by ``lock``; ``done`` is
-        # what a late item (queued before the copy landed) finds.
-        state = {"done": False}
-        lock = make_lock("ObjectFetcher.ensure_local.lock")
-
         def try_transfer() -> bool:
             # With ``lock`` held: is this fetch over?
             if state["done"]:
+                unsubscribe()
                 return True
             if not node.alive:
                 # Stop trying; the node is gone.  Release the in-flight
@@ -435,6 +439,7 @@ class ObjectFetcher:
             # subscribed only to future "add" events that will never come.
             with lock:
                 if state["done"]:
+                    unsubscribe()
                     return
             if (
                 not self.transfer.live_locations(object_id)

@@ -249,8 +249,9 @@ def write_finish(
     """The one finish writer: store ``values`` as ``spec``'s outputs on
     ``node`` and publish them, the terminal task row and the
     ``task_finished`` event in a single GCS batch.  Used for specs that
-    ran (``run_task``'s verdict) and for specs that never will (an error
-    value, ``started`` = now)."""
+    ran (``run_task``'s verdict, or an actor's constructor), and for specs
+    that never will (an error value, ``started`` = now).  The task is then
+    no longer in flight for reconstruction."""
     entries = store_outputs(node, spec, values)
     duration = time.perf_counter() - started
     runtime.gcs.finish_task(
@@ -267,13 +268,14 @@ def write_finish(
                 start=started,
                 duration=duration,
                 status=status.value,
-                kind="actor_method" if spec.is_actor_method else "task",
+                kind=spec.kind,
             ),
         ),
         spec=spec,
     )
     runtime.report_task_duration(duration)
     runtime.discard_cancellation_event(spec.task_id)
+    runtime.reconstruction.task_finished(spec.task_id)
 
 
 def execute_task(
@@ -304,6 +306,15 @@ def execute_task(
         # anything for this stranded attempt.
         return
     write_finish(runtime, node, spec, status, values, started)
-    runtime.reconstruction.task_finished(spec.task_id)
+    if not node.alive:
+        # The node died under this attempt, which may have run entirely
+        # between kill_node's running-set snapshots, and this finish may
+        # have published a copy after kill_node retracted the node's:
+        # retract it and replay the outputs.
+        runtime.gcs.remove_object_locations(
+            [(object_id, node.node_id) for object_id in spec.return_ids]
+        )
+        for object_id in spec.return_ids:
+            runtime.reconstruction.maybe_reconstruct(object_id)
     if replay:
         runtime.clear_replay_hint(spec.task_id)

@@ -32,6 +32,7 @@ _FUNC = "function"  # function table
 _ACTOR = "actor"  # actor table
 _ACTOR_NAME = "actor_name"  # user-visible name -> actor id
 _ACTOR_LOG = "actor_log"  # per-actor method specs, in submission order
+_ACTOR_CKPT = "actor_ckpt"  # per-actor latest checkpoint: (counter, blob)
 _EVENT = "event"  # event log
 _NODE_REPORT = "node_report"  # per-node reporter snapshot rows
 _DEPLOYMENT = "deployment"  # serve: current row per deployment name
@@ -167,51 +168,37 @@ class GlobalControlStore:
         self,
         task_id: TaskID,
         status: TaskStatus,
-        node_id: Optional[NodeID],
+        node_id: NodeID,
         entries: List[Tuple[ObjectID, int, Optional[TaskID], Optional[NodeID]]],
         event: Optional[Tuple[str, Dict[str, Any]]] = None,
         batched: bool = True,
-        spec: Any = None,
+        *,
+        spec: Any,
     ) -> None:
         """Coalesce *every* GCS write of one task finish into batched shard
         writes: the per-output rows (as in :meth:`add_task_outputs`), the
-        task-table status update, and the ``task_finished`` event append.
-        Output rows precede the status put, so a reader that observes
-        ``FINISHED`` can already see the outputs' metadata.  ``batched=False``
-        issues the same writes per-op (the test reference).
-
-        When the caller passes the task's ``spec`` (workers hold it — they
-        just executed it), the task row is rebuilt in place and the finish
-        costs zero reads; without it the row is read back first."""
+        terminal task row, and the ``task_finished`` event append.  Output
+        rows precede the task row, so a reader that observes ``FINISHED``
+        can already see the outputs' metadata.  The row is rebuilt from the
+        caller's ``spec`` (the finisher holds it), so a finish reads
+        nothing.  ``batched=False`` issues the same writes per-op (the test
+        reference)."""
+        row = TaskTableEntry(
+            task_id=task_id, spec=spec, status=status, node_id=node_id
+        )
         if not batched:
             self.add_task_outputs(entries, batched=False)
-            self.update_task_status(task_id, status, node_id=node_id)
+            self.kv.put((_TASK, task_id), row)
             if event is not None:
                 self.record_event(event[0], **event[1])
             return
-        if spec is None or node_id is None:
-            task_entry = self.kv.get((_TASK, task_id))
-            if task_entry is None:
-                raise KeyError(f"task {task_id!r} not in task table")
-            spec = task_entry.spec
-            if node_id is None:
-                node_id = task_entry.node_id
         ops: List[tuple] = []
         for object_id, size, producer, node in entries:
             if node is not None:
                 self._published_locations.add(object_id)
                 ops.append(("append", (_OBJ_LOC, object_id), ("add", node)))
             ops.append(("put", (_OBJ, object_id), (size, producer)))
-        ops.append((
-            "put",
-            (_TASK, task_id),
-            TaskTableEntry(
-                task_id=task_id,
-                spec=spec,
-                status=status,
-                node_id=node_id,
-            ),
-        ))
+        ops.append(("put", (_TASK, task_id), row))
         if event is not None:
             ops.extend(self._event_ops([event]))
         self.kv.batch(ops)
@@ -267,30 +254,30 @@ class GlobalControlStore:
     # Task table (durable lineage)
     # ------------------------------------------------------------------
 
-    def add_task(self, task_id: TaskID, spec: Any) -> None:
-        """Record a task row unless one exists: a replayed parent may
-        re-submit an already-recorded task, whose original spec is kept so
-        lineage stays stable (exactly-once bookkeeping).  First submissions
-        make no existence read: their first row is written blind, by their
-        placement (:meth:`set_task_states`) or, for an actor method, by
-        :meth:`add_tasks`."""
-        if self.kv.get((_TASK, task_id)) is not None:
-            return
-        self.kv.put(
-            (_TASK, task_id),
-            TaskTableEntry(task_id=task_id, spec=spec, status=TaskStatus.PENDING),
-        )
+    def add_task(self, entry: TaskTableEntry) -> TaskTableEntry:
+        """Re-admit a task row restored from flushed lineage unless the
+        table already holds one, and return whichever row it holds: a
+        re-placement that landed first keeps its row.  Every other row is
+        written blind, by a placement (:meth:`set_task_states`,
+        :meth:`add_tasks`) or a finish (:meth:`finish_task`)."""
+        existing = self.kv.get((_TASK, entry.task_id))
+        if existing is not None:
+            return existing
+        self.kv.put((_TASK, entry.task_id), entry)
+        return entry
 
     def add_tasks(
         self,
         specs: List[Any],
+        node_id: Optional[NodeID],
         events: Optional[List[Tuple[str, Dict[str, Any]]]] = None,
         batched: bool = True,
     ) -> None:
-        """Record many first-submission task rows as PENDING (plus their
-        ``task_submitted`` trace events) in coalesced shard writes — the
-        actor-method submit write (a task's first row is its placement
-        write, :meth:`set_task_states`).
+        """Place many first submissions on ``node_id`` — rows SCHEDULED
+        there, plus their ``task_submitted`` trace events — in coalesced
+        shard writes: the actor-method submit write, whose node is its
+        actor's and whose queue is the actor's mailbox (a stateless task's
+        first row is written by its placement, :meth:`set_task_states`).
 
         The submit-side mirror of :meth:`finish_task`: one
         :meth:`ShardedKV.batch` call groups every row into one chain write
@@ -313,7 +300,10 @@ class GlobalControlStore:
                 "put",
                 (_TASK, spec.task_id),
                 TaskTableEntry(
-                    task_id=spec.task_id, spec=spec, status=TaskStatus.PENDING
+                    task_id=spec.task_id,
+                    spec=spec,
+                    status=TaskStatus.SCHEDULED,
+                    node_id=node_id,
                 ),
             ))
             if spec.is_actor_method:
@@ -363,25 +353,6 @@ class GlobalControlStore:
         if ops:
             self.kv.batch(ops)
 
-    def update_task_status(
-        self,
-        task_id: TaskID,
-        status: TaskStatus,
-        node_id: Optional[NodeID] = None,
-    ) -> None:
-        entry = self.kv.get((_TASK, task_id))
-        if entry is None:
-            raise KeyError(f"task {task_id!r} not in task table")
-        self.kv.put(
-            (_TASK, task_id),
-            TaskTableEntry(
-                task_id=task_id,
-                spec=entry.spec,
-                status=status,
-                node_id=node_id if node_id is not None else entry.node_id,
-            ),
-        )
-
     def get_task(self, task_id: TaskID) -> Optional[TaskTableEntry]:
         return self.kv.get((_TASK, task_id))
 
@@ -424,6 +395,16 @@ class GlobalControlStore:
         """Every method spec submitted to ``actor_id``, in submission order
         (appended by :meth:`add_tasks`)."""
         return self.kv.log((_ACTOR_LOG, actor_id))
+
+    def put_actor_checkpoint(self, actor_id: ActorID, counter: int, blob: Any) -> None:
+        """Store ``actor_id``'s latest checkpoint: the state ``blob`` and
+        the method ``counter`` it was taken at, from which a restart
+        replays the method log."""
+        self.kv.put((_ACTOR_CKPT, actor_id), (counter, blob))
+
+    def get_actor_checkpoint(self, actor_id: ActorID) -> Optional[Tuple[int, Any]]:
+        """``(counter, blob)`` of the latest checkpoint, or None."""
+        return self.kv.get((_ACTOR_CKPT, actor_id))
 
     # ------------------------------------------------------------------
     # Actor names (the ``.options(name=...)`` / ``get_actor`` registry)

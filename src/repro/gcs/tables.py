@@ -17,14 +17,17 @@ from repro.common.ids import ActorID, NodeID, ObjectID, TaskID
 
 
 class TaskStatus(enum.Enum):
-    """Lifecycle of a task as recorded in the task table."""
+    """Lifecycle of a task as recorded in the task table.
 
-    PENDING = "pending"  # submitted, waiting for scheduling or inputs
-    SCHEDULED = "scheduled"  # placed on a node
+    Two writes produce a row: a placement (SCHEDULED or RUNNING on the node
+    that holds the task) and a finish (one of the terminal states).  A row
+    is born by its first placement; a task re-placed after a loss is simply
+    placed again."""
+
+    SCHEDULED = "scheduled"  # placed on a node (queued or in its mailbox)
     RUNNING = "running"
     FINISHED = "finished"
     FAILED = "failed"  # application exception
-    LOST = "lost"  # node died while running; eligible for replay
     CANCELLED = "cancelled"  # dequeued or cooperatively stopped via cancel()
 
 

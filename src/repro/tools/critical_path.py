@@ -141,10 +141,13 @@ class CriticalPath:
         self.runtime = runtime
 
     def _latest_lifecycles(self) -> Dict[str, TaskLifecycle]:
-        """Last *finished* execution per task (replays supersede)."""
+        """Last *finished* execution per task (replays supersede).  An
+        actor's creation is left out: it is the actor's set-up, not a step
+        its methods wait on once they are submitted, and the gap before
+        the first method would read as the path's wall clock."""
         latest: Dict[str, TaskLifecycle] = {}
         for lc in Timeline(self.runtime).lifecycles():
-            if lc.finished is None:
+            if lc.finished is None or lc.kind == "actor_creation":
                 continue
             prior = latest.get(lc.task)
             if prior is None or lc.finished >= (prior.finished or 0.0):

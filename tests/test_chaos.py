@@ -7,6 +7,7 @@ underneath it; every final answer must still be exactly correct.
 """
 
 import random
+import threading
 import time
 
 import pytest
@@ -270,6 +271,49 @@ def test_single_use_schedule_rejects_rebind():
         schedule.bind(rt)  # rebinding the same runtime is a no-op
         with pytest.raises(RuntimeError):
             schedule.bind(object())  # a second cluster must build its own
+    finally:
+        repro.shutdown()
+
+
+def test_restart_fired_mid_kill_applies_after_the_kill(monkeypatch):
+    """A restart whose trigger fires on another thread while its node's kill
+    is still running applies once that kill finishes — it never reads the
+    half-killed node (which would log it ``skipped``)."""
+    schedule = FaultSchedule(
+        seed=0,
+        faults=[
+            PlannedFault(
+                FaultTrigger(after_tasks=1), FaultAction(KILL_NODE, target=1)
+            ),
+            PlannedFault(
+                FaultTrigger(after_tasks=2), FaultAction(RESTART_NODE, target=1)
+            ),
+        ],
+    )
+    rt = repro.init(num_nodes=2, num_cpus_per_node=1, fault_schedule=schedule)
+    try:
+        entered, release = threading.Event(), threading.Event()
+        kill_node = rt.kill_node
+
+        def held_kill(node_id):
+            entered.set()
+            assert release.wait(10)
+            kill_node(node_id)
+
+        monkeypatch.setattr(rt, "kill_node", held_kill)
+        killer = threading.Thread(target=schedule.on_task_finished)
+        killer.start()
+        assert entered.wait(10)
+        restarter = threading.Thread(target=schedule.on_task_finished)
+        restarter.start()
+        restarter.join(10)
+        assert not restarter.is_alive()
+        release.set()
+        killer.join(10)
+        assert not killer.is_alive()
+        outcomes = [(e[3], e[-1]) for e in schedule.event_log()]
+        assert outcomes == [(KILL_NODE, "applied"), (RESTART_NODE, "applied")]
+        assert rt.node_by_index(1).alive
     finally:
         repro.shutdown()
 

@@ -121,5 +121,5 @@ class TestCriticalPath:
         repro.get(last)
         report = CriticalPath(runtime).analyze()
         # The terminal method's path must run back through its stateful
-        # predecessors (and the actor creation task).
-        assert len(report.steps) >= 3
+        # predecessors; the actor's creation is set-up, not a step.
+        assert [step.kind for step in report.steps] == ["actor_method"] * 3

@@ -326,7 +326,6 @@ class TestBatchedGcsWrites:
     def _finish(self, gcs, batched):
         node_id = NodeID.from_seed("n")
         task_id = TaskID.from_seed("finish")
-        gcs.add_task(task_id, spec="spec-sentinel")
         entries = self._entries(2, node_id, task_id)
         gcs.finish_task(
             task_id,
@@ -335,6 +334,7 @@ class TestBatchedGcsWrites:
             entries,
             event=("task_finished", dict(task="finish", duration=0.5)),
             batched=batched,
+            spec="spec-sentinel",
         )
         return node_id, task_id, entries
 
@@ -351,13 +351,6 @@ class TestBatchedGcsWrites:
         assert task_entry.spec == "spec-sentinel"
         events = gcs.events("task_finished")
         assert len(events) == 1 and events[0].as_dict()["duration"] == 0.5
-
-    def test_finish_task_requires_task_row(self):
-        gcs = GlobalControlStore(num_shards=1)
-        with pytest.raises(KeyError):
-            gcs.finish_task(
-                TaskID.from_seed("ghost"), TaskStatus.FINISHED, None, []
-            )
 
 
 class TestNodeTableLocking:

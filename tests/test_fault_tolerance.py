@@ -259,6 +259,158 @@ class TestKillWhileRowInFlight:
         self.check_tables(runtime, victim, survivor, ref)
 
 
+def lose(runtime, object_id):
+    """Delete every copy of ``object_id`` and retract its locations."""
+    for node in runtime.live_nodes():
+        if node.store.contains(object_id):
+            node.store.delete(object_id)
+            runtime.gcs.remove_object_location(object_id, node.node_id)
+
+
+def task_events(runtime, category, task_id):
+    return [
+        r for r in runtime.gcs.events(category)
+        if r.as_dict()["task"] == task_id.short()
+    ]
+
+
+class TestReconstructionRaces:
+    """Reconstruction re-places a task with an ordinary placement write; no
+    status write precedes it.  These races hold that write open."""
+
+    def test_kill_of_the_node_a_reconstruction_is_placing_on(self, monkeypatch):
+        runtime = repro.init(num_nodes=2, num_cpus_per_node=2)
+        home, victim = runtime.nodes()
+        ref = echo.remote(7)
+        assert repro.wait([ref], timeout=10)[0] == [ref]
+        task_id = runtime.graph.producer_of(ref.object_id)
+        lose(runtime, ref.object_id)
+        # The reconstruction's placement goes to the victim; any later one
+        # is the scheduler's own choice among live nodes.
+        scheduler = runtime.global_schedulers[0]
+        schedule = scheduler.schedule
+        picks = iter([victim])
+        monkeypatch.setattr(
+            scheduler, "schedule", lambda spec: next(picks, None) or schedule(spec)
+        )
+        reconstructor = threading.Thread(
+            target=runtime.reconstruction.maybe_reconstruct,
+            args=(ref.object_id,),
+        )
+        held = HeldRowWrite(runtime.gcs.kv, reconstructor)
+        reconstructor.start()
+        assert held.entered.wait(10)  # the SCHEDULED row on the victim
+        runtime.kill_node(victim.node_id)
+        held.release.set()
+        reconstructor.join(10)
+        assert not reconstructor.is_alive()
+        assert repro.get(ref, timeout=10) == 7
+        repro.shutdown()  # quiescence: every write has landed
+        assert len(task_events(runtime, "task_finished", task_id)) == 2
+        row = runtime.gcs.get_task(task_id)
+        assert (row.status, row.node_id) == (TaskStatus.FINISHED, home.node_id)
+        assert [
+            entry
+            for status in (TaskStatus.SCHEDULED, TaskStatus.RUNNING)
+            for entry in runtime.gcs.tasks_with_status(status)
+            if entry.node_id == victim.node_id
+        ] == []
+
+    def test_replayed_parent_resubmits_a_child_being_reconstructed(self):
+        runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
+        submissions = []
+        replayed = threading.Event()
+
+        @repro.remote
+        def parent():
+            echo.remote(5)
+            submissions.append(1)
+            if len(submissions) == 2:
+                replayed.set()
+            return 1
+
+        ref = parent.remote()
+        assert repro.wait([ref], timeout=10)[0] == [ref]
+        parent_id = runtime.graph.producer_of(ref.object_id)
+        (child_id,) = runtime.graph.children_of(parent_id)
+        (child_out,) = runtime.graph.task(child_id).return_ids
+        assert runtime.wait([child_out], 1, timeout=10)[0] == [child_out]
+        lose(runtime, child_out)
+        lose(runtime, ref.object_id)
+        reconstructor = threading.Thread(
+            target=runtime.reconstruction.maybe_reconstruct, args=(child_out,)
+        )
+        held = HeldRowWrite(runtime.gcs.kv, reconstructor)
+        reconstructor.start()
+        assert held.entered.wait(10)  # the child's placement, in flight
+        # The parent replays and submits the child again meanwhile.
+        runtime.reconstruction.maybe_reconstruct(ref.object_id)
+        assert replayed.wait(10)
+        assert repro.get(ref, timeout=10) == 1
+        held.release.set()
+        reconstructor.join(10)
+        assert not reconstructor.is_alive()
+        assert runtime.wait([child_out], 1, timeout=10)[0] == [child_out]
+        repro.shutdown()  # quiescence: every write has landed
+        assert len(task_events(runtime, "task_scheduled", child_id)) == 2
+        assert len(task_events(runtime, "task_finished", child_id)) == 2
+        assert runtime.gcs.get_task(child_id).status == TaskStatus.FINISHED
+
+
+class TestFinishedBetweenKillSnapshots:
+    def test_attempt_run_inside_the_kill_is_replayed(self, monkeypatch):
+        """A task dispatched after ``kill_node``'s first running-set
+        snapshot and finished (unstored) before its second is in neither;
+        its own worker replays it."""
+        runtime = repro.init(num_nodes=1, num_cpus_per_node=1)
+        victim = runtime.add_node({"CPU": 1, "n": 1})
+        started, gate = threading.Event(), threading.Event()
+
+        @repro.remote(resources={"n": 1})
+        def held(x):
+            started.set()
+            assert gate.wait(10)
+            return x
+
+        @repro.remote(resources={"n": 1})
+        def quick(x):
+            return x
+
+        first = held.remote(1)
+        assert started.wait(10)
+        second = quick.remote(2)  # queued behind ``first`` for the "n" slot
+        second_id = runtime.graph.producer_of(second.object_id)
+        runtime.add_node({"CPU": 1, "n": 1})  # the survivor
+        stopping, resume = threading.Event(), threading.Event()
+        stop = victim.local_scheduler.stop
+
+        def held_stop():
+            stopping.set()  # alive is False; the dispatcher still runs
+            assert resume.wait(10)
+            stop()
+
+        monkeypatch.setattr(victim.local_scheduler, "stop", held_stop)
+        finished = threading.Event()
+        finish_task = runtime.gcs.finish_task
+
+        def watched_finish_task(task_id, *args, **kwargs):
+            finish_task(task_id, *args, **kwargs)
+            if task_id == second_id:
+                finished.set()
+
+        monkeypatch.setattr(runtime.gcs, "finish_task", watched_finish_task)
+        killer = threading.Thread(target=runtime.kill_node, args=(victim.node_id,))
+        killer.start()
+        assert stopping.wait(10)
+        gate.set()  # frees the slot: ``second`` runs on the dying node
+        assert finished.wait(10)
+        resume.set()
+        killer.join(10)
+        assert not killer.is_alive()
+        assert repro.get([first, second], timeout=10) == [1, 2]
+        repro.shutdown()
+
+
 class TestKillWithNoSurvivorThatFits:
     def test_kill_finishes_and_unplaceable_tasks_fail(self):
         runtime = repro.init(num_nodes=1, num_cpus_per_node=2)

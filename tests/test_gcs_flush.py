@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.common.ids import TaskID
+from repro.common.ids import FunctionID, NodeID, TaskID
+from repro.core.task_spec import TaskSpec
 from repro.gcs.client import GlobalControlStore
 from repro.gcs.flush import GcsFlusher
 from repro.gcs.tables import TaskStatus
@@ -13,12 +14,14 @@ def gcs():
     return GlobalControlStore(num_shards=2, num_replicas=1)
 
 
-def _finish_tasks(gcs, count, prefix="t"):
+NODE = NodeID.from_seed("n")
+
+
+def _finish_tasks(gcs, count, prefix="t", status=TaskStatus.FINISHED):
     ids = []
     for i in range(count):
         tid = TaskID.from_seed(f"{prefix}{i}")
-        gcs.add_task(tid, f"spec-{i}")
-        gcs.update_task_status(tid, TaskStatus.FINISHED)
+        gcs.finish_task(tid, status, NODE, [], spec=f"spec-{i}")
         ids.append(tid)
     return ids
 
@@ -34,17 +37,23 @@ class TestFlushMechanics:
         assert flusher.flushed_task_count() == 10
 
     def test_pending_tasks_not_flushed(self, gcs, tmp_path):
+        """An in-flight (placed, unfinished) row stays in memory."""
         flusher = GcsFlusher(gcs, str(tmp_path / "flush.bin"))
-        tid = TaskID.from_seed("pending")
-        gcs.add_task(tid, "spec")
+        spec = TaskSpec(
+            task_id=TaskID.from_seed("placed"),
+            function_id=FunctionID.from_seed("f"),
+            function_name="f",
+            args=(),
+            kwargs=(),
+            num_returns=1,
+        )
+        gcs.set_task_states([(spec, TaskStatus.SCHEDULED, NODE)])
         assert flusher.flush() == 0
-        assert gcs.get_task(tid) is not None
+        assert gcs.get_task(spec.task_id).status == TaskStatus.SCHEDULED
 
     def test_failed_tasks_are_flushed(self, gcs, tmp_path):
         flusher = GcsFlusher(gcs, str(tmp_path / "flush.bin"))
-        tid = TaskID.from_seed("failed")
-        gcs.add_task(tid, "spec")
-        gcs.update_task_status(tid, TaskStatus.FAILED)
+        _finish_tasks(gcs, 1, prefix="failed", status=TaskStatus.FAILED)
         assert flusher.flush() == 1
 
     def test_events_are_flushed(self, gcs, tmp_path):

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.common.ids import ActorID, FunctionID, NodeID, ObjectID, TaskID
+from repro.core.task_spec import TaskSpec
 from repro.gcs.client import GlobalControlStore
-from repro.gcs.tables import TaskStatus
+from repro.gcs.tables import TaskStatus, TaskTableEntry
 
 
 @pytest.fixture
@@ -72,45 +73,55 @@ class TestObjectTable:
         assert len(seen) == 1
 
 
+def _spec(seed):
+    return TaskSpec(
+        task_id=TaskID.from_seed(seed),
+        function_id=FunctionID.from_seed("f"),
+        function_name="f",
+        args=(seed,),
+        kwargs=(),
+        num_returns=1,
+    )
+
+
 class TestTaskTable:
     def test_add_and_get(self, gcs):
         tid = TaskID.from_seed("t")
-        gcs.add_task(tid, "spec")
-        entry = gcs.get_task(tid)
-        assert entry.spec == "spec"
-        assert entry.status == TaskStatus.PENDING
+        row = TaskTableEntry(tid, "spec", TaskStatus.FINISHED)
+        assert gcs.add_task(row) == row
+        assert gcs.get_task(tid) == row
 
     def test_add_is_idempotent_for_replay(self, gcs):
-        """Replayed tasks must not clobber the original lineage record."""
+        """A re-admitted row must not clobber the one the table holds."""
         tid = TaskID.from_seed("t")
-        gcs.add_task(tid, "original")
-        gcs.add_task(tid, "replayed")
-        assert gcs.get_task(tid).spec == "original"
+        gcs.add_task(TaskTableEntry(tid, "original", TaskStatus.FINISHED))
+        held = gcs.add_task(TaskTableEntry(tid, "replayed", TaskStatus.FINISHED))
+        assert held.spec == gcs.get_task(tid).spec == "original"
 
-    def test_status_transitions(self, gcs):
-        tid = TaskID.from_seed("t")
+    def test_placement_then_finish(self, gcs):
+        spec = _spec("t")
         node = NodeID.from_seed("n")
-        gcs.add_task(tid, "spec")
-        gcs.update_task_status(tid, TaskStatus.RUNNING, node_id=node)
-        entry = gcs.get_task(tid)
-        assert entry.status == TaskStatus.RUNNING
-        assert entry.node_id == node
-        gcs.update_task_status(tid, TaskStatus.FINISHED)
-        entry = gcs.get_task(tid)
-        assert entry.status == TaskStatus.FINISHED
-        assert entry.node_id == node  # preserved when not passed
-
-    def test_update_unknown_task_raises(self, gcs):
-        with pytest.raises(KeyError):
-            gcs.update_task_status(TaskID.from_seed("x"), TaskStatus.RUNNING)
+        gcs.set_task_states([(spec, TaskStatus.SCHEDULED, node)])
+        entry = gcs.get_task(spec.task_id)
+        assert (entry.spec, entry.status, entry.node_id) == (
+            spec, TaskStatus.SCHEDULED, node
+        )
+        gcs.finish_task(spec.task_id, TaskStatus.FINISHED, node, [], spec=spec)
+        entry = gcs.get_task(spec.task_id)
+        assert (entry.spec, entry.status, entry.node_id) == (
+            spec, TaskStatus.FINISHED, node
+        )
 
     def test_tasks_with_status(self, gcs):
-        for i in range(3):
-            gcs.add_task(TaskID.from_seed(str(i)), i)
-        gcs.update_task_status(TaskID.from_seed("0"), TaskStatus.FINISHED)
+        node = NodeID.from_seed("n")
+        specs = [_spec(str(i)) for i in range(3)]
+        gcs.set_task_states([(s, TaskStatus.SCHEDULED, node) for s in specs])
+        gcs.finish_task(
+            specs[0].task_id, TaskStatus.FINISHED, node, [], spec=specs[0]
+        )
         finished = gcs.tasks_with_status(TaskStatus.FINISHED)
         assert len(finished) == 1
-        assert len(gcs.tasks_with_status(TaskStatus.PENDING)) == 2
+        assert len(gcs.tasks_with_status(TaskStatus.SCHEDULED)) == 2
 
 
 class TestActorTable:

@@ -126,6 +126,59 @@ def test_actor_method_costs_one_blocking_call_five_in_all():
     ], calls.describe()
 
 
+def test_actor_creation_costs_four_blocking_calls_five_in_the_background():
+    runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
+    calls = ShardCalls(runtime.gcs.kv)
+    actor = Echo.remote()
+    caller = list(calls.by_thread()[threading.current_thread().name])
+    assert runtime.actors.get_state(actor.actor_id).ready.wait(10)
+    repro.shutdown()
+    (actor_thread,) = [
+        c for t, c in calls.by_thread().items() if t.startswith("actor-")
+    ]
+    assert (len(caller), len(actor_thread)) == (4, 5), calls.describe()
+    # The creation row is written blind, by its placement; nothing reads it.
+    assert ("get", "task") not in caller, calls.describe()
+    assert caller[-1] == ("batch", (("put", "task"),)), calls.describe()
+    assert actor_thread == [
+        ("batch", (("put", "task"), ("append", "event"))),  # finish
+        ("get", "actor_ckpt"),  # restore
+        ("log", "actor_log"),  # mailbox rebuild
+        ("get", "actor"),  # update_actor(node_id, alive, ...) is a
+        ("put", "actor"),  # read-modify-write of the recovery record
+    ], calls.describe()
+
+
+def test_reconstructing_one_lost_output_costs_nine_calls():
+    runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
+    runtime.ensure_function_registered(echo._function_id, echo._func)
+    ref = echo.remote(7)
+    assert repro.get(ref, timeout=10) == 7
+    node = runtime.driver_node
+    node.store.delete(ref.object_id)
+    runtime.gcs.remove_object_location(ref.object_id, node.node_id)
+    _caller, calls = run_counted(lambda: ref)
+    assert runtime.reconstruction.reconstructed_tasks == 1
+    # The fetch's probe (locations, object row, live copies, task row), the
+    # task_reconstructed event, then the task's ordinary life: placement,
+    # RUNNING, finish.  Only placements and finishes write the row.
+    assert [(op, what) for _t, op, what in calls.calls] == [
+        ("log", "object_loc"),
+        ("get", "object"),
+        ("log", "object_loc"),
+        ("log", "object_loc"),
+        ("get", "task"),
+        ("append", "event"),
+        ("batch", (("put", "task"), ("append", "event"), ("append", "event"))),
+        ("batch", (("put", "task"),)),
+        (
+            "batch",
+            (("append", "object_loc"), ("put", "object"), ("put", "task"),
+             ("append", "event")),
+        ),
+    ], calls.describe()
+
+
 def test_forwarded_task_costs_one_blocking_call_five_in_all():
     runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
     runtime.add_node({"CPU": 2, "far": 1})  # the only node that fits
@@ -235,7 +288,15 @@ def test_tasks_and_methods_leave_the_same_records(single_node_runtime):
         "task_finished",
     ):
         names = Tally(r.as_dict()["name"] for r in gcs.events(category))
-        assert names == {"echo": 12, "Echo.echo": 12}, category
+        # The actor's creation is a task too: it finishes like one.
+        created = {"Echo.__init__": 1} if category == "task_finished" else {}
+        assert names == {"echo": 12, "Echo.echo": 12, **created}, category
+    (creation,) = [
+        r.as_dict()
+        for r in gcs.events("task_finished")
+        if r.as_dict()["name"] == "Echo.__init__"
+    ]
+    assert creation["kind"] == "actor_creation"
     rows = {"echo": [], "Echo.echo": []}
     for entry in gcs.tasks_with_status(TaskStatus.FINISHED):
         if entry.spec.function_name in rows:

@@ -7,6 +7,7 @@ Prometheus exposition must be well-formed.
 """
 
 import math
+import threading
 
 import pytest
 
@@ -257,7 +258,17 @@ class TestRuntimeCatalog:
         assert placed >= 5
 
     def test_wait_latency_histogram_fed_by_event_layer(self, runtime):
-        ref = double.remote(21)
+        gate = threading.Event()
+
+        @repro.remote
+        def gated(x):
+            assert gate.wait(10)
+            return 2 * x
+
+        ref = gated.remote(21)
+        # The result cannot exist before the gate opens, so this blocks.
+        assert repro.wait([ref], timeout=0.01) == ([], [ref])
+        gate.set()
         assert repro.get(ref) == 42
         hist = runtime.metrics.histogram(
             "wait_latency_seconds", "Time blocked in Completion.wait"

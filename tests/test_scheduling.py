@@ -69,20 +69,26 @@ class TestResourceAwareness:
 
     def test_rejected_submission_leaves_no_trace(self, runtime):
         """A submission the scheduler rejects leaves no task row, no
-        ``task_submitted`` event and no ``tasks_submitted_total`` bump."""
+        ``task_submitted`` event, no ``tasks_submitted_total`` bump and no
+        task-graph entry."""
 
         def submitted_total():
             series = runtime.metrics.to_dict()["tasks_submitted_total"]["series"]
             return sum(s["value"] for s in series)
 
+        def assert_no_trace():
+            assert ClusterInspector(runtime).pending_tasks() == []
+            assert runtime.gcs.num_tasks() == 0
+            assert runtime.gcs.events("task_submitted") == []
+            assert submitted_total() == 0
+            assert runtime.graph.num_tasks() == 0
+
         with pytest.raises(ResourceRequestError):
             gpu_task.remote()
+        assert_no_trace()
         with pytest.raises(ResourceRequestError):
             gpu_task.submit_many([(), ()])
-        assert ClusterInspector(runtime).pending_tasks() == []
-        assert runtime.gcs.num_tasks() == 0
-        assert runtime.gcs.events("task_submitted") == []
-        assert submitted_total() == 0
+        assert_no_trace()
 
     def test_custom_resources(self):
         rt = repro.init(num_nodes=1, num_cpus_per_node=2)

@@ -57,6 +57,7 @@ class TestSubmitMany:
         """``add_tasks`` is purely a write-coalescing choice: the batch and
         its per-op reference must leave the same task rows and the same
         event-log shape behind."""
+        node_id = NodeID.from_seed("actor-node")
 
         def tables(batched: bool):
             gcs = GlobalControlStore(num_shards=4)
@@ -76,7 +77,7 @@ class TestSubmitMany:
                 for spec in specs
             ]
             try:
-                gcs.add_tasks(specs, events=events, batched=batched)
+                gcs.add_tasks(specs, node_id, events=events, batched=batched)
                 rows = [gcs.get_task(spec.task_id) for spec in specs]
                 log = [
                     (record.seq, record.as_dict()["task"])
@@ -89,7 +90,10 @@ class TestSubmitMany:
         batched_rows, batched_log = tables(True)
         unbatched_rows, unbatched_log = tables(False)
         assert batched_rows == unbatched_rows
-        assert all(row.status == TaskStatus.PENDING for row in batched_rows)
+        assert all(
+            (row.status, row.node_id) == (TaskStatus.SCHEDULED, node_id)
+            for row in batched_rows
+        )
         assert batched_log == unbatched_log
         assert len(batched_log) == 12
 

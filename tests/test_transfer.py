@@ -7,7 +7,7 @@ import numpy as np
 import repro
 from repro.common.ids import ObjectID
 from repro.common.serialization import deserialize, serialize
-from repro.core.transfer import striped_copy
+from repro.core.transfer import TRANSFER_THREADS, striped_copy
 
 
 def _far_node(runtime):
@@ -89,6 +89,34 @@ class TestFetcher:
         ref = produce.remote()
         value = repro.get(ref, timeout=10)
         assert value == "late"
+
+    def test_delivered_fetch_ignores_a_later_free(self, runtime):
+        """Once a fetch's object has landed, its subscription's late
+        callbacks must not act on a later ``free``: replaying the task
+        would resurrect an object the application dropped."""
+        node = runtime.driver_node
+        gate = threading.Event()
+
+        @repro.remote
+        def gated(x):
+            assert gate.wait(10)
+            return x
+
+        def hold_transfer_threads():
+            held = threading.Barrier(TRANSFER_THREADS + 1)
+            for _ in range(TRANSFER_THREADS):
+                runtime.transfer.enqueue(lambda: held.wait(10))
+            return held
+
+        ref = gated.remote(7)
+        runtime.fetcher.ensure_local(ref.object_id, node)  # still in production
+        busy = hold_transfer_threads()
+        gate.set()
+        assert repro.get(ref, timeout=10) == 7  # its "add" callback waits
+        repro.free([ref])  # and so does the "remove" callback
+        busy.wait(10)  # release them, then wait until both have run
+        hold_transfer_threads().wait(10)
+        assert runtime.reconstruction.reconstructed_tasks == 0
 
 
 class TestTransferThreads:
