@@ -243,13 +243,7 @@ class ActorManager:
                 state.next_counter = restored_counter
                 state.replay_boundary = max(previously_executed, restored_counter)
                 self._rebuild_mailbox(state, restored_counter, method_log)
-            gcs.update_actor(
-                state.actor_id,
-                node_id=node.node_id,
-                alive=True,
-                methods_executed=restored_counter,
-                checkpoint_index=restored_counter,
-            )
+            gcs.update_actor(state.actor_id, node_id=node.node_id, alive=True)
             state.ready.set()
             while True:
                 with state.cond:
@@ -379,8 +373,8 @@ class ActorManager:
         interrupt: Completion,
     ) -> None:
         runtime = self.runtime
-        gcs = runtime.gcs
         started = time.perf_counter()
+        lifecycle = []
         if runtime.is_cancelled(spec.task_id):
             # A cancelled method is *flagged*, never dequeued: the mailbox
             # must stay counter-contiguous or the actor loop would block
@@ -410,19 +404,16 @@ class ActorManager:
                     interrupt=interrupt,
                 ):
                     return
-            # The start, written as the local scheduler's fast path writes a
-            # task's: RUNNING row and both lifecycle events in one batch.
-            events = None
+            # No start write: the row is SCHEDULED on this node since
+            # submission, and readers treat that as in flight here.  The
+            # lifecycle events keep their times and ride the finish batch.
+            scheduled, started = started, time.perf_counter()
             if runtime.config.trace_events_enabled:
                 payload = node.local_scheduler.lifecycle_payload
-                events = [
-                    ("task_scheduled", payload(spec, started)),
-                    ("task_inputs_ready", payload(spec, time.perf_counter())),
+                lifecycle = [
+                    ("task_scheduled", payload(spec, scheduled)),
+                    ("task_inputs_ready", payload(spec, started)),
                 ]
-            gcs.set_task_states(
-                [(spec, TaskStatus.RUNNING, node.node_id)], events=events
-            )
-            started = time.perf_counter()
             status, values = run_task(
                 runtime,
                 node,
@@ -434,26 +425,33 @@ class ActorManager:
         executed = self._advance(state, incarnation, spec)
         if executed is None:
             return
-        write_finish(runtime, node, spec, status, values, started)
-        gcs.update_actor(state.actor_id, methods_executed=executed)
-        if (
-            state.checkpoint_interval
-            and executed % state.checkpoint_interval == 0
-        ):
-            self._save_checkpoint(state, instance, executed)
+        checkpoint = None
+        if state.checkpoint_interval and executed % state.checkpoint_interval == 0:
+            checkpoint = self._checkpoint(instance)
+        # The progress row and a due checkpoint ride the finish batch.
+        write_finish(
+            runtime,
+            node,
+            spec,
+            status,
+            values,
+            started,
+            lifecycle,
+            progress=(incarnation, executed),
+            checkpoint=checkpoint,
+        )
 
-    def _save_checkpoint(self, state: ActorState, instance: Any, counter: int) -> None:
+    def _checkpoint(self, instance: Any) -> Any:
+        """Snapshot ``instance`` as a checkpoint blob."""
         if hasattr(instance, "save_checkpoint"):
             payload = instance.save_checkpoint()
         else:
             payload = dict(instance.__dict__)
-        # Seal: the checkpoint must not alias live actor state (the actor
-        # keeps mutating its arrays after the snapshot is taken).
-        blob = serialize(payload).seal()
-        self.runtime.gcs.put_actor_checkpoint(state.actor_id, counter, blob)
-        self.runtime.gcs.update_actor(state.actor_id, checkpoint_index=counter)
         with self._lock:
             self.checkpoints_taken += 1
+        # Seal: the checkpoint must not alias live actor state (the actor
+        # keeps mutating its arrays after the snapshot is taken).
+        return serialize(payload).seal()
 
     # ------------------------------------------------------------------
     # Naming

@@ -105,7 +105,7 @@ class LocalScheduler:
         spillback: Optional[object] = None,
         wait_stats: Optional[WaitStats] = None,
         metrics: Optional[MetricsRegistry] = None,
-        trace: Optional[Callable[..., None]] = None,
+        trace_events: bool = False,
         faults: Optional[object] = None,
     ):
         self.node = node
@@ -116,7 +116,7 @@ class LocalScheduler:
         self.spillback_threshold = spillback_threshold
         self._spillback = make_spillback(spillback, threshold=spillback_threshold)
         self._wait_stats = wait_stats
-        self._trace = trace
+        self._trace_events = trace_events
         self._faults = faults if faults is not None else NULL_FAULTS
         self._fastpath = _policy_fastpath_trustworthy(self._spillback)
 
@@ -126,6 +126,8 @@ class LocalScheduler:
         self._waiting_specs: Dict[TaskID, TaskSpec] = {}
         self._running: Set[TaskID] = set()
         self._ready_since: Dict[TaskID, float] = {}
+        # Tracing on: when a ready task's inputs arrived after placement.
+        self._arrived: Dict[TaskID, float] = {}
         self._stopped = False
 
         # Persistent worker pool: dispatching onto a parked thread costs a
@@ -275,7 +277,7 @@ class LocalScheduler:
         # paths treat both states identically (in flight on this node), and
         # the lifecycle events ride in the same batch.
         events = [submitted] if submitted is not None else []
-        if self._trace is not None:
+        if self._trace_events:
             base = self.lifecycle_payload(spec, time.perf_counter())
             events.append(("task_scheduled", dict(base, policy="fastpath")))
             events.append(("task_inputs_ready", base))
@@ -362,7 +364,7 @@ class LocalScheduler:
             else:
                 ready.append(spec)
         events = [event for event in submitted if event is not None]
-        if self._trace is not None:
+        if self._trace_events:
             now = time.perf_counter()
             events.extend(
                 ("task_scheduled", self.lifecycle_payload(spec, now))
@@ -422,14 +424,9 @@ class LocalScheduler:
             t=t,
         )
 
-    def _emit(self, category: str, spec: TaskSpec) -> None:
-        """Record a task-lifecycle trace event (never under ``_cond``)."""
-        if self._trace is not None:
-            self._trace(
-                category, **self.lifecycle_payload(spec, time.perf_counter())
-            )
-
     def _input_ready(self, task_id: TaskID, object_id: ObjectID) -> None:
+        """A placed task's input arrived (on the thread whose store put
+        landed it, so nothing here writes to the GCS)."""
         with self._cond:
             pending = self._waiting.get(task_id)
             if pending is None:
@@ -439,22 +436,19 @@ class LocalScheduler:
                 return
             del self._waiting[task_id]
             spec = self._waiting_specs.pop(task_id)
-        # Emit before enqueueing (and outside the lock): once dispatched the
-        # span boundaries must already be in the log.
-        self._emit("task_inputs_ready", spec)
-        self._enqueue_ready(spec)
-
-    def _enqueue_ready(self, spec: TaskSpec) -> None:
-        with self._cond:
-            if not self._stopped:
+            stopped = self._stopped
+            if not stopped:
                 self._ready.append(spec)
-                self._ready_since[spec.task_id] = time.monotonic()
+                self._ready_since[task_id] = time.monotonic()
+                if self._trace_events:
+                    # Its task_inputs_ready event rides the dispatcher's
+                    # RUNNING batch: durable before the worker runs.
+                    self._arrived[task_id] = time.perf_counter()
                 self._cond.notify_all()
-                return
-        # Stopped under us (the window between _input_ready popping the
-        # spec from _waiting and this append is invisible to drain()):
-        # hand the task back for placement on a live node.
-        self._forward_to_global(spec)
+        if stopped:
+            # Stopped before drain() ran: drain will not see the task now,
+            # so hand it back for placement on a live node.
+            self._forward_to_global(spec)
 
     # -- dispatch ----------------------------------------------------------------
 
@@ -484,6 +478,7 @@ class LocalScheduler:
                 if not stopped:
                     for spec in batch:
                         self._running.add(spec.task_id)
+                arrived = [(s, self._arrived.pop(s.task_id, None)) for s in batch]
             if stopped:
                 # Specs picked in the same round the node stopped were
                 # already out of _ready (invisible to drain), with their
@@ -496,13 +491,19 @@ class LocalScheduler:
                     self._forward_to_global(spec)
                 return
             # One coalesced RUNNING write for the whole round (built from
-            # the specs in hand — no read-modify-write), then queue
-            # hand-offs: workers never write RUNNING themselves.
+            # the specs in hand — no read-modify-write), carrying the
+            # task_inputs_ready events of inputs that arrived after
+            # placement, then queue hand-offs: workers never write RUNNING
+            # themselves.
             self.gcs.set_task_states(
                 [
                     (spec, TaskStatus.RUNNING, self.node.node_id)
                     for spec in batch
-                ]
+                ],
+                events=[
+                    ("task_inputs_ready", self.lifecycle_payload(spec, t))
+                    for spec, t in arrived if t is not None
+                ],
             )
             for spec in batch:
                 self._dispatch_to_worker(spec)
@@ -576,6 +577,7 @@ class LocalScheduler:
                 if spec.task_id == task_id:
                     del self._ready[index]
                     self._ready_since.pop(task_id, None)
+                    self._arrived.pop(task_id, None)
                     return spec
             if task_id in self._waiting:
                 del self._waiting[task_id]
@@ -609,6 +611,7 @@ class LocalScheduler:
             self._waiting.clear()
             self._waiting_specs.clear()
             self._ready_since.clear()
+            self._arrived.clear()
             return drained
 
     def stop(self) -> None:

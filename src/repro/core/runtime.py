@@ -216,13 +216,7 @@ class Node:
             spillback=runtime.make_spillback_policy(),
             wait_stats=runtime.wait_stats,
             metrics=runtime.metrics,
-            # Pass None when tracing is off so the schedulers skip event
-            # formatting entirely instead of gating inside trace_event.
-            trace=(
-                runtime.trace_event
-                if runtime.config.trace_events_enabled
-                else None
-            ),
+            trace_events=runtime.config.trace_events_enabled,
             faults=runtime.faults,
         )
 
@@ -598,6 +592,10 @@ class Runtime:
         first submission's ``task_submitted`` event) rides in that node's
         placement write.  Raises ``ResourceRequestError`` when no live node
         can ever run it."""
+        if self.stopped:
+            # Shutting down: every scheduler is stopped while its node is
+            # alive, so a placement would bounce between them forever.
+            return
         node = self.global_scheduler_for(spec).schedule(spec)
         node.local_scheduler.place(spec, submitted)
 
@@ -868,7 +866,7 @@ class Runtime:
         each row (SCHEDULED there), its method-log entry and its
         ``task_submitted`` event in one ``gcs.add_tasks`` write per shard,
         then the task graph.  Durable on return — before the spec can reach
-        the mailbox, whose first write is the method's start."""
+        the mailbox; the method's next write is its finish."""
         events = self._submitted_events(specs)
         self.gcs.add_tasks(
             specs, node_id, events=[e for e in events if e is not None]

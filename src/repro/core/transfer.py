@@ -423,8 +423,16 @@ class ObjectFetcher:
         def first_attempt() -> None:
             with lock:
                 # No live copy.  If the object has lineage and its producing
-                # task is not already running, trigger reconstruction.
-                if not try_transfer() and self.reconstruct is not None:
+                # task is not already running, trigger reconstruction —
+                # unless this client is publishing a copy right now: the
+                # location read just made (after subscribing) missed its
+                # ``add``, so the subscription delivers it.  That check is
+                # a local set lookup, not a GCS round-trip.
+                if (
+                    not try_transfer()
+                    and self.reconstruct is not None
+                    and not self.gcs.location_in_flight(object_id)  # noqa: RT-BLOCKING-UNDER-LOCK
+                ):
                     self.reconstruct(object_id)
 
         def on_added() -> None:
@@ -464,6 +472,10 @@ class ObjectFetcher:
         # empty and the reconstruct probe would find no entry, so both
         # remote round-trips are skipped and the subscription (or the
         # producing node's own store) announces the object when it exists.
+        # A publication in flight is *not* a reason to return here: its
+        # ``object_loc`` shard group may land before the subscription did
+        # while the rest of its batch is still in flight, so only the
+        # location read in ``first_attempt`` can rule it out.
         if not self.gcs.has_location_hint(object_id) and self.lineage_known(
             object_id
         ):

@@ -16,7 +16,7 @@ propagates the error instead of running.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import (
     NodeDiedError,
@@ -81,6 +81,10 @@ def resolve_args(
                 return memo[object_id]
             resolved, found = node.store.load_value(object_id)
             if not found:
+                if not node.alive:
+                    # kill_node dropped the store under a stranded worker:
+                    # exit quietly, as from a blocking fetch.
+                    raise NodeDiedError(f"{node.node_id!r} died")
                 raise RuntimeError(
                     f"input {object_id!r} not local on {node.node_id!r}"
                 )
@@ -245,33 +249,39 @@ def write_finish(
     status: TaskStatus,
     values: List[Any],
     started: float,
+    lifecycle: Sequence[Tuple[str, Dict[str, Any]]] = (),
+    **actor_rows: Any,
 ) -> None:
     """The one finish writer: store ``values`` as ``spec``'s outputs on
     ``node`` and publish them, the terminal task row and the
     ``task_finished`` event in a single GCS batch.  Used for specs that
     ran (``run_task``'s verdict, or an actor's constructor), and for specs
     that never will (an error value, ``started`` = now).  The task is then
-    no longer in flight for reconstruction."""
+    no longer in flight for reconstruction.
+
+    An actor method, which has no start write, passes its ``lifecycle``
+    events (``task_scheduled``, ``task_inputs_ready``, with their own
+    times) and its ``actor_rows`` (``progress``, ``checkpoint``: see
+    ``GlobalControlStore.finish_task``) to ride the same batch."""
     entries = store_outputs(node, spec, values)
     duration = time.perf_counter() - started
+    finished = dict(
+        task=spec.task_id.short(),
+        name=spec.function_name,
+        node=node.node_id.short(),
+        start=started,
+        duration=duration,
+        status=status.value,
+        kind=spec.kind,
+    )
     runtime.gcs.finish_task(
         spec.task_id,
         status,
         node.node_id,
         entries,
-        event=(
-            "task_finished",
-            dict(
-                task=spec.task_id.short(),
-                name=spec.function_name,
-                node=node.node_id.short(),
-                start=started,
-                duration=duration,
-                status=status.value,
-                kind=spec.kind,
-            ),
-        ),
+        events=[*lifecycle, ("task_finished", finished)],
         spec=spec,
+        **actor_rows,
     )
     runtime.report_task_duration(duration)
     runtime.discard_cancellation_event(spec.task_id)

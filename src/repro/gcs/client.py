@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.lockwatch import make_rlock
 from repro.common.ids import ActorID, FunctionID, NodeID, ObjectID, TaskID
@@ -33,6 +33,7 @@ _ACTOR = "actor"  # actor table
 _ACTOR_NAME = "actor_name"  # user-visible name -> actor id
 _ACTOR_LOG = "actor_log"  # per-actor method specs, in submission order
 _ACTOR_CKPT = "actor_ckpt"  # per-actor latest checkpoint: (counter, blob)
+_ACTOR_PROGRESS = "actor_progress"  # per-actor (incarnation, methods executed)
 _EVENT = "event"  # event log
 _NODE_REPORT = "node_report"  # per-node reporter snapshot rows
 _DEPLOYMENT = "deployment"  # serve: current row per deployment name
@@ -76,6 +77,11 @@ class GlobalControlStore:
         # retracted location keeps its hint, which only forces the full
         # (checked) path.  GIL-atomic set add/lookup; no lock needed.
         self._published_locations: Set[ObjectID] = set()
+        # Publications in flight: an object is here from just before a
+        # write carrying its location ``add`` until that write returns.  A
+        # concurrent publication of the same object may clear the mark
+        # early, which only costs a fetch its reconstruction probe.
+        self._publishing: Set[ObjectID] = set()
 
     # ------------------------------------------------------------------
     # Function table
@@ -110,11 +116,42 @@ class GlobalControlStore:
         """Record object metadata (idempotent across reconstruction)."""
         self.kv.put((_OBJ, object_id), (size, task_id))
 
+    def _write(
+        self, ops: List[tuple], published: Sequence[ObjectID] = (), batched: bool = True
+    ) -> None:
+        """Send ``ops`` in one :meth:`ShardedKV.batch`, or op by op with
+        ``batched=False`` (the reference a batch is tested against).
+        ``published`` are the objects whose location ``add`` the ops carry:
+        hinted before the write — a reader that subscribes and *then*
+        misses the hint is guaranteed the publication has not happened yet
+        — and marked in flight until it returns."""
+        self._published_locations.update(published)
+        self._publishing.update(published)
+        try:
+            if batched:
+                self.kv.batch(ops)
+            else:
+                for op, key, value in ops:
+                    getattr(self.kv, op)(key, value)
+        finally:
+            self._publishing.difference_update(published)
+
+    @staticmethod
+    def _output_ops(entries: List[tuple]) -> Tuple[List[tuple], List[ObjectID]]:
+        """The per-output rows of ``entries`` (see :meth:`add_task_outputs`)
+        — location append before metadata put, per object — and the
+        objects given a location."""
+        ops, published = [], []
+        for object_id, size, task_id, node_id in entries:
+            if node_id is not None:
+                published.append(object_id)
+                ops.append(("append", (_OBJ_LOC, object_id), ("add", node_id)))
+            ops.append(("put", (_OBJ, object_id), (size, task_id)))
+        return ops, published
+
     def add_object_location(self, object_id: ObjectID, node_id: NodeID) -> None:
-        # Hint before write: a reader that subscribes and *then* misses
-        # the hint is guaranteed the publication has not happened yet.
-        self._published_locations.add(object_id)
-        self.kv.append((_OBJ_LOC, object_id), ("add", node_id))
+        add = ("append", (_OBJ_LOC, object_id), ("add", node_id))
+        self._write([add], [object_id], batched=False)
 
     def remove_object_location(self, object_id: ObjectID, node_id: NodeID) -> None:
         self.kv.append((_OBJ_LOC, object_id), ("remove", node_id))
@@ -147,22 +184,9 @@ class GlobalControlStore:
         of two per output.  ``batched=False`` falls back to per-op writes
         (the reference the batch is tested against).
         """
-        if not batched:
-            for object_id, size, task_id, node_id in entries:
-                if node_id is not None:
-                    self.add_object_location(object_id, node_id)
-                self.add_object(object_id, size, task_id)
-            return
-        ops: List[tuple] = []
-        for object_id, size, task_id, node_id in entries:
-            if node_id is not None:
-                self._published_locations.add(object_id)
-                ops.append((
-                    "append", (_OBJ_LOC, object_id), ("add", node_id)
-                ))
-            ops.append(("put", (_OBJ, object_id), (size, task_id)))
+        ops, published = self._output_ops(entries)
         if ops:
-            self.kv.batch(ops)
+            self._write(ops, published, batched)
 
     def finish_task(
         self,
@@ -170,38 +194,44 @@ class GlobalControlStore:
         status: TaskStatus,
         node_id: NodeID,
         entries: List[Tuple[ObjectID, int, Optional[TaskID], Optional[NodeID]]],
-        event: Optional[Tuple[str, Dict[str, Any]]] = None,
+        events: Optional[List[Tuple[str, Dict[str, Any]]]] = None,
         batched: bool = True,
         *,
         spec: Any,
+        progress: Optional[Tuple[int, int]] = None,
+        checkpoint: Any = None,
     ) -> None:
         """Coalesce *every* GCS write of one task finish into batched shard
         writes: the per-output rows (as in :meth:`add_task_outputs`), the
-        terminal task row, and the ``task_finished`` event append.  Output
-        rows precede the task row, so a reader that observes ``FINISHED``
-        can already see the outputs' metadata.  The row is rebuilt from the
-        caller's ``spec`` (the finisher holds it), so a finish reads
-        nothing.  ``batched=False`` issues the same writes per-op (the test
-        reference)."""
-        row = TaskTableEntry(
-            task_id=task_id, spec=spec, status=status, node_id=node_id
-        )
-        if not batched:
-            self.add_task_outputs(entries, batched=False)
-            self.kv.put((_TASK, task_id), row)
-            if event is not None:
-                self.record_event(event[0], **event[1])
-            return
-        ops: List[tuple] = []
-        for object_id, size, producer, node in entries:
-            if node is not None:
-                self._published_locations.add(object_id)
-                ops.append(("append", (_OBJ_LOC, object_id), ("add", node)))
-            ops.append(("put", (_OBJ, object_id), (size, producer)))
+        terminal task row, and the ``events`` (``task_finished`` last).
+        Output rows precede the task row, so a reader that observes
+        ``FINISHED`` can already see the outputs' metadata.  The row is
+        rebuilt from the caller's ``spec`` (the finisher holds it), so a
+        finish reads nothing.
+
+        An actor method's finish also carries its actor's ``progress`` row,
+        ``(incarnation, methods executed)``: a blind put, because only the
+        live loop writes it.  With a ``checkpoint`` blob taken at that
+        counter, the checkpoint row rides along too (Figure 11b restores
+        from it).  ``batched=False`` issues the same writes per-op (the
+        test reference)."""
+        ops, published = self._output_ops(entries)
+        row = TaskTableEntry(task_id=task_id, spec=spec, status=status, node_id=node_id)
         ops.append(("put", (_TASK, task_id), row))
-        if event is not None:
-            ops.extend(self._event_ops([event]))
-        self.kv.batch(ops)
+        if progress is not None:
+            ops.append(("put", (_ACTOR_PROGRESS, spec.actor_id), progress))
+            if checkpoint is not None:
+                ckpt = (progress[1], checkpoint)
+                ops.append(("put", (_ACTOR_CKPT, spec.actor_id), ckpt))
+        ops.extend(self._event_ops(events))
+        self._write(ops, published, batched)
+
+    def location_in_flight(self, object_id: ObjectID) -> bool:
+        """Is a write carrying a location ``add`` for ``object_id`` in
+        flight in this client?  Meaningful after a location read made
+        *after* subscribing came back empty: that ``add`` then lands after
+        the read, so the subscription delivers it."""
+        return object_id in self._publishing
 
     def has_location_hint(self, object_id: ObjectID) -> bool:
         """Has any location for ``object_id`` ever been published through
@@ -308,15 +338,9 @@ class GlobalControlStore:
             ))
             if spec.is_actor_method:
                 ops.append(("append", (_ACTOR_LOG, spec.actor_id), spec))
-        if not batched:
-            for op, key, value in ops:
-                getattr(self.kv, op)(key, value)
-            for category, payload in events or ():
-                self.record_event(category, **payload)
-            return
         ops.extend(self._event_ops(events))
         if ops:
-            self.kv.batch(ops)
+            self._write(ops, batched=batched)
 
     def set_task_states(
         self,
@@ -374,6 +398,9 @@ class GlobalControlStore:
         )
 
     def update_actor(self, actor_id: ActorID, **changes: Any) -> ActorTableEntry:
+        """Rewrite the actor row's ``node_id`` / ``alive``: a read-modify-
+        write, because restart and kill paths write them from different
+        threads (an incarnation's start, a restart's ``alive=False``)."""
         entry = self.kv.get((_ACTOR, actor_id))
         if entry is None:
             raise KeyError(f"actor {actor_id!r} not registered")
@@ -382,8 +409,6 @@ class GlobalControlStore:
             class_name=entry.class_name,
             node_id=changes.get("node_id", entry.node_id),
             alive=changes.get("alive", entry.alive),
-            methods_executed=changes.get("methods_executed", entry.methods_executed),
-            checkpoint_index=changes.get("checkpoint_index", entry.checkpoint_index),
         )
         self.kv.put((_ACTOR, actor_id), updated)
         return updated
@@ -396,15 +421,16 @@ class GlobalControlStore:
         (appended by :meth:`add_tasks`)."""
         return self.kv.log((_ACTOR_LOG, actor_id))
 
-    def put_actor_checkpoint(self, actor_id: ActorID, counter: int, blob: Any) -> None:
-        """Store ``actor_id``'s latest checkpoint: the state ``blob`` and
-        the method ``counter`` it was taken at, from which a restart
-        replays the method log."""
-        self.kv.put((_ACTOR_CKPT, actor_id), (counter, blob))
-
     def get_actor_checkpoint(self, actor_id: ActorID) -> Optional[Tuple[int, Any]]:
-        """``(counter, blob)`` of the latest checkpoint, or None."""
+        """``(counter, blob)`` of the latest checkpoint — written by the
+        finish of the method that reached ``counter`` — or None.  A restart
+        restores ``blob`` and replays the method log from ``counter``."""
         return self.kv.get((_ACTOR_CKPT, actor_id))
+
+    def get_actor_progress(self, actor_id: ActorID) -> Optional[Tuple[int, int]]:
+        """``(incarnation, methods executed)`` as of the actor's last
+        finished method (see :meth:`finish_task`), or None before it."""
+        return self.kv.get((_ACTOR_PROGRESS, actor_id))
 
     # ------------------------------------------------------------------
     # Actor names (the ``.options(name=...)`` / ``get_actor`` registry)

@@ -58,21 +58,23 @@ class TaskTableEntry:
 
 @dataclass(frozen=True)
 class ActorTableEntry:
-    """An actor's durable liveness and progress record.
+    """An actor's durable liveness record: where its current incarnation
+    runs and whether it is alive.
 
-    ``methods_executed`` and ``checkpoint_index`` report progress to
-    readers (tools, the dashboard); they do not drive recovery.  A restart
-    replays from the counter stored *with* the checkpoint blob and the
-    actor's method log (``GlobalControlStore.actor_method_log``): every
-    logged spec at or past that counter (paper Figure 11b).
+    Progress lives in rows of its own, written blind by each method's
+    finish batch: ``(incarnation, methods executed)``
+    (``GlobalControlStore.get_actor_progress``) and, every
+    ``checkpoint_interval`` methods, ``(counter, blob)``
+    (``get_actor_checkpoint``).  A restart replays from the checkpoint's
+    counter through the actor's method log
+    (``GlobalControlStore.actor_method_log``): every logged spec at or past
+    that counter (paper Figure 11b).
     """
 
     actor_id: ActorID
     class_name: str
     node_id: Optional[NodeID]
     alive: bool = True
-    methods_executed: int = 0
-    checkpoint_index: int = 0
 
 
 @dataclass(frozen=True)

@@ -332,7 +332,7 @@ class TestBatchedGcsWrites:
             TaskStatus.FINISHED,
             node_id,
             entries,
-            event=("task_finished", dict(task="finish", duration=0.5)),
+            events=[("task_finished", dict(task="finish", duration=0.5))],
             batched=batched,
             spec="spec-sentinel",
         )

@@ -1,11 +1,15 @@
 """GCS typed tables: object locations, task lineage, actors, events."""
 
+import dataclasses
+import sys
+import threading
+
 import pytest
 
 from repro.common.ids import ActorID, FunctionID, NodeID, ObjectID, TaskID
 from repro.core.task_spec import TaskSpec
 from repro.gcs.client import GlobalControlStore
-from repro.gcs.tables import TaskStatus, TaskTableEntry
+from repro.gcs.tables import ActorTableEntry, TaskStatus, TaskTableEntry
 
 
 @pytest.fixture
@@ -72,6 +76,33 @@ class TestObjectTable:
         gcs.remove_object_location(oid, node)
         assert len(seen) == 1
 
+    def test_concurrent_publications_leave_nothing_in_flight(self, gcs):
+        """Each publication's in-flight mark is cleared when its write
+        returns, however many threads publish the same objects at once: a
+        mark left behind would let a fetch skip its reconstruction probe
+        for an object no write is bringing."""
+        oids = [ObjectID.from_seed(f"o{i}") for i in range(4)]
+        node = NodeID.from_seed("n")
+
+        def publish():
+            for i in range(200):
+                gcs.add_task_outputs([(oids[i % 4], 1, None, node)])
+                gcs.add_object_location(oids[(i + 1) % 4], node)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=publish) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(gcs.location_in_flight(oid) for oid in oids)
+        assert all(gcs.has_location_hint(oid) for oid in oids)
+
 
 def _spec(seed):
     return TaskSpec(
@@ -129,12 +160,35 @@ class TestActorTable:
         aid = ActorID.from_seed("a")
         node = NodeID.from_seed("n")
         gcs.register_actor(aid, "Counter", None)
-        gcs.update_actor(aid, node_id=node, methods_executed=5)
+        gcs.update_actor(aid, node_id=node)
         entry = gcs.get_actor(aid)
         assert entry.class_name == "Counter"
         assert entry.node_id == node
-        assert entry.methods_executed == 5
         assert entry.alive
+        gcs.update_actor(aid, alive=False)
+        assert gcs.get_actor(aid) == ActorTableEntry(aid, "Counter", node, False)
+
+    def test_method_finish_writes_progress_and_checkpoint(self, gcs):
+        """Progress and a due checkpoint are rows of their own, written
+        blind by the method's finish; the actor row is not touched."""
+        aid = ActorID.from_seed("a")
+        node = NodeID.from_seed("n")
+        gcs.register_actor(aid, "Counter", node)
+        assert gcs.get_actor_progress(aid) is None
+        for counter, blob in ((1, None), (2, "state@2"), (3, None)):
+            spec = dataclasses.replace(_spec(f"m{counter}"), actor_id=aid)
+            gcs.finish_task(
+                spec.task_id,
+                TaskStatus.FINISHED,
+                node,
+                [],
+                spec=spec,
+                progress=(1, counter),
+                checkpoint=blob,
+            )
+        assert gcs.get_actor_progress(aid) == (1, 3)
+        assert gcs.get_actor_checkpoint(aid) == (2, "state@2")
+        assert gcs.get_actor(aid) == ActorTableEntry(aid, "Counter", node)
 
     def test_update_unknown_actor_raises(self, gcs):
         with pytest.raises(KeyError):

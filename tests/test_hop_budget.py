@@ -21,6 +21,11 @@ def echo(x):
 
 
 @repro.remote
+def relay(x):
+    return x
+
+
+@repro.remote
 class Echo:
     def echo(self, x):
         return x
@@ -104,13 +109,14 @@ def test_submit_many_costs_one_blocking_call_plus_one_per_task():
     assert_row_first(caller, calls)
 
 
-def test_actor_method_costs_one_blocking_call_five_in_all():
+def method_calls(actor_class):
+    """Shard calls of ``get(actor.echo.remote(7))``, split into the
+    caller's and the actor thread's."""
     runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
-    actor = Echo.remote()
+    actor = actor_class.remote()
     # ``ready`` is set after the loop's last start-up write.
     assert runtime.actors.get_state(actor.actor_id).ready.wait(10)
     caller, calls = run_counted(lambda: actor.echo.remote(7))
-    assert (len(caller), len(calls.calls)) == (1, 5), calls.describe()
     # The caller's one call holds everything a restart or a reader needs.
     assert caller == [
         ("batch", (("put", "task"), ("append", "actor_log"), ("append", "event")))
@@ -118,11 +124,33 @@ def test_actor_method_costs_one_blocking_call_five_in_all():
     (actor_thread,) = [
         c for t, c in calls.by_thread().items() if t.startswith("actor-")
     ]
-    assert [op for op, _ in actor_thread] == [
-        "batch",  # start: RUNNING row + task_scheduled + task_inputs_ready
-        "batch",  # finish: outputs + FINISHED row + task_finished
-        "get",  # update_actor(methods_executed) is a
-        "put",  # read-modify-write of the recovery record
+    return actor_thread, calls
+
+
+# The method's one background write: outputs, FINISHED row, the actor's
+# progress row (a blind put), and task_scheduled + task_inputs_ready +
+# task_finished.  No start write: the row is SCHEDULED on the actor's node
+# from submission on.
+METHOD_FINISH = (
+    ("append", "object_loc"),
+    ("put", "object"),
+    ("put", "task"),
+    ("put", "actor_progress"),
+) + (("append", "event"),) * 3
+
+
+def test_actor_method_costs_one_blocking_call_two_in_all():
+    actor_thread, calls = method_calls(Echo)
+    assert len(calls.calls) == 2, calls.describe()
+    assert actor_thread == [("batch", METHOD_FINISH)], calls.describe()
+
+
+def test_checkpointed_actor_method_costs_one_blocking_call_two_in_all():
+    # The checkpoint taken at the method's counter rides the same batch.
+    actor_thread, calls = method_calls(Echo.options(checkpoint_interval=1))
+    assert len(calls.calls) == 2, calls.describe()
+    assert actor_thread == [
+        ("batch", METHOD_FINISH[:4] + (("put", "actor_ckpt"),) + METHOD_FINISH[4:])
     ], calls.describe()
 
 
@@ -144,7 +172,7 @@ def test_actor_creation_costs_four_blocking_calls_five_in_the_background():
         ("batch", (("put", "task"), ("append", "event"))),  # finish
         ("get", "actor_ckpt"),  # restore
         ("log", "actor_log"),  # mailbox rebuild
-        ("get", "actor"),  # update_actor(node_id, alive, ...) is a
+        ("get", "actor"),  # update_actor(node_id, alive) is a
         ("put", "actor"),  # read-modify-write of the recovery record
     ], calls.describe()
 
@@ -239,6 +267,17 @@ def test_task_queued_behind_its_input_costs_one_blocking_call():
     # only (no location published yet, lineage known).
     assert [op for op, _ in caller] == ["batch"], calls.describe()
     assert_row_first(caller, calls)
+    # The input's arrival writes nothing: its task_inputs_ready event rides
+    # the dispatcher's RUNNING batch, so it is durable before echo runs.
+    assert ("append", "event") not in [
+        (op, what) for _t, op, what in calls.calls
+    ], calls.describe()
+    (dispatcher,) = [
+        c for t, c in calls.by_thread().items() if t.startswith("dispatcher-")
+    ]
+    assert dispatcher == [
+        ("batch", (("put", "task"), ("append", "event")))
+    ], calls.describe()
 
 
 def test_put_costs_one_blocking_batch():
@@ -273,14 +312,60 @@ def test_free_costs_one_blocking_batch_for_all_copies():
     ], calls.describe()
 
 
+class EventWrites:
+    """Records which ``ShardedKV`` write carried each lifecycle event, as
+    ``(category, task) -> write``; a write is the set of ``(category,
+    task)`` events and ``(status, task)`` rows it holds, and a bare append
+    is a write of its own."""
+
+    def __init__(self, kv):
+        self.carrier = {}
+        batch, append = kv.batch, kv.append
+
+        def batched(ops):
+            self._record(ops)
+            return batch(ops)
+
+        def appended(key, value):
+            self._record([("append", key, value)])
+            return append(key, value)
+
+        kv.batch, kv.append = batched, appended
+
+    def _record(self, ops):
+        write = set()
+        for op, key, value in ops:
+            if key[0] == "event":
+                write.add((key[1], value.as_dict().get("task")))
+            elif op == "put" and key[0] == "task":
+                write.add((value.status, key[1].short()))
+        for item in write:
+            if isinstance(item[0], str):
+                self.carrier[item] = write
+
+
 def test_tasks_and_methods_leave_the_same_records(single_node_runtime):
     runtime = single_node_runtime
     actor = Echo.remote()
+    writes = EventWrites(runtime.gcs.kv)
+    gate = threading.Event()
+
+    @repro.remote
+    def held(x):
+        assert gate.wait(10)
+        return x
+
+    # Tasks queued behind their input: placed before it exists.
+    source = held.remote(5)
+    queued = [relay.remote(source) for _ in range(4)]
+    gate.set()
+    assert repro.get(queued, timeout=10) == [5] * 4
     refs = [echo.remote(i) for i in range(12)]
-    refs += [actor.echo.remote(i) for i in range(12)]
-    assert repro.get(refs, timeout=10) == list(range(12)) * 2
+    methods = [actor.echo.remote(i) for i in range(12)]
+    assert repro.get(refs + methods, timeout=10) == list(range(12)) * 2
     repro.shutdown()  # quiescence: every finish batch has landed
     gcs = runtime.gcs
+    events = {}
     for category in (
         "task_submitted",
         "task_scheduled",
@@ -290,7 +375,32 @@ def test_tasks_and_methods_leave_the_same_records(single_node_runtime):
         names = Tally(r.as_dict()["name"] for r in gcs.events(category))
         # The actor's creation is a task too: it finishes like one.
         created = {"Echo.__init__": 1} if category == "task_finished" else {}
-        assert names == {"echo": 12, "Echo.echo": 12, **created}, category
+        assert names == {
+            "echo": 12, "Echo.echo": 12, "relay": 4, "held": 1, **created
+        }, category
+        for record in gcs.events(category):
+            events[category, record.as_dict()["task"]] = record.as_dict()
+
+    def short(ref):
+        return runtime.graph.producer_of(ref.object_id).short()
+
+    # Every execution's events keep their own times, in causal order.
+    for task in map(short, methods + queued):
+        assert (
+            events["task_scheduled", task]["t"]
+            <= events["task_inputs_ready", task]["t"]
+            <= events["task_finished", task]["start"]
+        ), task
+    # A method has no start write: its lifecycle rides its finish batch.
+    for task in map(short, methods):
+        assert {
+            ("task_scheduled", task), ("task_inputs_ready", task)
+        } <= writes.carrier["task_finished", task], task
+    # A queued task's arrival rides its dispatcher's RUNNING batch.
+    for task in map(short, queued):
+        assert (TaskStatus.RUNNING, task) in writes.carrier[
+            "task_inputs_ready", task
+        ], task
     (creation,) = [
         r.as_dict()
         for r in gcs.events("task_finished")

@@ -3,7 +3,9 @@
 import pytest
 
 import repro
+from repro.common.ids import TaskID
 from repro.core.runtime import Runtime, RuntimeConfig
+from repro.core.task_spec import TaskSpec
 from repro.gcs.tables import TaskStatus
 
 
@@ -102,6 +104,25 @@ class TestDriverNodeFailover:
             runtime.kill_node(node.node_id)
         with pytest.raises(RuntimeNotInitializedError):
             _ = runtime.driver_node
+
+
+class TestShutdown:
+    def test_a_spec_rerouted_during_shutdown_is_not_placed(self):
+        """A dispatcher whose round raced ``shutdown`` reroutes its specs;
+        every scheduler is stopped while its node is alive, so a placement
+        would bounce between them without end."""
+        runtime = repro.init(num_nodes=2, num_cpus_per_node=1)
+        spec = TaskSpec(
+            task_id=TaskID.from_seed("rerouted"),
+            function_id=plus_one._function_id,
+            function_name="plus_one",
+            args=(1,),
+            kwargs=(),
+            num_returns=1,
+        )
+        repro.shutdown()
+        runtime.route_and_place(spec)
+        assert runtime.gcs.get_task(spec.task_id) is None
 
 
 class TestEventLogIntegrity:

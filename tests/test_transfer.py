@@ -14,6 +14,36 @@ def _far_node(runtime):
     return [n for n in runtime.nodes() if n is not runtime.driver_node][0]
 
 
+def _hold_transfer_threads(runtime):
+    """Park every transfer thread on a barrier once the work queued so far
+    has run; ``wait`` on the returned barrier joins and releases them."""
+    held = threading.Barrier(TRANSFER_THREADS + 1)
+    for _ in range(TRANSFER_THREADS):
+        runtime.transfer.enqueue(lambda: held.wait(10))
+    return held
+
+
+class HeldPublication:
+    """Holds the first ``ShardedKV.batch`` that publishes a location of
+    ``object_id`` until ``release`` is set; ``entered`` is set once it
+    holds.  Meanwhile the publication is in flight in the client."""
+
+    def __init__(self, kv, object_id):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self._key = ("object_loc", object_id)
+        self._batch = kv.batch
+        kv.batch = self.batch
+
+    def batch(self, ops):
+        if not self.entered.is_set() and any(
+            op == "append" and key == self._key for op, key, _ in ops
+        ):
+            self.entered.set()
+            assert self.release.wait(10)
+        return self._batch(ops)
+
+
 class TestStripedCopy:
     def test_copy_preserves_content(self):
         value = serialize(np.arange(100_000))
@@ -102,21 +132,61 @@ class TestFetcher:
             assert gate.wait(10)
             return x
 
-        def hold_transfer_threads():
-            held = threading.Barrier(TRANSFER_THREADS + 1)
-            for _ in range(TRANSFER_THREADS):
-                runtime.transfer.enqueue(lambda: held.wait(10))
-            return held
-
         ref = gated.remote(7)
         runtime.fetcher.ensure_local(ref.object_id, node)  # still in production
-        busy = hold_transfer_threads()
+        busy = _hold_transfer_threads(runtime)
         gate.set()
         assert repro.get(ref, timeout=10) == 7  # its "add" callback waits
         repro.free([ref])  # and so does the "remove" callback
         busy.wait(10)  # release them, then wait until both have run
-        hold_transfer_threads().wait(10)
+        _hold_transfer_threads(runtime).wait(10)
         assert runtime.reconstruction.reconstructed_tasks == 0
+
+    def test_fetch_racing_the_finish_batch_makes_no_reconstruction_probe(
+        self, runtime, monkeypatch
+    ):
+        """A fetch that starts while the producer's finish batch is in
+        flight reads no location (the ``add`` has not landed), but the
+        object is being published, not lost: no probe of the object row and
+        no reconstruction call.  The subscription delivers the copy."""
+        src, dst = runtime.driver_node, _far_node(runtime)
+        gate = threading.Event()
+
+        @repro.remote
+        def gated(x):
+            assert gate.wait(10)
+            return x
+
+        ref = gated.remote(7)
+        held = HeldPublication(runtime.gcs.kv, ref.object_id)
+        gate.set()
+        assert held.entered.wait(10)  # outputs stored, finish batch held
+        assert src.store.contains(ref.object_id)
+        reads, probes = [], []
+        get = runtime.gcs.kv.get
+
+        def counted_get(key, *default):
+            reads.append(key[0])
+            return get(key, *default)
+
+        monkeypatch.setattr(runtime.gcs.kv, "get", counted_get)
+        monkeypatch.setattr(runtime.fetcher, "reconstruct", probes.append)
+        attempted = threading.Event()
+        transfer = runtime.transfer.transfer
+        monkeypatch.setattr(
+            runtime.transfer,
+            "transfer",
+            lambda oid, node: transfer(oid, node) or attempted.set(),
+        )
+        runtime.fetcher.ensure_local(ref.object_id, dst)
+        assert attempted.wait(10)  # the first attempt found no location
+        _hold_transfer_threads(runtime).wait(10)  # and has returned
+        assert "object" not in reads and probes == []
+        assert not dst.store.contains(ref.object_id)
+        held.release.set()
+        assert dst.store.availability_event(ref.object_id).wait(timeout=10)
+        assert repro.get(ref, timeout=10) == 7
+        assert probes == []
 
 
 class TestTransferThreads:

@@ -3,7 +3,7 @@
 import pytest
 
 import repro
-from repro.common.errors import TaskExecutionError
+from repro.common.errors import NodeDiedError, TaskExecutionError
 from repro.common.ids import FunctionID, ObjectID, TaskID
 from repro.common.serialization import serialize
 from repro.core.task_spec import ArgRef, TaskSpec
@@ -70,6 +70,16 @@ class TestResolveArgs:
         with pytest.raises(RuntimeError):
             resolve_args(
                 node, spec_with(args=(ArgRef(ObjectID.from_seed("missing")),))
+            )
+
+    def test_missing_ref_on_a_dead_node_raises_node_died(self, runtime):
+        """A worker stranded by ``kill_node`` finds its inputs dropped with
+        the store: it must exit quietly, like a blocking fetch would."""
+        node = [n for n in runtime.nodes() if n is not runtime.driver_node][0]
+        runtime.kill_node(node.node_id)
+        with pytest.raises(NodeDiedError):
+            resolve_args(
+                node, spec_with(args=(ArgRef(ObjectID.from_seed("dropped")),))
             )
 
 
