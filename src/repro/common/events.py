@@ -110,9 +110,13 @@ class Completion:
     :meth:`add_callback` fire exactly once per signal (immediately if
     already set), and completions compose into multi-waits via
     :func:`wait_any`.  Producers signal; consumers never poll.
+
+    Completions are weakly referenceable: an owner may hold one only as
+    long as someone else does (the object store keeps a present object's
+    completion that way, see :class:`~repro.core.object_store.LocalObjectStore`).
     """
 
-    __slots__ = ("_cond", "_flag", "_callbacks", "_stats")
+    __slots__ = ("_cond", "_flag", "_callbacks", "_stats", "__weakref__")
 
     def __init__(self, stats: Optional[WaitStats] = None):
         self._cond = make_condition("Completion._cond")

@@ -20,12 +20,17 @@ Section 4.2.3).  Properties reproduced from the paper:
   object pay ``pickle.loads`` once.  Coherence rule: a cached value exists
   only while the serialized copy is resident in memory; any removal
   (delete, LRU eviction, spill, node loss) invalidates it, and an
-  in-flight deserialization racing a removal is discarded via a per-ID
-  version guard rather than cached.
+  in-flight deserialization racing a removal is discarded via a removal
+  counter guard rather than cached.
 * **Availability notifications** — readers wait on (or register callbacks
   against) a :class:`~repro.common.events.Completion` that is signalled
   the moment the object becomes local (Figure 7b).  All blocking readers
   in the runtime ride on these completions; nothing polls the store.
+  The store holds a completion strongly only while its object is absent
+  (a put must find it to wake the waiters and fire the callbacks); once
+  the object is present it is held weakly and lives as long as some
+  reader keeps it, so a store that served a million reads does not keep
+  a million completions.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from __future__ import annotations
 import os
 import pickle
 import threading
+import weakref
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -150,7 +156,15 @@ class DeserializedValueCache:
 
 
 class LocalObjectStore:
-    """Thread-safe LRU object store for one node."""
+    """Thread-safe LRU object store for one node.
+
+    Availability completions live in two maps under the store lock:
+    ``_events`` holds those of absent objects strongly, and
+    ``_present_events`` those of present objects weakly.  A put moves its
+    object's completion from the first map to the second before setting
+    it; a delete, an eviction to nowhere or a node loss clears a
+    still-held one and moves it back, so a re-put sets it again.
+    """
 
     def __init__(
         self,
@@ -171,9 +185,12 @@ class LocalObjectStore:
         self._used_bytes = 0
         self._wait_stats = wait_stats
         self._events: Dict[ObjectID, Completion] = {}
-        # Per-ID removal counter: an in-flight deserialization only enters
-        # the value cache if the version it read is still current.
-        self._versions: Dict[ObjectID, int] = {}
+        self._present_events: "weakref.WeakValueDictionary[ObjectID, Completion]" = (
+            weakref.WeakValueDictionary()
+        )
+        # Removals so far: an in-flight deserialization only enters the
+        # value cache if no copy left memory while it ran.
+        self._removals = 0
         self.put_count = 0
         self.eviction_count = 0
         self.spill_count = 0
@@ -254,7 +271,9 @@ class LocalObjectStore:
             self._used_bytes += value.total_bytes
             self.put_count += 1
             self._m_puts.inc()
-            completion = self._events.get(object_id)
+            completion = self._events.pop(object_id, None)
+            if completion is not None:
+                self._present_events[object_id] = completion
         # Signal outside the store lock: waiter callbacks (scheduler input-
         # ready, fetcher bookkeeping) take their own locks.
         if completion is not None:
@@ -282,9 +301,10 @@ class LocalObjectStore:
 
         Returns ``(value, found)``; ``found`` is False when the object is
         not local.  The cache is only populated if the serialized copy is
-        still resident *and unremoved* after deserialization finishes (the
-        version guard), so a reader racing eviction or an explicit delete
-        can never install a stale value for a reconstructed ObjectID.
+        still resident after deserialization finishes *and no copy left
+        memory meanwhile* (the removal guard), so a reader racing eviction
+        or an explicit delete can never install a stale value for a
+        reconstructed ObjectID.
         """
         cache = self.value_cache
         value, hit = cache.get(object_id)
@@ -294,16 +314,13 @@ class LocalObjectStore:
                     self._objects.move_to_end(object_id)  # keep LRUs aligned
             return value, True
         with self._lock:
-            version = self._versions.get(object_id, 0)
+            removals = self._removals
         serialized = self.get(object_id)
         if serialized is None:
             return None, False
         value = deserialize(serialized)
         with self._lock:
-            unchanged = (
-                self._versions.get(object_id, 0) == version
-                and object_id in self._objects
-            )
+            unchanged = self._removals == removals and object_id in self._objects
         if unchanged:
             cache.put(object_id, value, serialized.total_bytes)
         return value, True
@@ -327,17 +344,24 @@ class LocalObjectStore:
             if value is not None:
                 self._used_bytes -= value.total_bytes
             self._invalidate_value(object_id)
-            event = self._events.get(object_id)
-            if event is not None:
-                event.clear()  # waiters re-arm; a re-put sets it again
+            self._mark_absent(object_id)
             return True
 
     def _invalidate_value(self, object_id: ObjectID) -> None:
-        """The in-memory serialized copy is going away (lock held): bump the
-        version so racing readers discard their result, and drop any cached
-        deserialized value."""
-        self._versions[object_id] = self._versions.get(object_id, 0) + 1
+        """The in-memory serialized copy is going away (lock held): count
+        the removal so racing readers discard their result, and drop any
+        cached deserialized value."""
+        self._removals += 1
         self.value_cache.invalidate(object_id)
+
+    def _mark_absent(self, object_id: ObjectID) -> None:
+        """The object left the store (lock held): clear its completion if a
+        reader still holds one, and hold it strongly again so waiters
+        re-arm and a re-put sets it."""
+        completion = self._present_events.pop(object_id, None)
+        if completion is not None:
+            completion.clear()
+            self._events[object_id] = completion
 
     # -- pinning (inputs of executing tasks must not be evicted) -------------
 
@@ -386,9 +410,7 @@ class LocalObjectStore:
             if self._spill_directory is not None:
                 self._spill_to_disk(object_id, value)
                 continue  # still available: no event clear, no callback
-            event = self._events.get(object_id)
-            if event is not None:
-                event.clear()
+            self._mark_absent(object_id)
             evicted.append(object_id)
         if self._used_bytes > target_bytes:
             raise ObjectStoreFullError(
@@ -446,11 +468,15 @@ class LocalObjectStore:
         with self._lock:
             completion = self._events.get(object_id)
             if completion is None:
-                completion = Completion(stats=self._wait_stats)
-                self._events[object_id] = completion
-                present = object_id in self._objects or object_id in self._spilled
-            else:
+                completion = self._present_events.get(object_id)
+            if completion is not None:
                 return completion
+            completion = Completion(stats=self._wait_stats)
+            present = object_id in self._objects or object_id in self._spilled
+            if present:
+                self._present_events[object_id] = completion
+            else:
+                self._events[object_id] = completion
         if present:
             completion.set()
         return completion
@@ -493,6 +519,8 @@ class LocalObjectStore:
             self._pins.clear()
             self._used_bytes = 0
             self.value_cache.clear()
+            for object_id in list(self._present_events.keys()):
+                self._mark_absent(object_id)
             for event in self._events.values():
                 event.clear()
             return lost

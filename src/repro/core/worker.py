@@ -283,6 +283,14 @@ def write_finish(
         spec=spec,
         **actor_rows,
     )
+    if node.alive:
+        # A reader may get an output from the store and free it before this
+        # batch lands, so its retraction can precede the add: retract again.
+        runtime.gcs.remove_object_locations([
+            (object_id, node_id)
+            for object_id, _size, _task_id, node_id in entries
+            if node_id is not None and not node.store.contains(object_id)
+        ])
     runtime.report_task_duration(duration)
     runtime.discard_cancellation_event(spec.task_id)
     runtime.reconstruction.task_finished(spec.task_id)

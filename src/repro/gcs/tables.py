@@ -31,7 +31,7 @@ class TaskStatus(enum.Enum):
     CANCELLED = "cancelled"  # dequeued or cooperatively stopped via cancel()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectTableEntry:
     """Metadata for one immutable object.
 
@@ -46,7 +46,7 @@ class ObjectTableEntry:
     locations: FrozenSet[NodeID] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskTableEntry:
     """A task's durable record: its spec (lineage) and current status."""
 
@@ -56,7 +56,7 @@ class TaskTableEntry:
     node_id: Optional[NodeID] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActorTableEntry:
     """An actor's durable liveness record: where its current incarnation
     runs and whether it is alive.
@@ -77,9 +77,18 @@ class ActorTableEntry:
     alive: bool = True
 
 
-@dataclass(frozen=True)
+# One shared key tuple per payload shape: the event log holds many records
+# of few shapes, so each record stores only its values.
+_SHAPES: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+
+
+@dataclass(frozen=True, slots=True)
 class EventRecord:
     """One entry of the GCS event log.
+
+    The payload is stored as ``keys`` (sorted, one tuple shared by every
+    record of that shape) and ``values``; :attr:`payload` rebuilds the
+    sorted ``(key, value)`` pairs.
 
     ``seq`` is a cluster-wide monotonically increasing sequence number
     stamped by the GCS client at record time; it gives the merged event
@@ -90,27 +99,38 @@ class EventRecord:
     """
 
     category: str
-    payload: Tuple[Tuple[str, Any], ...]
+    keys: Tuple[str, ...]
+    values: Tuple[Any, ...]
     seq: int = 0
     ts: float = 0.0
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "keys", _SHAPES.setdefault(self.keys, self.keys))
+
+    def __reduce__(self):
+        # Through the constructor, so an unpickled record shares its shape.
+        return (EventRecord, (self.category, self.keys, self.values, self.seq, self.ts))
+
     @classmethod
     def make(cls, category: str, **payload: Any) -> "EventRecord":
-        return cls(category=category, payload=tuple(sorted(payload.items())))
+        keys = tuple(sorted(payload))
+        return cls(category, keys, tuple(payload[key] for key in keys))
+
+    @property
+    def payload(self) -> Tuple[Tuple[str, Any], ...]:
+        return tuple(zip(self.keys, self.values))
 
     def stamp(self, seq: int, ts: float) -> "EventRecord":
         """A copy of this record carrying a timeline sequence number."""
-        return EventRecord(
-            category=self.category, payload=self.payload, seq=seq, ts=ts
-        )
+        return EventRecord(self.category, self.keys, self.values, seq, ts)
 
     def as_dict(self) -> Dict[str, Any]:
-        return dict(self.payload)
+        return dict(zip(self.keys, self.values))
 
     def as_timeline_dict(self) -> Dict[str, Any]:
         """Payload plus the timeline envelope (seq, ts, category)."""
         out: Dict[str, Any] = {"seq": self.seq, "ts": self.ts, "category": self.category}
-        out.update(self.payload)
+        out.update(zip(self.keys, self.values))
         return out
 
 

@@ -4,11 +4,14 @@ One Router fronts one deployment's replica group (named actors created by
 :mod:`repro.serve.deployment`).  Requests enter through :meth:`Router.submit`
 and are answered through a :class:`ServeFuture`; between the two sits:
 
-* **deadline-driven dynamic micro-batching** — a batch is cut when it
-  reaches ``max_batch_size`` *or* when the oldest waiting request's
-  latency budget (``batch_wait_timeout_s``) is half-spent, so a lone
-  request never waits out the full window (the dynamic counterpart of
-  Clipper's fixed batching, per "Real-Time ML: The Missing Pieces");
+* **dynamic micro-batching, Nagle's rule** — a batch is cut when it
+  reaches ``max_batch_size``, when the oldest waiting request's latency
+  budget (``batch_wait_timeout_s``) is half-spent, *or* when no batch is
+  in flight on any replica.  A lone request to an idle group is sent at
+  once; requests coalesce only while an earlier batch is outstanding, so
+  batches form from the queueing load causes anyway (the dynamic
+  counterpart of Clipper's fixed batching, per "Real-Time ML: The
+  Missing Pieces"; RFC 896's rule for small TCP segments);
 * **admission control** — the pending queue is bounded at
   ``max_queue_per_replica x alive replicas``; past it, ``submit`` sheds
   synchronously with :class:`~repro.common.errors.BackpressureError`
@@ -16,6 +19,10 @@ and are answered through a :class:`ServeFuture`; between the two sits:
 * **bounded per-replica in-flight** — each replica runs at most
   ``max_inflight_per_replica`` batches concurrently (pipelining hides the
   submit latency without overrunning a replica's mailbox);
+* **results freed once read** — the router mints each batch's result ref
+  and is its only reader, so after reading it drops every store copy
+  (the replica's and the one pulled to the driver's node); the task row,
+  method log and lineage stay, so a restarted replica still replays;
 * **sibling retry** — a batch whose replica died mid-flight is re-dispatched
   once per remaining sibling before the error reaches the callers;
 * **metrics publication** — a background thread publishes queue depth,
@@ -45,6 +52,7 @@ from repro.common.errors import (
 )
 from repro.common.lockwatch import make_condition, make_thread
 from repro.common.metrics import percentile
+from repro.core.gc import free_objects
 
 _LATENCY_WINDOW = 2048  # completed-request latencies kept for p50/p99
 _IDLE_WAIT = 0.05  # batcher/waiter backstop wait when nothing is due
@@ -343,10 +351,12 @@ class Router:
                         if slot is not None and (
                             len(self._pending) >= self.max_batch_size
                             or now >= deadline
+                            or not any(s.inflight for s in self._slots)
                         ):
                             break
-                        # A full-or-due batch with no available replica (or
-                        # a not-yet-due one) waits; completions notify.
+                        # A cuttable batch with no available replica, or one
+                        # coalescing behind an in-flight batch, waits;
+                        # completions notify.
                         wait_for = _IDLE_WAIT if slot is None else max(
                             0.001, deadline - now
                         )
@@ -391,6 +401,9 @@ class Router:
             except Exception as exc:
                 self._on_batch_failure(slot, batch, attempts, exc)
                 continue
+            # This router minted the ref and has read it: drop every copy,
+            # keep the lineage (a restarted replica replays the method).
+            free_objects(self._runtime, [ref.object_id])
             if not isinstance(values, (list, tuple)) or len(values) != len(batch):
                 got = len(values) if isinstance(values, (list, tuple)) else type(values)
                 self._on_batch_failure(

@@ -1,6 +1,8 @@
 """Lineage GC (Section 7 limitation) and read-only methods (Section 5.1
 future work) — the paper's stated extensions, implemented."""
 
+import threading
+
 import pytest
 
 import repro
@@ -53,6 +55,47 @@ class TestFree:
     def test_free_list(self, runtime):
         refs = [repro.put(i) for i in range(3)]
         assert repro.free(refs) == 3
+
+    def test_output_freed_before_its_finish_lands_has_no_location(
+        self, runtime, monkeypatch
+    ):
+        """A reader can get an output from the store and free it before the
+        finish batch that publishes its location lands: the retraction then
+        precedes the add, and the finish must retract again."""
+        finish_task = runtime.gcs.finish_task
+        task_finished = runtime.reconstruction.task_finished
+        freed, done = [], threading.Event()
+
+        def free_first(task_id, status, node_id, entries, *args, **kwargs):
+            freed.extend(entry[0] for entry in entries)
+            free_objects(runtime, freed)
+            finish_task(task_id, status, node_id, entries, *args, **kwargs)
+
+        def finished(task_id):
+            task_finished(task_id)
+            done.set()
+
+        monkeypatch.setattr(runtime.gcs, "finish_task", free_first)
+        monkeypatch.setattr(runtime.reconstruction, "task_finished", finished)
+        step.remote(1)
+        assert done.wait(10)
+        assert len(freed) == 1
+        assert runtime.gcs.get_object_locations(freed[0]) == set()
+
+    def test_copy_freed_before_its_transfer_publishes_has_no_location(
+        self, runtime, monkeypatch
+    ):
+        ref = repro.put(b"x" * 1000)
+        dst = [n for n in runtime.nodes() if n is not runtime.driver_node][0]
+        add_object_location = runtime.gcs.add_object_location
+
+        def free_first(object_id, node_id):
+            free_objects(runtime, [object_id])
+            add_object_location(object_id, node_id)
+
+        monkeypatch.setattr(runtime.gcs, "add_object_location", free_first)
+        assert runtime.transfer.transfer(ref.object_id, dst)
+        assert runtime.gcs.get_object_locations(ref.object_id) == set()
 
 
 class TestLineageGC:

@@ -1,6 +1,7 @@
 """GCS typed tables: object locations, task lineage, actors, events."""
 
 import dataclasses
+import pickle
 import sys
 import threading
 
@@ -8,8 +9,9 @@ import pytest
 
 from repro.common.ids import ActorID, FunctionID, NodeID, ObjectID, TaskID
 from repro.core.task_spec import TaskSpec
-from repro.gcs.client import GlobalControlStore
-from repro.gcs.tables import ActorTableEntry, TaskStatus, TaskTableEntry
+from repro.gcs.client import _EVENT, _TASK, GlobalControlStore
+from repro.gcs.flush import GcsFlusher
+from repro.gcs.tables import ActorTableEntry, EventRecord, TaskStatus, TaskTableEntry
 
 
 @pytest.fixture
@@ -207,3 +209,47 @@ class TestEventLog:
 
     def test_empty_category(self, gcs):
         assert gcs.events("nothing") == []
+
+
+class TestEventRecord:
+    ITEMS = (("duration", 0.5), ("node", "n1"), ("task", "t1"))
+
+    def record(self, **payload):
+        return EventRecord.make("task_finished", **payload).stamp(7, 1.25)
+
+    def test_payload_views_are_the_sorted_pairs(self):
+        record = self.record(task="t1", node="n1", duration=0.5)
+        assert record.payload == self.ITEMS
+        assert record.as_dict() == dict(self.ITEMS)
+        assert record.as_timeline_dict() == {
+            "seq": 7, "ts": 1.25, "category": "task_finished", **dict(self.ITEMS)
+        }
+
+    def test_equality_hash_and_shared_shape(self):
+        record = self.record(task="t1", node="n1", duration=0.5)
+        twin = self.record(duration=0.5, task="t1", node="n1")
+        assert twin == record and hash(twin) == hash(record)
+        assert self.record(task="t1", node="n1", duration=0.7) != record
+        assert self.record(task="t1") != record
+        other = EventRecord.make("node_death", task="t9", node="n2", duration=1.0)
+        assert other.keys is record.keys
+        assert not hasattr(record, "__dict__")
+
+    def test_pickle_round_trip_keeps_the_shared_shape(self):
+        record = self.record(task="t1", node="n1", duration=0.5)
+        clone = pickle.loads(pickle.dumps(record))
+        assert clone == record and clone.payload == self.ITEMS
+        assert clone.keys is record.keys
+
+    def test_flush_round_trips_slotted_rows(self, gcs, tmp_path):
+        spec = _spec("t")
+        node = NodeID.from_seed("n")
+        gcs.finish_task(spec.task_id, TaskStatus.FINISHED, node, [], spec=spec)
+        gcs.record_event("task_finished", task="t1", node="n1", duration=0.5)
+        row, events = gcs.get_task(spec.task_id), gcs.events("task_finished")
+        flusher = GcsFlusher(gcs, str(tmp_path / "flush.bin"))
+        assert flusher.flush() == 2
+        flushed = {table: value for table, _entity, value in flusher.iter_flushed()}
+        assert flushed[_TASK] == row
+        assert flushed[_EVENT] == events
+        assert flushed[_EVENT][0].keys is events[0].keys

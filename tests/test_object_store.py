@@ -1,5 +1,10 @@
 """Per-node object store: immutability, LRU eviction, pinning, events."""
 
+import gc
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.common.errors import ObjectStoreFullError
@@ -188,4 +193,78 @@ class TestAvailability:
         store.put(oid("a"), serialize(1))
         store.delete(oid("a"))
         store.put(oid("a"), serialize(2))
+        assert seen == [oid("a")]
+
+    def test_present_objects_keep_no_events(self):
+        """A present object's completion lives only while a reader holds it."""
+        store = make_store()
+        for i in range(1000):
+            store.put(oid(str(i)), serialize(i))
+            assert store.availability_event(oid(str(i))).is_set()
+        assert len(store._events) == 0
+        assert len(store._present_events) == 0
+
+    def test_event_held_across_eviction_is_set_by_reput(self):
+        store = make_store(capacity=2500)
+        store.put(oid("a"), blob(1000))
+        event = store.availability_event(oid("a"))
+        store.put(oid("b"), blob(1000))
+        store.put(oid("c"), blob(1000))  # evicts "a"
+        assert not event.is_set()
+        assert store.availability_event(oid("a")) is event
+        store.put(oid("a"), blob(1000))
+        assert event.is_set()
+
+    def test_event_held_across_node_loss_is_set_by_reput(self):
+        store = make_store()
+        store.put(oid("a"), serialize(1))
+        event = store.availability_event(oid("a"))
+        store.drop_all()
+        assert not event.is_set()
+        store.put(oid("a"), serialize(1))
+        assert event.is_set()
+
+    def test_event_maps_hold_under_concurrent_churn(self):
+        """Threads put, delete and wait on a few objects at once: after
+        they join, a present object's completion is set and the strong map
+        holds only absent objects' completions."""
+        store = make_store()
+        ids = [oid(f"churn{i}") for i in range(4)]
+
+        def churn(seed):
+            rng = random.Random(seed)
+            for _ in range(300):
+                object_id = rng.choice(ids)
+                action = rng.randrange(3)
+                if action == 0:
+                    store.put(object_id, serialize(seed))
+                elif action == 1:
+                    store.delete(object_id)
+                else:
+                    store.availability_event(object_id).is_set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        for object_id in ids:
+            if store.contains(object_id):
+                assert store.availability_event(object_id).is_set()
+        assert not any(store.contains(object_id) for object_id in store._events)
+
+    def test_listener_on_absent_object_survives_collection(self):
+        """The store holds an absent object's completion strongly: nobody
+        else references it, and the put must still fire its listener."""
+        store = make_store()
+        seen = []
+        store.on_available(oid("a"), seen.append)
+        gc.collect()
+        store.put(oid("a"), serialize(1))
         assert seen == [oid("a")]

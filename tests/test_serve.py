@@ -8,6 +8,7 @@ autoscaler's scale-up / scale-down / replace-dead reconciliation.
 """
 
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -18,6 +19,7 @@ import pytest
 import repro
 from repro import serve
 from repro.common.errors import BackpressureError, GetTimeoutError
+from repro.gcs.tables import TaskStatus
 from repro.tools.autoscaler import ReplicaAutoscaler, ReplicaAutoscalerConfig
 
 
@@ -41,31 +43,81 @@ class Slow:
         return list(payloads)
 
 
+_gate = threading.Event()  # a "hold" batch waits on it
+_held = threading.Event()  # set once a "hold" batch is running
+
+
+@serve.deployment(num_replicas=2, max_batch_size=4, batch_wait_timeout_s=5.0)
+class Gated:
+    def handle_batch(self, payloads):
+        if payloads == ["hold"]:
+            _held.set()
+            _gate.wait(20)
+        return [(p, len(payloads)) for p in payloads]
+
+
+@pytest.fixture
+def held_batch():
+    """Deploy ``Gated`` and keep one batch in flight on one replica until
+    the test opens the gate (or ends)."""
+
+    def hold(**options):
+        _gate.clear()
+        _held.clear()
+        handle = Gated.options(**options).deploy()
+        future = handle.submit("hold")
+        assert _held.wait(10)
+        return handle, future
+
+    try:
+        yield hold
+    finally:
+        _gate.set()
+
+
 class TestBatching:
-    def test_batch_cut_on_size(self, runtime):
-        """Four submissions fill max_batch_size=4 and cut immediately —
-        nobody waits out the 2.5 s half-budget deadline."""
+    def test_lone_request_to_idle_deployment_is_sent_at_once(self, runtime):
+        """Nothing is in flight, so the request is cut as it arrives, not
+        after half of its 5 s budget."""
         handle = Batcher.deploy()
         start = time.perf_counter()
-        futures = [handle.submit(i) for i in range(4)]
-        results = [f.result(timeout=10) for f in futures]
+        assert handle.query(42, timeout=10) == (42, 1)
         elapsed = time.perf_counter() - start
-        assert [r[0] for r in results] == [0, 1, 2, 3]
-        assert all(r[1] == 4 for r in results), "expected one 4-wide batch"
-        assert elapsed < 2.0, f"size-full batch waited {elapsed:.2f}s"
+        assert elapsed < 1.0, f"a lone request waited {elapsed:.2f}s"
 
-    def test_batch_cut_on_timeout(self, runtime):
-        """A lone request is cut when half its 0.4 s budget is spent, not
-        when the (never-filling) batch reaches 8."""
-        handle = Batcher.options(
-            max_batch_size=8, batch_wait_timeout_s=0.4
-        ).deploy()
+    def test_batch_cut_on_size(self, runtime, held_batch):
+        """Behind an in-flight batch, four submissions fill
+        max_batch_size=4 and cut at once: the idle sibling answers them
+        while the held batch still runs, long before the 2.5 s half-budget
+        deadline."""
+        handle, held = held_batch()
+        futures = [handle.submit(i) for i in range(4)]
+        results = [f.result(timeout=2.0) for f in futures]
+        assert results == [(i, 4) for i in range(4)], "expected one 4-wide batch"
+        assert not held.done()
+        _gate.set()
+        assert held.result(timeout=10) == ("hold", 1)
+
+    def test_batch_cut_on_timeout(self, runtime, held_batch):
+        """Behind an in-flight batch, a lone request waits until half its
+        0.4 s budget is spent, then goes to the idle sibling."""
+        handle, held = held_batch(max_batch_size=8, batch_wait_timeout_s=0.4)
         start = time.perf_counter()
-        payload, width = handle.query(42, timeout=10)
-        elapsed = time.perf_counter() - start
-        assert payload == 42
-        assert width == 1
-        assert elapsed < 5.0
+        assert handle.query(42, timeout=10) == (42, 1)
+        assert time.perf_counter() - start >= 0.2
+        assert not held.done()
+
+    def test_batch_cut_when_inflight_batch_returns(self, runtime, held_batch):
+        """Behind an in-flight batch, a lone request with a 5 s budget
+        coalesces (the idle sibling does not get it) until that batch
+        returns, then goes at once."""
+        handle, held = held_batch()
+        future = handle.submit(42)
+        with pytest.raises(GetTimeoutError):
+            future.result(timeout=0.3)
+        _gate.set()
+        assert held.result(timeout=10) == ("hold", 1)
+        assert future.result(timeout=2.0) == (42, 1)
 
     def test_function_deployment(self, runtime):
         @serve.deployment(max_batch_size=2, batch_wait_timeout_s=0.02)
@@ -81,6 +133,30 @@ class TestBatching:
         with pytest.raises(GetTimeoutError):
             future.result(timeout=0.01)
         assert future.result(timeout=10) == "x"
+
+
+class TestBatchResults:
+    def test_router_frees_results_and_keeps_lineage(self, runtime):
+        """The router is a batch result's only reader: once a caller has
+        its reply, no store holds the result and no location is live, while
+        the method's task row stays and a restarted replica replays it."""
+        handle = Batcher.options(batch_wait_timeout_s=0.02).deploy()
+        for i in range(20):
+            assert handle.query(i, timeout=10) == (i, 1)
+        replica = repro.get_actor("serve:Batcher#v1:0")
+        batches = [
+            spec
+            for spec in runtime.gcs.actor_method_log(replica.actor_id)
+            if spec.function_name.endswith("handle_batch")
+        ]
+        assert len(batches) == 20
+        for spec in batches:
+            [object_id] = spec.return_ids
+            assert not any(node.store.contains(object_id) for node in runtime.nodes())
+            assert runtime.gcs.get_object_locations(object_id) == set()
+            assert runtime.gcs.get_task(spec.task_id).status is TaskStatus.FINISHED
+        repro.kill(replica, restart=True)
+        assert repro.get(replica.info.remote(), timeout=20)["handled"] == 20
 
 
 class TestBackpressure:
