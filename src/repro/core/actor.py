@@ -124,7 +124,7 @@ class ActorManager:
         creation task's row SCHEDULED there: its placement write."""
         spec = state.creation_spec
         node = self.runtime.global_scheduler_for(spec).schedule(spec)
-        self.runtime.gcs.set_task_states([(spec, TaskStatus.SCHEDULED, node.node_id)])
+        self.runtime.gcs.set_task_states([(spec, node.node_id)])
         return node
 
     def _start_incarnation(self, state: ActorState) -> None:

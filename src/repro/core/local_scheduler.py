@@ -15,23 +15,18 @@ constraints checked before the policy and always forward.
 
 A forwarded task goes to a global scheduler, which places it via its own
 :class:`~repro.core.scheduling.SchedulerPolicy`.  Once a task is *placed*
-on a node,
-the local scheduler pulls any missing inputs via the object fetcher and
-dispatches the task to a worker when all inputs are local and its resources
-are available.
+on a node (:meth:`LocalScheduler.place_many`, the one placement path), its
+row is written SCHEDULED there, the local scheduler pulls any missing
+inputs via the object fetcher, and the task goes to a worker when all its
+inputs are local and its resources are available.
 
-Two throughput mechanisms sit on top of that checked pipeline:
-
-* a **submit fast path** — when the node is idle enough that the spillback
-  policy would keep the task local anyway, and its inputs are already
-  local, submission dispatches straight to a worker (one RUNNING status
-  write; no global-scheduler hop, no dispatcher queue round-trip), and
-* a **persistent worker pool** — workers park on a queue between tasks, so
-  dispatch costs a queue hand-off instead of a per-task thread spawn.
-
-Both are observable (``scheduler_fastpath_total``, ``policy="fastpath"``
-on the trace event) and both degrade to the checked path whenever any
-precondition fails.
+Dispatch writes nothing.  A placement hands the ready tasks that fit to
+workers on the placing thread; the dispatcher thread hands off the rest
+as inputs arrive and resources free up.  Workers are a **persistent
+pool** — they park on a queue between tasks, so a hand-off costs a queue
+put instead of a per-task thread spawn.  The row's next write is the
+task's finish, which also carries the ``task_inputs_ready`` event of an
+input that arrived after placement.
 """
 
 from __future__ import annotations
@@ -49,13 +44,15 @@ from repro.common.ids import ObjectID, TaskID
 from repro.common.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.core.scheduling import RuntimeNodeView, TaskView, make_spillback
 from repro.core.task_spec import TaskSpec
-from repro.gcs.tables import TaskStatus
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.runtime import Node
 
 #: A ``(category, payload)`` trace event, as ``gcs.set_task_states`` takes it.
 Event = Tuple[str, Dict[str, object]]
+#: A task handed to a pool worker, with the lifecycle events its finish
+#: batch carries.
+Handoff = Tuple[TaskSpec, List[Event]]
 
 
 class _PendingBacklogView(RuntimeNodeView):
@@ -74,23 +71,6 @@ class _PendingBacklogView(RuntimeNodeView):
         return super().backlog() + self._extra
 
 
-def _policy_fastpath_trustworthy(policy) -> bool:
-    """Whether ``policy.allows_fastpath`` may stand in for ``should_forward``.
-
-    The fast path bypasses ``should_forward``, trusting ``allows_fastpath``
-    to give the same answer.  That only holds when the two methods come
-    from the same class: a subclass overriding ``should_forward`` while
-    inheriting ``allows_fastpath`` (e.g. a recording/experimental policy)
-    would get a stale opt-in, so it keeps the checked path.
-    """
-    for klass in type(policy).__mro__:
-        has_forward = "should_forward" in klass.__dict__
-        has_fast = "allows_fastpath" in klass.__dict__
-        if has_forward or has_fast:
-            return has_forward and has_fast
-    return False
-
-
 class LocalScheduler:
     """Bottom-up local scheduler for a single node."""
 
@@ -100,7 +80,7 @@ class LocalScheduler:
         gcs,
         fetcher,
         forward_to_global: Callable[..., None],
-        execute: Callable[["Node", TaskSpec, Dict[str, float]], None],
+        execute: Callable[["Node", TaskSpec, Dict[str, float], List[Event]], None],
         spillback_threshold: int = 16,
         spillback: Optional[object] = None,
         wait_stats: Optional[WaitStats] = None,
@@ -118,7 +98,6 @@ class LocalScheduler:
         self._wait_stats = wait_stats
         self._trace_events = trace_events
         self._faults = faults if faults is not None else NULL_FAULTS
-        self._fastpath = _policy_fastpath_trustworthy(self._spillback)
 
         self._cond = make_condition("LocalScheduler._cond")
         self._ready: deque = deque()
@@ -126,14 +105,14 @@ class LocalScheduler:
         self._waiting_specs: Dict[TaskID, TaskSpec] = {}
         self._running: Set[TaskID] = set()
         self._ready_since: Dict[TaskID, float] = {}
-        # Tracing on: when a ready task's inputs arrived after placement.
+        # Tracing on: when a queued task's inputs arrived after placement.
         self._arrived: Dict[TaskID, float] = {}
         self._stopped = False
 
-        # Persistent worker pool: dispatching onto a parked thread costs a
-        # queue put instead of a ~100µs thread spawn.  The pool grows on
-        # demand up to peak concurrency and threads park on the queue
-        # between tasks.
+        # Persistent worker pool: a hand-off to a parked thread costs a
+        # queue put of ``(spec, lifecycle)`` instead of a ~100µs thread
+        # spawn.  The pool grows on demand up to peak concurrency and
+        # threads park on the queue between tasks.
         self._work_queue: "queue.SimpleQueue" = queue.SimpleQueue()
         self._pool_threads: List[threading.Thread] = []
         self._idle_workers = 0
@@ -153,9 +132,9 @@ class LocalScheduler:
             "Tasks forwarded to a global scheduler",
             node=node_label,
         )
-        self._m_fastpath = metrics.counter(
+        self._m_handed_off = metrics.counter(
             "scheduler_fastpath_total",
-            "Tasks dispatched straight to a worker by the submit fast path",
+            "Tasks handed to a worker by their own placement",
             node=node_label,
         )
         self._m_dispatch = metrics.histogram(
@@ -179,16 +158,14 @@ class LocalScheduler:
     # -- submission (bottom-up entry point) ----------------------------------
 
     def submit(self, spec: TaskSpec, submitted: Optional[Event]) -> None:
-        """A co-located driver or worker created this task.
+        """A co-located driver or worker created this task: the batch of
+        one (see :meth:`submit_many`).
 
         ``submitted`` is its ``task_submitted`` event (``None`` with tracing
         off).  A first submission has no task row yet: the row and the
-        event go out in the placement write the spec reaches first — the
-        fast path's RUNNING batch or a ``place_many`` SCHEDULED batch, here
-        or on the node the global scheduler picks.
+        event go out in the ``place_many`` SCHEDULED batch the spec reaches
+        first, here or on the node the global scheduler picks.
         """
-        if self._fastpath and self._try_fastpath(spec, submitted):
-            return
         kept, events = self._forward_or_keep([spec], [submitted])
         if kept:
             self.place_many(kept, events)
@@ -232,89 +209,16 @@ class LocalScheduler:
             self.forwarded += forwarded
         return kept, kept_events
 
-    def _try_fastpath(self, spec: TaskSpec, submitted: Optional[Event]) -> bool:
-        """Dispatch a fresh submission straight to a worker, if it is safe.
-
-        When this node is idle enough — queues empty, every input already
-        local, resources free, and the spillback policy confirms the task
-        would have stayed local anyway — the whole submit→dispatch pipeline
-        (global-scheduler hop, ``ClusterView`` construction, the SCHEDULED
-        status write, the dispatcher queue round-trip) collapses into one
-        RUNNING write of the task's row, carrying its ``submitted`` event,
-        and a hand-off to a pooled worker.  A check failing before that
-        write returns False and the caller takes the ordinary checked path
-        with the event unsent; the shortcut never changes *where* a task
-        runs, only how many hops it takes to start.
-        """
-        node = self.node
-        if not node.alive:
-            return False
-        for dep in spec.dependencies():
-            if not node.store.contains(dep):
-                return False
-        with self._cond:
-            if (
-                self._stopped
-                or self._ready
-                or self._waiting
-                # Queues are empty, so the backlog is exactly the running
-                # set — let the policy apply its own rule to it.
-                or not self._spillback.allows_fastpath(len(self._running))
-            ):
-                return False
-            if not node.resources.try_acquire(spec.resources):
-                return False
-        # Placement-fault parity with ``place_many``: a kill injected at
-        # placement must be discovered by the placement that triggered it.
-        if self._faults.enabled:
-            self._faults.on_place(node.node_id)
-            if not node.alive:
-                node.resources.release(spec.resources)
-                return False
-        # The row first: durable before the task is visible to
-        # ``kill_node``'s drain/running snapshots or to a worker.  One write
-        # instead of SCHEDULED-then-RUNNING: the kill and reconstruction
-        # paths treat both states identically (in flight on this node), and
-        # the lifecycle events ride in the same batch.
-        events = [submitted] if submitted is not None else []
-        if self._trace_events:
-            base = self.lifecycle_payload(spec, time.perf_counter())
-            events.append(("task_scheduled", dict(base, policy="fastpath")))
-            events.append(("task_inputs_ready", base))
-        self.gcs.set_task_states(
-            [(spec, TaskStatus.RUNNING, node.node_id)], events=events
-        )
-        with self._cond:
-            if self._stopped:
-                # ``kill_node`` ran during the write; its drain/running
-                # snapshots (serialized by this condition) never saw the
-                # task, so reroute it — its event is already written.
-                bounced = True
-            else:
-                bounced = False
-                self._running.add(spec.task_id)
-                self.scheduled_locally += 1
-        if bounced:
-            node.resources.release(spec.resources)
-            self._forward_to_global(spec)
-            return True
-        self._m_placed.inc()
-        self._m_fastpath.inc()
-        self._dispatch_to_worker(spec)
-        return True
-
     def submit_many(
         self, specs: List[TaskSpec], submitted: List[Optional[Event]]
     ) -> None:
         """Submit one ``submit_many`` batch created on this node, with each
         spec's ``task_submitted`` event (see :meth:`submit`).
 
-        Decisions match per-spec :meth:`submit` exactly, but every task
-        kept here is placed through :meth:`place_many`, whose whole-batch
-        SCHEDULED write replaces one control round-trip per task.  The
-        single-submission fast path is deliberately *not* consulted: it
-        pays one control write per task in the submitting thread, which is
-        exactly what a batch must avoid.
+        Decisions match per-spec :meth:`submit` exactly, and every task
+        kept here is placed through one :meth:`place_many`, whose
+        whole-batch SCHEDULED write replaces one control round-trip per
+        task.
         """
         kept, events = self._forward_or_keep(specs, submitted)
         if kept:
@@ -334,9 +238,11 @@ class LocalScheduler:
         The whole batch's SCHEDULED rows, the ``submitted`` events not yet
         written (a first submission's row is born here) and the
         ``task_scheduled`` / ``task_inputs_ready`` events coalesce into one
-        shard write, and the ready sub-batch is enqueued under one condition
-        acquisition with a single wake-up.  A spec bounced before the write
-        is forwarded with its event; one bounced after it, without.
+        shard write.  Then, under one condition acquisition, the ready
+        sub-batch joins the ready queue and every ready task that fits is
+        taken off it exactly as the dispatcher would, and handed to workers
+        on this thread.  A spec bounced before the write is forwarded with
+        its event; one bounced after it, without.
         """
         node = self.node
         if self._faults.enabled:
@@ -375,10 +281,11 @@ class LocalScheduler:
                 for spec in ready
             )
         self.gcs.set_task_states(
-            [(spec, TaskStatus.SCHEDULED, node.node_id) for spec in specs],
-            events=events,
+            [(spec, node.node_id) for spec in specs], events=events
         )
         self._m_placed.inc(len(specs))
+        handoffs: List[Handoff] = []
+        spawn: List[threading.Thread] = []
         with self._cond:
             if self._stopped:
                 bounced = True
@@ -392,7 +299,9 @@ class LocalScheduler:
                     for spec in ready:
                         self._ready.append(spec)
                         self._ready_since[spec.task_id] = now_mono
-                    self._cond.notify_all()
+                    # Whatever is left does not fit now: a resource
+                    # release wakes the dispatcher for it.
+                    handoffs, spawn = self._take_dispatch_batch()
         if bounced:
             # The node died between the alive check above and here: specs
             # registered now would be invisible to the kill path's drain
@@ -402,6 +311,12 @@ class LocalScheduler:
             for spec in specs:
                 self._forward_to_global(spec)
             return
+        if handoffs:
+            placed = {spec.task_id for spec in ready}
+            self._m_handed_off.inc(
+                sum(1 for spec, _ in handoffs if spec.task_id in placed)
+            )
+            self._hand_off(handoffs, spawn)
         # Register every readiness callback first (fires immediately for
         # anything already arrived), then start the fetches.
         all_missing: List[ObjectID] = []
@@ -426,7 +341,7 @@ class LocalScheduler:
 
     def _input_ready(self, task_id: TaskID, object_id: ObjectID) -> None:
         """A placed task's input arrived (on the thread whose store put
-        landed it, so nothing here writes to the GCS)."""
+        landed it, so nothing here writes to the GCS or runs the task)."""
         with self._cond:
             pending = self._waiting.get(task_id)
             if pending is None:
@@ -441,8 +356,8 @@ class LocalScheduler:
                 self._ready.append(spec)
                 self._ready_since[task_id] = time.monotonic()
                 if self._trace_events:
-                    # Its task_inputs_ready event rides the dispatcher's
-                    # RUNNING batch: durable before the worker runs.
+                    # Its task_inputs_ready event, with this time, rides
+                    # the task's finish batch.
                     self._arrived[task_id] = time.perf_counter()
                 self._cond.notify_all()
         if stopped:
@@ -457,56 +372,28 @@ class LocalScheduler:
             self._cond.notify_all()
 
     def _dispatch_loop(self) -> None:
+        """Hand queued tasks to workers as their inputs arrive and
+        resources free up.  Memory only: a picked task's row stays
+        SCHEDULED until its finish."""
+        notified = True
         while True:
             with self._cond:
-                batch = self._pick_dispatch_batch()
-                while not batch and not self._stopped:
+                if self._stopped:
+                    # Whatever is still queued is drain()'s to reroute.
+                    return
+                handoffs, spawn = self._take_dispatch_batch()
+                if not handoffs:
                     # Notification-driven: ready-queue pushes and resource
                     # releases notify this condition.  The timed wait is
                     # only a guarded missed-wakeup backstop.
                     notified = self._cond.wait(timeout=BACKSTOP_INTERVAL)
-                    batch = self._pick_dispatch_batch()
-                    if (
-                        not notified
-                        and batch
-                        and self._wait_stats is not None
-                    ):
-                        # A task was dispatchable but no notification
-                        # arrived: the backstop caught a missed wakeup.
-                        self._wait_stats.record_backstop(recovered=True)
-                stopped = self._stopped
-                if not stopped:
-                    for spec in batch:
-                        self._running.add(spec.task_id)
-                arrived = [(s, self._arrived.pop(s.task_id, None)) for s in batch]
-            if stopped:
-                # Specs picked in the same round the node stopped were
-                # already out of _ready (invisible to drain), with their
-                # resources held: release and reroute them rather than drop
-                # them.  Forwarding happens outside _cond — it takes another
-                # node's condition, and nesting the two would invert lock
-                # order against that node's own dispatcher.
-                for spec in batch:
-                    self.node.resources.release(spec.resources)
-                    self._forward_to_global(spec)
-                return
-            # One coalesced RUNNING write for the whole round (built from
-            # the specs in hand — no read-modify-write), carrying the
-            # task_inputs_ready events of inputs that arrived after
-            # placement, then queue hand-offs: workers never write RUNNING
-            # themselves.
-            self.gcs.set_task_states(
-                [
-                    (spec, TaskStatus.RUNNING, self.node.node_id)
-                    for spec in batch
-                ],
-                events=[
-                    ("task_inputs_ready", self.lifecycle_payload(spec, t))
-                    for spec, t in arrived if t is not None
-                ],
-            )
-            for spec in batch:
-                self._dispatch_to_worker(spec)
+                    continue
+            if not notified and self._wait_stats is not None:
+                # A task was dispatchable but no notification arrived: the
+                # backstop caught a missed wakeup.
+                self._wait_stats.record_backstop(recovered=True)
+            notified = True
+            self._hand_off(handoffs, spawn)
 
     def _pick_dispatchable(self) -> Optional[TaskSpec]:
         """First ready task whose resources fit right now (lock held)."""
@@ -519,40 +406,56 @@ class LocalScheduler:
                 return spec
         return None
 
-    def _pick_dispatch_batch(self) -> List[TaskSpec]:
-        """Every ready task whose resources fit right now (lock held)."""
-        batch: List[TaskSpec] = []
+    def _take_dispatch_batch(self) -> Tuple[List[Handoff], List[threading.Thread]]:
+        """Take every ready task whose resources fit right now, mark it
+        running and claim a pool worker for it (lock held).  Returns the
+        ``(spec, lifecycle)`` hand-offs — ``lifecycle`` is the
+        ``task_inputs_ready`` event of an input that arrived after
+        placement, for the finish batch — and the new pool threads to
+        start for the ones no parked worker takes."""
+        handoffs: List[Handoff] = []
         while True:
             spec = self._pick_dispatchable()
             if spec is None:
-                return batch
-            batch.append(spec)
+                break
+            self._running.add(spec.task_id)
+            arrived = self._arrived.pop(spec.task_id, None)
+            handoffs.append((
+                spec,
+                []
+                if arrived is None
+                else [("task_inputs_ready", self.lifecycle_payload(spec, arrived))],
+            ))
+        parked = min(self._idle_workers, len(handoffs))
+        self._idle_workers -= parked
+        spawn = []
+        for _ in range(len(handoffs) - parked):
+            thread = make_thread(
+                self._worker_loop,
+                name=f"worker-{self._node_hex[:6]}-{len(self._pool_threads)}",
+            )
+            self._pool_threads.append(thread)
+            spawn.append(thread)
+        return handoffs, spawn
 
-    def _dispatch_to_worker(self, spec: TaskSpec) -> None:
-        """Hand a dispatched task (resources held, in ``_running``, RUNNING
-        in the GCS) to a parked pool thread, growing the pool if none is
-        idle."""
-        spawn = None
-        with self._cond:
-            if self._idle_workers > 0:
-                self._idle_workers -= 1
-            else:
-                spawn = make_thread(
-                    self._worker_loop,
-                    name=f"worker-{self._node_hex[:6]}-{len(self._pool_threads)}",
-                )
-                self._pool_threads.append(spawn)
-        if spawn is not None:
-            spawn.start()
-        self._work_queue.put(spec)
+    def _hand_off(
+        self, handoffs: List[Handoff], spawn: List[threading.Thread]
+    ) -> None:
+        """Start the claimed pool threads and queue the hand-offs (lock
+        not held)."""
+        for thread in spawn:
+            thread.start()
+        for handoff in handoffs:
+            self._work_queue.put(handoff)
 
     def _worker_loop(self) -> None:
         while True:
-            spec = self._work_queue.get()
-            if spec is None:  # stop() sentinel
+            handoff = self._work_queue.get()
+            if handoff is None:  # stop() sentinel
                 return
+            spec, lifecycle = handoff
             try:
-                self._execute(self.node, spec, dict(spec.resources))
+                self._execute(self.node, spec, dict(spec.resources), lifecycle)
             finally:
                 self.node.resources.release(spec.resources)
                 with self._cond:

@@ -80,7 +80,7 @@ class ReconstructionManager:
         with self._lock:
             if task_id in self._inflight:
                 return
-            if task_entry.status in (TaskStatus.SCHEDULED, TaskStatus.RUNNING):
+            if task_entry.status is TaskStatus.SCHEDULED:
                 node = runtime.transfer.node(task_entry.node_id)
                 if node is not None and node.alive:
                     return  # in flight on a live node; just wait

@@ -209,8 +209,8 @@ class Node:
             gcs=runtime.gcs,
             fetcher=runtime.fetcher,
             forward_to_global=runtime.route_and_place,
-            execute=lambda node, spec, held: execute_task(
-                runtime, node, spec, held
+            execute=lambda node, spec, held, lifecycle: execute_task(
+                runtime, node, spec, held, lifecycle
             ),
             spillback_threshold=runtime.config.spillback_threshold,
             spillback=runtime.make_spillback_policy(),
@@ -442,7 +442,7 @@ class Runtime:
         for spec in drained:
             if spec.actor_id is None:
                 self._resubmit(spec, node)
-        # Tasks RUNNING on the dead node are lost with it: their worker
+        # Tasks running on the dead node are lost with it: their worker
         # threads are stranded (they exit quietly via NodeDiedError) and
         # their outputs will never materialize, so resubmit each one now.
         # Waiting for a consumer to notice would deadlock — the output's
@@ -458,7 +458,7 @@ class Runtime:
             if (
                 entry is not None
                 and entry.spec.actor_id is None
-                and entry.status in (TaskStatus.SCHEDULED, TaskStatus.RUNNING)
+                and entry.status is TaskStatus.SCHEDULED
             ):
                 self._resubmit(entry.spec, node)
         self.actors.on_node_death(node_id)
@@ -644,7 +644,7 @@ class Runtime:
         )
 
     # ------------------------------------------------------------------
-    # Replay hints (submit-path fast path)
+    # Replay hints (a re-execution's child submissions are read-checked)
     # ------------------------------------------------------------------
 
     def mark_replay(self, task_id: TaskID) -> None:
@@ -725,7 +725,7 @@ class Runtime:
         ):
             # The finish writer stores a task's outputs before it writes
             # the terminal row: a caller may already hold the result of a
-            # task whose row still reads RUNNING.
+            # task whose row still reads SCHEDULED.
             return False
         entry = self.gcs.get_task(task_id)
         if entry is not None and entry.status in (
@@ -889,7 +889,7 @@ class Runtime:
 
         Args must already be encoded (ObjectRefs replaced by ArgRef).  The
         batch of one: :meth:`submit_many`'s stage, then the local
-        scheduler's single-task entry (which may take the fast path).
+        scheduler's single-task entry.
         """
         specs, admitted, events, node = self._stage_tasks(
             function_id,
@@ -924,7 +924,7 @@ class Runtime:
             self.transfer.live_locations(oid) for oid in spec.return_ids
         ):
             return False
-        if existing.status in (TaskStatus.SCHEDULED, TaskStatus.RUNNING):
+        if existing.status is TaskStatus.SCHEDULED:
             running_node = self.transfer.node(existing.node_id)
             if running_node is not None and running_node.alive:
                 return False

@@ -23,18 +23,6 @@ class SpillbackPolicy:
     def should_forward(self, task: TaskView, node: NodeView) -> bool:
         raise NotImplementedError
 
-    def allows_fastpath(self, backlog: int) -> bool:
-        """Whether a submission may bypass ``should_forward`` right now.
-
-        The local scheduler's submit fast path dispatches straight to an
-        idle worker when its queues are empty; ``backlog`` is the node's
-        backlog at that instant (queues empty, so just the running count).
-        A policy must opt in by confirming it would keep such a task local
-        anyway; custom policies inherit this conservative default and stay
-        on the checked path.
-        """
-        return False
-
 
 @register_spillback("threshold")
 class ThresholdSpillback(SpillbackPolicy):
@@ -48,18 +36,13 @@ class ThresholdSpillback(SpillbackPolicy):
     def should_forward(self, task: TaskView, node: NodeView) -> bool:
         return node.backlog() >= self.threshold
 
-    def allows_fastpath(self, backlog: int) -> bool:
-        # Exactly the ``should_forward`` decision, inverted: below the
-        # threshold the task would have stayed local anyway.
-        return backlog < self.threshold
-
 
 @register_spillback("always")
 class AlwaysSpillback(SpillbackPolicy):
     """Every task goes through the global scheduler (centralized mode —
     pair with the ``central_queue`` placement policy for a Dask-style
     single decision point, or with any policy to measure the cost of
-    losing the local fast path)."""
+    losing bottom-up local placement)."""
 
     name = "always"
 
@@ -76,6 +59,3 @@ class NeverSpillback(SpillbackPolicy):
 
     def should_forward(self, task: TaskView, node: NodeView) -> bool:
         return False
-
-    def allows_fastpath(self, backlog: int) -> bool:
-        return True

@@ -109,7 +109,7 @@ class TaskView:
 
     @property
     def deps(self) -> Tuple[Hashable, ...]:
-        # Lazy: the spillback fast path never needs the dependency list,
+        # Lazy: the threshold spillback rule never needs the dependency list,
         # so TaskSpec.dependencies() only runs when a policy asks.
         if self._deps is None:
             self._deps = tuple(self._deps_fn()) if self._deps_fn else ()

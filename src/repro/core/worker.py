@@ -259,9 +259,11 @@ def write_finish(
     that never will (an error value, ``started`` = now).  The task is then
     no longer in flight for reconstruction.
 
-    An actor method, which has no start write, passes its ``lifecycle``
-    events (``task_scheduled``, ``task_inputs_ready``, with their own
-    times) and its ``actor_rows`` (``progress``, ``checkpoint``: see
+    Nothing writes a row between placement and finish, so the
+    ``lifecycle`` events not yet written ride the same batch with their own
+    times: a queued task's ``task_inputs_ready``, an actor method's
+    ``task_scheduled`` and ``task_inputs_ready``.  A method also passes its
+    ``actor_rows`` (``progress``, ``checkpoint``: see
     ``GlobalControlStore.finish_task``) to ride the same batch."""
     entries = store_outputs(node, spec, values)
     duration = time.perf_counter() - started
@@ -301,9 +303,14 @@ def execute_task(
     node: "Node",
     spec: TaskSpec,
     held_resources: Dict[str, float],
+    lifecycle: Sequence[Tuple[str, Dict[str, Any]]] = (),
 ) -> None:
-    """Run one stateless task on ``node`` (called on a pool worker thread)."""
-    # The dispatching scheduler already wrote RUNNING, in its own batch.
+    """Run one stateless task on ``node`` (called on a pool worker thread).
+
+    Nothing is written before the run: the row is SCHEDULED on ``node``
+    since placement, and readers treat that as in flight here.
+    ``lifecycle`` (the ``task_inputs_ready`` event of an input that
+    arrived after placement) rides the finish batch."""
     # A replayed execution (reconstruction / node-death resubmission) is
     # flagged so its child submissions take the checked path.
     replay = runtime.is_replay_execution(spec.task_id)
@@ -323,7 +330,7 @@ def execute_task(
         # outputs and the finish-state write.  Exit without recording
         # anything for this stranded attempt.
         return
-    write_finish(runtime, node, spec, status, values, started)
+    write_finish(runtime, node, spec, status, values, started, lifecycle)
     if not node.alive:
         # The node died under this attempt, which may have run entirely
         # between kill_node's running-set snapshots, and this finish may

@@ -6,9 +6,10 @@ state — the object table, task table, function table, and event log — so
 that every other component (schedulers, object stores, workers) is
 stateless and can be restarted at will.
 
-* :mod:`repro.gcs.kv` — the single-shard KV store with pub-sub.
+* :mod:`repro.gcs.kv` — one replica's single-shard KV store.
 * :mod:`repro.gcs.chain` — chain replication of a shard for fault
-  tolerance, with reconfiguration (member kill, join, state transfer).
+  tolerance, with reconfiguration (member kill, join, state transfer),
+  and the pub-sub that survives it.
 * :mod:`repro.gcs.shard` — sharding by entity ID across chains.
 * :mod:`repro.gcs.tables` — the typed tables layered on the KV store.
 * :mod:`repro.gcs.flush` — periodic flushing of cold entries to disk so

@@ -75,9 +75,9 @@ class ChainReplica:
 class ReplicatedChain:
     """A chain-replicated KV shard with master-driven reconfiguration.
 
-    Exposes the same single-key surface as :class:`KVStore` (put / get /
-    append / log / subscribe) plus membership operations used by the fault
-    tolerance experiments.
+    Exposes :class:`KVStore`'s single-key surface (put / get / append /
+    log), pub-sub that survives reconfiguration (subscribe), and membership
+    operations used by the fault tolerance experiments.
     """
 
     def __init__(
@@ -157,19 +157,19 @@ class ReplicatedChain:
     # -- operations ---------------------------------------------------------
 
     def put(self, key: Any, value: Any, max_retries: int = 8) -> None:
-        self._write(key, value, op="put", max_retries=max_retries)
+        self.write_batch([("put", key, value)], max_retries=max_retries)
 
     def append(self, key: Any, entry: Any, max_retries: int = 8) -> None:
-        self._write(key, entry, op="append", max_retries=max_retries)
+        self.write_batch([("append", key, entry)], max_retries=max_retries)
 
     def write_batch(
         self, ops: List[tuple], max_retries: int = 8
     ) -> None:
         """Apply ``[(op, key, value), ...]`` (op = "put" | "append") in one
-        pass down the chain: one hop per member for the whole batch instead
-        of one hop per member per operation, then one publication per op.
-        Retry semantics match ``_write`` (report the dead member, retry the
-        whole batch against the reconfigured chain)."""
+        pass down the chain — one hop per member for the whole batch — then
+        publish each op.  The one write path: ``put`` and ``append`` are
+        batches of one.  A member found dead is reported to the master and
+        the whole batch is retried against the reconfigured chain."""
         if not ops:
             return
         if self.faults.enabled:
@@ -189,39 +189,15 @@ class ReplicatedChain:
                         else:
                             replica.apply_append(key, value)
             except ReplicaDeadError as exc:
+                # The client observed an explicit error: report to master
+                # and retry against the reconfigured chain.
                 self.failed_writes += 1
                 self.report_failure(exc.replica)
                 continue
             for _op, key, value in ops:
                 self._publish(key, value)
             return
-        raise ChainUnavailableError("batched write failed after retries")
-
-    def _write(self, key: Any, value: Any, op: str, max_retries: int) -> None:
-        if self.faults.enabled:
-            self.faults.on_chain_write(self.shard_index, self)
-        for _ in range(max_retries + 1):
-            with self._lock:
-                members = list(self._members)
-            if not members:
-                raise ChainUnavailableError("chain has no members")
-            try:
-                for replica in members:
-                    if self.hop_delay:
-                        time.sleep(self.hop_delay)
-                    if op == "put":
-                        replica.apply_put(key, value)
-                    else:
-                        replica.apply_append(key, value)
-            except ReplicaDeadError as exc:
-                # The client observed an explicit error: report to master
-                # and retry against the reconfigured chain.
-                self.failed_writes += 1
-                self.report_failure(exc.replica)
-                continue
-            self._publish(key, value)
-            return
-        raise ChainUnavailableError(f"write to {key!r} failed after retries")
+        raise ChainUnavailableError("chain write failed after retries")
 
     def get(self, key: Any, default: Any = None, max_retries: int = 8) -> Any:
         for _ in range(max_retries + 1):

@@ -344,32 +344,32 @@ class GlobalControlStore:
 
     def set_task_states(
         self,
-        updates: List[Tuple[Any, TaskStatus, Optional[NodeID]]],
+        placements: List[Tuple[Any, Optional[NodeID]]],
         events: Optional[List[Tuple[str, Dict[str, Any]]]] = None,
     ) -> None:
-        """Write task rows for ``[(spec, status, node_id), ...]`` plus trace
-        events in one coalesced shard write.
+        """Write the placement rows ``[(spec, node_id), ...]`` — each
+        SCHEDULED on the node that now holds the task — plus trace events
+        in one coalesced shard write.
 
-        The scheduler-side mirror of :meth:`finish_task`: a local scheduler
-        moving a batch of queued tasks to SCHEDULED/RUNNING already holds
-        their specs, so the rows are rebuilt directly — no per-row
-        read-modify-write round-trip — and every row plus the batch's
-        ``task_scheduled``/``task_inputs_ready`` events collapse into one
-        chain write per shard.  Only valid for tasks whose status the
-        caller currently owns (placed/queued on its node); for a first
-        submission this is the row's first write, and its
-        ``task_submitted`` event leads ``events``.  Events are seq-stamped
-        in list order so timeline ordering holds.
+        The scheduler-side mirror of :meth:`finish_task`: a placement
+        already holds the specs, so the rows are rebuilt directly — no
+        per-row read-modify-write round-trip — and every row plus the
+        batch's ``task_scheduled``/``task_inputs_ready`` events collapse
+        into one chain write per shard.  A row's next write is its finish:
+        nothing records that a task started.  For a first submission this
+        is the row's first write, and its ``task_submitted`` event leads
+        ``events``.  Events are seq-stamped in list order so timeline
+        ordering holds.
         """
         ops: List[tuple] = []
-        for spec, status, node_id in updates:
+        for spec, node_id in placements:
             ops.append((
                 "put",
                 (_TASK, spec.task_id),
                 TaskTableEntry(
                     task_id=spec.task_id,
                     spec=spec,
-                    status=status,
+                    status=TaskStatus.SCHEDULED,
                     node_id=node_id,
                 ),
             ))

@@ -1,42 +1,31 @@
-"""A single-shard key-value store with pub-sub.
+"""A single-shard key-value store: one replica's state.
 
 The paper uses one Redis instance per GCS shard with *entirely single-key
-operations*.  This class reproduces that surface: get/put/delete on single
-keys, append to per-key logs, and channel subscriptions that fire a
-callback on every publish to a key.
-
-The store is thread-safe; callbacks run on the publishing thread (as with
-Redis pub-sub, subscribers must be quick and must not block).
+operations*.  This class reproduces that storage surface: get/put/delete on
+single keys and append to per-key logs.  It is thread-safe.  Pub-sub is the
+chain's (:class:`repro.gcs.chain.ReplicatedChain`), not a replica's: a
+subscription must survive the loss of any one member.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 from repro.common.lockwatch import make_rlock
-
-Callback = Callable[[Any, Any], None]
 
 
 class KVStore:
-    """Thread-safe in-memory KV store with per-key append logs and pub-sub."""
+    """Thread-safe in-memory KV store with per-key append logs."""
 
     def __init__(self):
         self._lock = make_rlock("KVStore._lock")
         self._data: Dict[Any, Any] = {}
         self._logs: Dict[Any, List[Any]] = {}
-        self._subscribers: Dict[Any, List[Callback]] = {}
-        self._put_count = 0
 
     # -- single-key operations -------------------------------------------
 
     def put(self, key: Any, value: Any) -> None:
         with self._lock:
             self._data[key] = value
-            self._put_count += 1
-            callbacks = list(self._subscribers.get(key, ()))
-        for cb in callbacks:
-            cb(key, value)
 
     def get(self, key: Any, default: Any = None) -> Any:
         with self._lock:
@@ -54,42 +43,13 @@ class KVStore:
             return had
 
     def append(self, key: Any, entry: Any) -> None:
-        """Append ``entry`` to the log at ``key`` and publish it."""
+        """Append ``entry`` to the log at ``key``."""
         with self._lock:
             self._logs.setdefault(key, []).append(entry)
-            self._put_count += 1
-            callbacks = list(self._subscribers.get(key, ()))
-        for cb in callbacks:
-            cb(key, entry)
 
     def log(self, key: Any) -> List[Any]:
         with self._lock:
             return list(self._logs.get(key, ()))
-
-    # -- pub-sub -----------------------------------------------------------
-
-    def subscribe(self, key: Any, callback: Callback) -> Callable[[], None]:
-        """Invoke ``callback(key, value)`` on every put/append to ``key``.
-
-        Returns an unsubscribe function.
-        """
-        with self._lock:
-            self._subscribers.setdefault(key, []).append(callback)
-
-        def unsubscribe() -> None:
-            with self._lock:
-                handlers = self._subscribers.get(key)
-                if handlers and callback in handlers:
-                    handlers.remove(callback)
-                    if not handlers:
-                        del self._subscribers[key]
-
-        return unsubscribe
-
-    def num_subscriptions(self) -> int:
-        """Active pub-sub registrations on this store."""
-        with self._lock:
-            return sum(len(handlers) for handlers in self._subscribers.values())
 
     # -- bulk access (state transfer, flushing, debugging) ----------------
 
@@ -114,11 +74,6 @@ class KVStore:
     def num_entries(self) -> int:
         with self._lock:
             return len(self._data) + sum(len(v) for v in self._logs.values())
-
-    @property
-    def put_count(self) -> int:
-        with self._lock:
-            return self._put_count
 
     def approx_bytes(self) -> int:
         """Rough in-memory footprint (for the Fig 10b flushing experiment)."""

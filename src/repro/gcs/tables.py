@@ -19,13 +19,13 @@ from repro.common.ids import ActorID, NodeID, ObjectID, TaskID
 class TaskStatus(enum.Enum):
     """Lifecycle of a task as recorded in the task table.
 
-    Two writes produce a row: a placement (SCHEDULED or RUNNING on the node
-    that holds the task) and a finish (one of the terminal states).  A row
-    is born by its first placement; a task re-placed after a loss is simply
-    placed again."""
+    Two writes produce a row: a placement (SCHEDULED on the node that holds
+    the task) and a finish (one of the terminal states).  A row is born by
+    its first placement; a task re-placed after a loss is simply placed
+    again.  Nothing records that a task started: readers only ask whether
+    a SCHEDULED row's node is alive."""
 
-    SCHEDULED = "scheduled"  # placed on a node (queued or in its mailbox)
-    RUNNING = "running"
+    SCHEDULED = "scheduled"  # placed on a node: queued, in its mailbox, or running
     FINISHED = "finished"
     FAILED = "failed"  # application exception
     CANCELLED = "cancelled"  # dequeued or cooperatively stopped via cancel()

@@ -83,7 +83,7 @@ class ClusterInspector:
         """Tasks not yet finished — the first place to look when stuck."""
         out = []
         for _task_id, entry in self._rows(_TASK):
-            if entry.status in (TaskStatus.SCHEDULED, TaskStatus.RUNNING):
+            if entry.status is TaskStatus.SCHEDULED:
                 out.append(entry)
         return out
 

@@ -214,21 +214,20 @@ class TestKillWhileRowInFlight:
         return victim, result["ref"]
 
     @staticmethod
-    def check_tables(runtime, victim, survivor, ref):
-        task_id = runtime.graph.producer_of(ref.object_id)
-        submitted = [
-            record
-            for record in runtime.gcs.events("task_submitted")
-            if record.as_dict()["task"] == task_id.short()
-        ]
-        assert len(submitted) == 1
+    def check_tables(runtime, victim, survivor, *refs):
+        task_ids = [runtime.graph.producer_of(ref.object_id) for ref in refs]
+        for task_id in task_ids:
+            assert len(task_events(runtime, "task_submitted", task_id)) == 1
         repro.shutdown()  # quiescence: every write has landed
-        row = runtime.gcs.get_task(task_id)
-        assert (row.status, row.node_id) == (TaskStatus.FINISHED, survivor.node_id)
+        for task_id in task_ids:
+            assert len(task_events(runtime, "task_finished", task_id)) == 1
+            row = runtime.gcs.get_task(task_id)
+            assert (row.status, row.node_id) == (
+                TaskStatus.FINISHED, survivor.node_id
+            )
         in_flight_on_victim = [
             entry
-            for status in (TaskStatus.RUNNING, TaskStatus.SCHEDULED)
-            for entry in runtime.gcs.tasks_with_status(status)
+            for entry in runtime.gcs.tasks_with_status(TaskStatus.SCHEDULED)
             if entry.node_id == victim.node_id
         ]
         assert in_flight_on_victim == []
@@ -239,6 +238,17 @@ class TestKillWhileRowInFlight:
         victim, ref = self.kill_during_row_write(runtime, lambda: echo.remote(7))
         assert repro.get(ref, timeout=10) == 7
         self.check_tables(runtime, victim, survivor, ref)
+
+    def test_submit_many_wave(self):
+        # The wave is ready at placement: had the kill missed it, the
+        # placement would hand it to the victim's workers on this thread.
+        runtime = repro.init(num_nodes=2, num_cpus_per_node=2)
+        survivor = runtime.nodes()[1]
+        victim, refs = self.kill_during_row_write(
+            runtime, lambda: echo.submit_many([(i,) for i in range(4)])
+        )
+        assert repro.get(refs, timeout=10) == list(range(4))
+        self.check_tables(runtime, victim, survivor, *refs)
 
     def test_queued_behind_an_input(self):
         runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
@@ -311,8 +321,7 @@ class TestReconstructionRaces:
         assert (row.status, row.node_id) == (TaskStatus.FINISHED, home.node_id)
         assert [
             entry
-            for status in (TaskStatus.SCHEDULED, TaskStatus.RUNNING)
-            for entry in runtime.gcs.tasks_with_status(status)
+            for entry in runtime.gcs.tasks_with_status(TaskStatus.SCHEDULED)
             if entry.node_id == victim.node_id
         ] == []
 

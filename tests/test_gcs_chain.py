@@ -125,8 +125,32 @@ class TestPubSub:
         seen = []
         unsub = chain.subscribe("k", lambda _k, v: seen.append(v))
         unsub()
+        unsub()  # idempotent
         chain.put("k", 1)
         assert seen == []
+
+    def test_publish_on_append(self):
+        chain = ReplicatedChain(num_replicas=2)
+        seen = []
+        chain.subscribe("log", lambda key, entry: seen.append((key, entry)))
+        chain.append("log", "x")
+        assert seen == [("log", "x")]
+
+    def test_other_keys_do_not_fire(self):
+        chain = ReplicatedChain(num_replicas=2)
+        seen = []
+        chain.subscribe("a", lambda *args: seen.append(args))
+        chain.put("b", 1)
+        chain.write_batch([("put", "c", 2), ("append", "d", 3)])
+        assert seen == []
+
+    def test_multiple_subscribers(self):
+        chain = ReplicatedChain(num_replicas=2)
+        seen = []
+        chain.subscribe("k", lambda *_: seen.append("a"))
+        chain.subscribe("k", lambda *_: seen.append("b"))
+        chain.put("k", 1)
+        assert sorted(seen) == ["a", "b"]
 
 
 class TestReplicaPrimitives:

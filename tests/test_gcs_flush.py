@@ -47,7 +47,7 @@ class TestFlushMechanics:
             kwargs=(),
             num_returns=1,
         )
-        gcs.set_task_states([(spec, TaskStatus.SCHEDULED, NODE)])
+        gcs.set_task_states([(spec, NODE)])
         assert flusher.flush() == 0
         assert gcs.get_task(spec.task_id).status == TaskStatus.SCHEDULED
 

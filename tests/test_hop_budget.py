@@ -89,8 +89,9 @@ def test_task_on_idle_node_costs_one_blocking_call_two_in_all():
     runtime.ensure_function_registered(echo._function_id, echo._func)
     caller, calls = run_counted(lambda: echo.remote(7))
     assert (len(caller), len(calls.calls)) == (1, 2), calls.describe()
-    # The fast path's one write is the row's first: RUNNING +
-    # task_submitted + task_scheduled + task_inputs_ready.
+    # The placement write is the row's first: SCHEDULED + task_submitted
+    # + task_scheduled + task_inputs_ready.  The placement hands the task
+    # to a worker, whose finish batch is the row's next write.
     assert caller == [
         ("batch", (("put", "task"),) + (("append", "event"),) * 3)
     ], calls.describe()
@@ -102,9 +103,9 @@ def test_submit_many_costs_one_blocking_call_plus_one_per_task():
     caller, calls = run_counted(
         lambda: echo.submit_many([(i,) for i in range(8)]), list(range(8))
     )
-    # place_many's SCHEDULED batch (rows + every event) on the caller; the
-    # dispatcher's one RUNNING batch for the round; a finish batch per task.
-    assert (len(caller), len(calls.calls)) == (1, 1 + 1 + 8), calls.describe()
+    # place_many's SCHEDULED batch (rows + every event) on the caller, then
+    # a finish batch per task.  Dispatch writes nothing.
+    assert (len(caller), len(calls.calls)) == (1, 1 + 8), calls.describe()
     assert [op for op, _ in caller] == ["batch"], calls.describe()
     assert_row_first(caller, calls)
 
@@ -127,16 +128,14 @@ def method_calls(actor_class):
     return actor_thread, calls
 
 
+# A finish batch: the output's location and metadata, then the row.
+FINISH = (("append", "object_loc"), ("put", "object"), ("put", "task"))
+
 # The method's one background write: outputs, FINISHED row, the actor's
 # progress row (a blind put), and task_scheduled + task_inputs_ready +
 # task_finished.  No start write: the row is SCHEDULED on the actor's node
 # from submission on.
-METHOD_FINISH = (
-    ("append", "object_loc"),
-    ("put", "object"),
-    ("put", "task"),
-    ("put", "actor_progress"),
-) + (("append", "event"),) * 3
+METHOD_FINISH = FINISH + (("put", "actor_progress"),) + (("append", "event"),) * 3
 
 
 def test_actor_method_costs_one_blocking_call_two_in_all():
@@ -177,7 +176,7 @@ def test_actor_creation_costs_four_blocking_calls_five_in_the_background():
     ], calls.describe()
 
 
-def test_reconstructing_one_lost_output_costs_nine_calls():
+def test_reconstructing_one_lost_output_costs_eight_calls():
     runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
     runtime.ensure_function_registered(echo._function_id, echo._func)
     ref = echo.remote(7)
@@ -189,7 +188,7 @@ def test_reconstructing_one_lost_output_costs_nine_calls():
     assert runtime.reconstruction.reconstructed_tasks == 1
     # The fetch's probe (locations, object row, live copies, task row), the
     # task_reconstructed event, then the task's ordinary life: placement,
-    # RUNNING, finish.  Only placements and finishes write the row.
+    # finish.  Only placements and finishes write the row.
     assert [(op, what) for _t, op, what in calls.calls] == [
         ("log", "object_loc"),
         ("get", "object"),
@@ -198,7 +197,6 @@ def test_reconstructing_one_lost_output_costs_nine_calls():
         ("get", "task"),
         ("append", "event"),
         ("batch", (("put", "task"), ("append", "event"), ("append", "event"))),
-        ("batch", (("put", "task"),)),
         (
             "batch",
             (("append", "object_loc"), ("put", "object"), ("put", "task"),
@@ -207,7 +205,7 @@ def test_reconstructing_one_lost_output_costs_nine_calls():
     ], calls.describe()
 
 
-def test_forwarded_task_costs_one_blocking_call_five_in_all():
+def test_forwarded_task_costs_one_blocking_call_four_in_all():
     runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
     runtime.add_node({"CPU": 2, "far": 1})  # the only node that fits
     gate = threading.Event()
@@ -229,9 +227,10 @@ def test_forwarded_task_costs_one_blocking_call_five_in_all():
     assert repro.get(ref, timeout=10) == 7
     repro.shutdown()
     # The far node's place_many SCHEDULED batch (global placement reads
-    # nothing for a by-value argument) on the caller; the far dispatcher's
-    # RUNNING batch; the finish batch; the copy's location read and write.
-    assert (len(caller), len(calls.calls)) == (1, 5), calls.describe()
+    # nothing for a by-value argument) on the caller, whose placement also
+    # hands the task to a far worker; the finish batch; the copy's location
+    # read and write.
+    assert (len(caller), len(calls.calls)) == (1, 4), calls.describe()
     assert [op for op, _ in caller] == ["batch"], calls.describe()
     assert_row_first(caller, calls)
     assert calls.by_thread()[me] == caller, calls.describe()
@@ -267,17 +266,38 @@ def test_task_queued_behind_its_input_costs_one_blocking_call():
     # only (no location published yet, lineage known).
     assert [op for op, _ in caller] == ["batch"], calls.describe()
     assert_row_first(caller, calls)
-    # The input's arrival writes nothing: its task_inputs_ready event rides
-    # the dispatcher's RUNNING batch, so it is durable before echo runs.
-    assert ("append", "event") not in [
-        (op, what) for _t, op, what in calls.calls
+    # The input's arrival and echo's dispatch write nothing: its
+    # task_inputs_ready event rides echo's finish batch.  (held's worker
+    # stores its output before its own finish batch, so the two finish
+    # batches may start in either order.)
+    assert len(calls.calls) == 3, calls.describe()
+    assert sorted(
+        (op, what) for thread, op, what in calls.calls
+        if thread.startswith("worker-")
+    ) == [
+        ("batch", FINISH + (("append", "event"),)),
+        ("batch", FINISH + (("append", "event"),) * 2),
     ], calls.describe()
-    (dispatcher,) = [
-        c for t, c in calls.by_thread().items() if t.startswith("dispatcher-")
+
+
+def test_dispatchers_make_no_gcs_call():
+    runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
+    runtime.ensure_function_registered(echo._function_id, echo._func)
+    (handed_off,) = [
+        family for family in runtime.metrics.families()
+        if family.name == "scheduler_fastpath_total"
     ]
-    assert dispatcher == [
-        ("batch", (("put", "task"), ("append", "event")))
-    ], calls.describe()
+    caller, calls = run_counted(
+        lambda: echo.submit_many([(i,) for i in range(8)]), list(range(8))
+    )
+    assert not any(
+        thread.startswith("dispatcher-") for thread in calls.by_thread()
+    ), calls.describe()
+    assert [op for op, _ in caller] == ["batch"], calls.describe()
+    assert len(calls.calls) == 1 + 8, calls.describe()
+    # The placement handed two tasks to workers; the dispatcher handed off
+    # the other six as CPUs freed up, from memory alone.
+    assert sum(m.value for m in handed_off.series.values()) == 2
 
 
 def test_put_costs_one_blocking_batch():
@@ -391,15 +411,15 @@ def test_tasks_and_methods_leave_the_same_records(single_node_runtime):
             <= events["task_inputs_ready", task]["t"]
             <= events["task_finished", task]["start"]
         ), task
-    # A method has no start write: its lifecycle rides its finish batch.
+    # Nothing writes between placement and finish: a method's lifecycle and
+    # a queued task's arrival ride the finish batch.
     for task in map(short, methods):
         assert {
             ("task_scheduled", task), ("task_inputs_ready", task)
         } <= writes.carrier["task_finished", task], task
-    # A queued task's arrival rides its dispatcher's RUNNING batch.
     for task in map(short, queued):
-        assert (TaskStatus.RUNNING, task) in writes.carrier[
-            "task_inputs_ready", task
+        assert ("task_inputs_ready", task) in writes.carrier[
+            "task_finished", task
         ], task
     (creation,) = [
         r.as_dict()
