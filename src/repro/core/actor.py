@@ -233,7 +233,7 @@ class ActorManager:
                 return
             restored_counter = self._restore_checkpoint(state, instance)
             # Read the durable method log *before* taking state.cond: a
-            # chain-replicated kv.log is a blocking RPC, and anything
+            # chain read of the log is a blocking RPC, and anything
             # submitted after this read reaches the mailbox via
             # submit_method's live delivery (setdefault dedupes).
             method_log = gcs.actor_method_log(state.actor_id)
@@ -501,15 +501,9 @@ class ActorManager:
         with state.cond:
             if count_restart:
                 state.restarts += 1
-            if state.restarts > state.max_restarts:
-                state.dead_forever = True
-                state.incarnation += 1  # unblock any old loop
-                state.interrupt.set()
-                state.cond.notify_all()
-        if state.dead_forever:
-            self._fail_pending_methods(state)
-            self._release_name(state)
-            self.runtime.gcs.update_actor(state.actor_id, alive=False)
+            dead = state.dead_forever or state.restarts > state.max_restarts
+        if dead:
+            self._kill_forever(state)
             return
         self.runtime.gcs.update_actor(state.actor_id, alive=False)
         self._start_incarnation(state)
@@ -523,16 +517,14 @@ class ActorManager:
         if restart:
             self.restart_actor(state)
         else:
-            with state.cond:
-                state.dead_forever = True
-                state.incarnation += 1
-                state.interrupt.set()
-                state.cond.notify_all()
-            self._fail_pending_methods(state)
-            self._release_name(state)
-            self.runtime.gcs.update_actor(state.actor_id, alive=False)
+            self._kill_forever(state)
 
-    def _kill_forever(self, state: ActorState, cause: TaskExecutionError) -> None:
+    def _kill_forever(
+        self, state: ActorState, cause: Optional[TaskExecutionError] = None
+    ) -> None:
+        """Mark the actor permanently dead — its loop sees ``dead_forever``
+        and exits — free its name, and fail every method that will never
+        run (with ``cause`` when its constructor raised)."""
         with state.cond:
             state.dead_forever = True
             state.interrupt.set()

@@ -18,11 +18,10 @@ set's ancestor closure.  Tests assert both directions.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Set
+from typing import TYPE_CHECKING, Iterable, Set
 
 from repro.common.ids import ObjectID, TaskID
-from repro.gcs.client import _OBJ, _OBJ_LOC, _TASK
-from repro.gcs.tables import TaskStatus
+from repro.gcs.tables import TaskStatus, TaskTableEntry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.runtime import Runtime
@@ -39,7 +38,7 @@ def free_objects(
     so the objects become permanently unrecoverable (and their GCS rows
     stop consuming memory).  Returns the number of store copies dropped.
     Every copy's location retraction goes out in one GCS write, after the
-    store deletes and before any lineage delete.
+    store deletes and before the one lineage delete batch.
     """
     object_ids = list(object_ids)
     nodes = runtime.nodes()
@@ -51,12 +50,7 @@ def free_objects(
     ]
     runtime.gcs.remove_object_locations(retractions)
     if delete_lineage:
-        for object_id in object_ids:
-            task_id = runtime.gcs.creating_task(object_id)
-            runtime.gcs.kv.delete((_OBJ, object_id))
-            runtime.gcs.kv.delete((_OBJ_LOC, object_id))
-            if task_id is not None:
-                runtime.gcs.kv.delete((_TASK, task_id))
+        runtime.gcs.delete_lineage(object_ids)
     return len(retractions)
 
 
@@ -82,40 +76,27 @@ class LineageGarbageCollector:
         recovery state for as long as the actor lives.  Returns the number
         of task records removed.
         """
-        live_objects = list(live_objects)
         keep = self.live_task_closure(live_objects)
         gcs = self.runtime.gcs
-        removed = 0
-        removed_tasks: List[TaskID] = []
-        for key in gcs.kv.keys():
-            if not (isinstance(key, tuple) and key[0] == _TASK):
-                continue
-            entry = gcs.kv.get(key)
-            if entry is None or entry.task_id in keep:
-                continue
-            if entry.status not in (TaskStatus.FINISHED, TaskStatus.FAILED):
-                continue  # in-flight lineage is always retained
-            spec = entry.spec
-            if spec is not None and getattr(spec, "actor_id", None) is not None:
-                continue
-            gcs.kv.delete(key)
-            removed_tasks.append(entry.task_id)
-            removed += 1
+
+        def collectable(entry: TaskTableEntry) -> bool:
+            # In-flight lineage is always retained.
+            return (
+                entry.task_id not in keep
+                and entry.status in (TaskStatus.FINISHED, TaskStatus.FAILED)
+                and getattr(entry.spec, "actor_id", None) is None
+            )
+
+        removed = {entry.task_id for entry in gcs.pop_tasks(collectable)}
         # Object metadata whose producer was collected is dead weight too
         # (the objects can no longer be reconstructed once evicted).
-        removed_set = set(removed_tasks)
-        for key in gcs.kv.keys():
-            if not (isinstance(key, tuple) and key[0] == _OBJ):
-                continue
-            meta = gcs.kv.get(key)
-            if meta is None:
-                continue
-            _size, task_id = meta
-            if task_id in removed_set:
-                object_id = key[1]
-                if not self.runtime.transfer.live_locations(object_id):
-                    gcs.kv.delete(key)
-                    gcs.kv.delete((_OBJ_LOC, object_id))
-                    self.collected_objects += 1
-        self.collected_tasks += removed
-        return removed
+        live_locations = self.runtime.transfer.live_locations
+        self.collected_objects += sum(
+            1
+            for _object_id in gcs.pop_objects(
+                lambda object_id, task_id: task_id in removed
+                and not live_locations(object_id)
+            )
+        )
+        self.collected_tasks += len(removed)
+        return len(removed)

@@ -213,7 +213,7 @@ class Node:
                 runtime, node, spec, held, lifecycle
             ),
             spillback_threshold=runtime.config.spillback_threshold,
-            spillback=runtime.make_spillback_policy(),
+            spillback=runtime.config.spillback_policy,
             wait_stats=runtime.wait_stats,
             metrics=runtime.metrics,
             trace_events=runtime.config.trace_events_enabled,
@@ -567,13 +567,6 @@ class Runtime:
         if self.config.scheduler_policy is None:
             return None
         return scheduling.make_policy(self.config.scheduler_policy)
-
-    def make_spillback_policy(self):
-        """Resolve ``config.spillback_policy`` for one local scheduler."""
-        return scheduling.make_spillback(
-            self.config.spillback_policy,
-            threshold=self.config.spillback_threshold,
-        )
 
     def global_scheduler_for(self, spec: TaskSpec) -> GlobalScheduler:
         index = next(self._scheduler_rr) % len(self.global_schedulers)
@@ -1369,4 +1362,4 @@ class Runtime:
         self.fetcher.close()
         if self.flusher is not None:
             self.flusher.close()
-        self.gcs.kv.close()
+        self.gcs.close()

@@ -11,7 +11,8 @@ Figure 9), and each buffer is written stripe-by-stripe into a single
 preallocated destination: one copy, no intermediate chunk list.  Bytes move
 only on the service's own ``transfer-<i>`` threads — never on the thread
 that asked for the object or the one that published its location
-(``gcs/kv.py``: "subscribers must be quick and must not block").
+(``gcs/chain.py`` runs a subscriber on the writing thread, so it must be
+quick and must not block).
 
 :class:`ObjectFetcher` implements the full Figure 7 control path for making
 an object local: check the local store, register a pub-sub callback on the

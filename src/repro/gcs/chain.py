@@ -12,6 +12,12 @@ despite retries) or by any server in the chain; the master removes the dead
 member, and a new member may join at the tail after a state transfer from
 the current tail.
 
+Every write — put, append and delete — is one
+:meth:`ReplicatedChain.write_batch` pass: it runs the fault hook, pays one
+hop per member, and on a dead member reports it to the master and retries.
+Puts and appends are then published to the key's subscribers; a delete
+publishes nothing.
+
 The implementation is a real protocol over in-process replicas.  Optional
 ``hop_delay`` / ``transfer_delay_per_entry`` knobs make latency effects
 visible on a wall clock for the Fig 10a benchmark.
@@ -58,6 +64,11 @@ class ChainReplica:
             raise ReplicaDeadError(self)
         self.store.append(key, entry)
 
+    def apply_delete(self, key: Any) -> None:
+        if not self.alive:
+            raise ReplicaDeadError(self)
+        self.store.delete(key)
+
     def read(self, key: Any, default: Any = None) -> Any:
         if not self.alive:
             raise ReplicaDeadError(self)
@@ -76,8 +87,9 @@ class ReplicatedChain:
     """A chain-replicated KV shard with master-driven reconfiguration.
 
     Exposes :class:`KVStore`'s single-key surface (put / get / append /
-    log), pub-sub that survives reconfiguration (subscribe), and membership
-    operations used by the fault tolerance experiments.
+    log, and delete as a :meth:`write_batch` op), pub-sub that survives
+    reconfiguration (subscribe), and membership operations used by the
+    fault tolerance experiments.
     """
 
     def __init__(
@@ -165,11 +177,13 @@ class ReplicatedChain:
     def write_batch(
         self, ops: List[tuple], max_retries: int = 8
     ) -> None:
-        """Apply ``[(op, key, value), ...]`` (op = "put" | "append") in one
-        pass down the chain — one hop per member for the whole batch — then
-        publish each op.  The one write path: ``put`` and ``append`` are
-        batches of one.  A member found dead is reported to the master and
-        the whole batch is retried against the reconfigured chain."""
+        """Apply ``[(op, key, value), ...]`` (op = "put" | "append" |
+        "delete", a delete's value ``None``) in one pass down the chain —
+        one hop per member for the whole batch — then publish each put and
+        append.  The one write path: ``put`` and ``append`` are batches of
+        one, and a delete is never published.  A member found dead is
+        reported to the master and the whole batch is retried against the
+        reconfigured chain."""
         if not ops:
             return
         if self.faults.enabled:
@@ -186,16 +200,19 @@ class ReplicatedChain:
                     for op, key, value in ops:
                         if op == "put":
                             replica.apply_put(key, value)
-                        else:
+                        elif op == "append":
                             replica.apply_append(key, value)
+                        else:
+                            replica.apply_delete(key)
             except ReplicaDeadError as exc:
                 # The client observed an explicit error: report to master
                 # and retry against the reconfigured chain.
                 self.failed_writes += 1
                 self.report_failure(exc.replica)
                 continue
-            for _op, key, value in ops:
-                self._publish(key, value)
+            for op, key, value in ops:
+                if op != "delete":
+                    self._publish(key, value)
             return
         raise ChainUnavailableError("chain write failed after retries")
 
@@ -223,21 +240,6 @@ class ReplicatedChain:
         except ReplicaDeadError as exc:
             self.report_failure(exc.replica)
             return self.log(key)
-
-    def contains(self, key: Any) -> bool:
-        sentinel = object()
-        if self.get(key, sentinel) is not sentinel:
-            return True
-        return bool(self.log(key))
-
-    def delete(self, key: Any) -> None:
-        with self._lock:
-            members = list(self._members)
-        for replica in members:
-            if replica.alive:
-                replica.store.delete(key)
-        # Note: deletes are only used by the flush policy, which runs when
-        # the chain is stable, so we do not retry them.
 
     def num_entries(self) -> int:
         with self._lock:

@@ -4,7 +4,9 @@ Every stateless component (local schedulers, global schedulers, object
 stores, workers) shares system state exclusively through this interface:
 object locations, task lineage, function definitions, actor liveness, and
 the event log.  All operations are single-key against the sharded,
-chain-replicated KV store, mirroring the paper's Redis usage.
+chain-replicated KV store, mirroring the paper's Redis usage.  This module
+is the only one that builds a key: everything else reads and writes typed
+rows through :class:`GlobalControlStore`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.common.lockwatch import make_rlock
 from repro.common.ids import ActorID, FunctionID, NodeID, ObjectID, TaskID
@@ -280,6 +284,38 @@ class GlobalControlStore:
         meta = self.kv.get((_OBJ, object_id))
         return None if meta is None else meta[1]
 
+    def objects(self) -> Iterator[Tuple[ObjectID, Tuple[int, Optional[TaskID]]]]:
+        """Every object row as ``(object_id, (size, producing task))``."""
+        return self._rows(_OBJ)
+
+    def pop_objects(
+        self, take: Callable[[ObjectID, Optional[TaskID]], bool]
+    ) -> Iterator[ObjectID]:
+        """Yield every object ``take(object_id, producing task)`` accepts,
+        deleting its metadata row and location log (one shard, one batch)
+        right after the row is read."""
+        for object_id, (_size, task_id) in self._rows(_OBJ):
+            if take(object_id, task_id):
+                self.kv.batch([
+                    ("delete", (_OBJ, object_id), None),
+                    ("delete", (_OBJ_LOC, object_id), None),
+                ])
+                yield object_id
+
+    def delete_lineage(self, object_ids: Iterable[ObjectID]) -> None:
+        """Drop the objects' metadata, location logs and producing task
+        rows in one delete batch: the objects become unrecoverable.  One
+        ``creating_task`` read per object finds its producer."""
+        ops: List[tuple] = []
+        for object_id in object_ids:
+            task_id = self.creating_task(object_id)
+            ops.append(("delete", (_OBJ, object_id), None))
+            ops.append(("delete", (_OBJ_LOC, object_id), None))
+            if task_id is not None:
+                ops.append(("delete", (_TASK, task_id), None))
+        if ops:
+            self.kv.batch(ops)
+
     # ------------------------------------------------------------------
     # Task table (durable lineage)
     # ------------------------------------------------------------------
@@ -381,9 +417,21 @@ class GlobalControlStore:
         return self.kv.get((_TASK, task_id))
 
     def num_tasks(self) -> int:
-        return sum(
-            1 for key in self.kv.keys() if isinstance(key, tuple) and key[0] == _TASK
-        )
+        return sum(1 for _row in self._rows(_TASK))
+
+    def tasks(self) -> Iterator[TaskTableEntry]:
+        """Every task row (a full-table scan)."""
+        return (entry for _task_id, entry in self._rows(_TASK))
+
+    def pop_tasks(
+        self, take: Callable[[TaskTableEntry], bool]
+    ) -> Iterator[TaskTableEntry]:
+        """Yield every task row ``take`` accepts, deleting each right after
+        it is read (the flusher's and the lineage collector's scan)."""
+        for task_id, entry in self._rows(_TASK):
+            if take(entry):
+                self.kv.batch([("delete", (_TASK, task_id), None)])
+                yield entry
 
     # ------------------------------------------------------------------
     # Actor table
@@ -415,6 +463,10 @@ class GlobalControlStore:
 
     def get_actor(self, actor_id: ActorID) -> Optional[ActorTableEntry]:
         return self.kv.get((_ACTOR, actor_id))
+
+    def actors(self) -> Iterator[ActorTableEntry]:
+        """Every actor row (a full-table scan)."""
+        return (entry for _actor_id, entry in self._rows(_ACTOR))
 
     def actor_method_log(self, actor_id: ActorID) -> List[Any]:
         """Every method spec submitted to ``actor_id``, in submission order
@@ -454,16 +506,16 @@ class GlobalControlStore:
         return self.kv.get((_ACTOR_NAME, name))
 
     def release_actor_name(self, name: str, actor_id: Optional[ActorID] = None) -> None:
-        """Free ``name`` (idempotent).  With ``actor_id`` given, only the
-        current owner's registration is released.  (Baselined
-        RT-BLOCKING-UNDER-LOCK: get+delete must be atomic against
-        concurrent claims.)"""
+        """Free ``name`` (idempotent) with a one-op delete batch.  With
+        ``actor_id`` given, only the current owner's registration is
+        released.  (Baselined RT-BLOCKING-UNDER-LOCK: get+delete must be
+        atomic against concurrent claims.)"""
         with self._lock:
             if actor_id is not None:
                 owner = self.kv.get((_ACTOR_NAME, name))
                 if owner is not None and owner != actor_id:
                     return
-            self.kv.delete((_ACTOR_NAME, name))
+            self.kv.batch([("delete", (_ACTOR_NAME, name), None)])
 
     # ------------------------------------------------------------------
     # Event log
@@ -491,11 +543,14 @@ class GlobalControlStore:
 
     def event_categories(self) -> List[str]:
         """All event categories with at least one recorded entry."""
-        return sorted(
-            key[1]
-            for key in self.kv.keys()
-            if isinstance(key, tuple) and key[0] == _EVENT
-        )
+        return sorted(category for category, _log in self._rows(_EVENT))
+
+    def pop_event_logs(self) -> Iterator[Tuple[str, List[EventRecord]]]:
+        """Yield every ``(category, log)``, deleting each log right after
+        it is read (the flusher's scan)."""
+        for category, log in self._rows(_EVENT):
+            self.kv.batch([("delete", (_EVENT, category), None)])
+            yield category, log
 
     def events_since(
         self,
@@ -515,8 +570,13 @@ class GlobalControlStore:
         (``seq == 0``) are only visible on a full read (``cursor=0``).
         """
         merged: List[EventRecord] = []
-        for category in categories or self.event_categories():
-            for record in self.kv.log((_EVENT, category)):
+        logs = (
+            [(category, self.events(category)) for category in categories]
+            if categories
+            else self._rows(_EVENT)
+        )
+        for _category, log in logs:
+            for record in log:
                 if record.seq > cursor or (cursor == 0 and record.seq == 0):
                     merged.append(record)
         merged.sort(key=lambda r: r.seq)
@@ -545,13 +605,7 @@ class GlobalControlStore:
 
     def node_reports(self) -> Dict[str, Dict[str, Any]]:
         """All reporter rows, keyed by node hex id (tombstones included)."""
-        out: Dict[str, Dict[str, Any]] = {}
-        for key in self.kv.keys():
-            if isinstance(key, tuple) and key[0] == _NODE_REPORT:
-                row = self.kv.get(key)
-                if row is not None:
-                    out[key[1]] = row
-        return out
+        return dict(self._rows(_NODE_REPORT))
 
     def tombstone_node_report(self, node_hex: str) -> None:
         """Mark a node's last-seen row dead, preserving its final sample."""
@@ -584,13 +638,7 @@ class GlobalControlStore:
 
     def deployments(self) -> Dict[str, Dict[str, Any]]:
         """All current deployment rows, keyed by deployment name."""
-        out: Dict[str, Dict[str, Any]] = {}
-        for key in self.kv.keys():
-            if isinstance(key, tuple) and key[0] == _DEPLOYMENT:
-                row = self.kv.get(key)
-                if row is not None:
-                    out[key[1]] = row
-        return out
+        return dict(self._rows(_DEPLOYMENT))
 
     def deployment_history(self, name: str) -> List[Dict[str, Any]]:
         """Every version row ever written for ``name``, in deploy order."""
@@ -618,13 +666,7 @@ class GlobalControlStore:
 
     def serve_reports(self) -> Dict[str, Dict[str, Any]]:
         """All router metrics rows, keyed by deployment name."""
-        out: Dict[str, Dict[str, Any]] = {}
-        for key in self.kv.keys():
-            if isinstance(key, tuple) and key[0] == _SERVE_REPORT:
-                row = self.kv.get(key)
-                if row is not None:
-                    out[key[1]] = row
-        return out
+        return dict(self._rows(_SERVE_REPORT))
 
     def tombstone_serve_report(self, name: str) -> None:
         """Mark a deployment's metrics row dead (deployment torn down)."""
@@ -636,6 +678,17 @@ class GlobalControlStore:
     # ------------------------------------------------------------------
     # Introspection (debugging tools ride on the GCS — paper Section 7)
     # ------------------------------------------------------------------
+
+    def _rows(self, table: str) -> Iterator[Tuple[Any, Any]]:
+        """Every ``(entity, row)`` of ``table`` — an event category's row
+        is its log — from one key listing, then one tail read per key: the
+        one full-table scan.  A key deleted after the listing is skipped."""
+        read = self.kv.log if table == _EVENT else self.kv.get
+        for key in self.kv.keys():
+            if isinstance(key, tuple) and key[0] == table:
+                row = read(key)
+                if row is not None and row != []:
+                    yield key[1], row
 
     def num_entries(self) -> int:
         return self.kv.num_entries()
@@ -649,10 +702,8 @@ class GlobalControlStore:
         return self.kv.approx_bytes()
 
     def tasks_with_status(self, status: TaskStatus) -> List[TaskTableEntry]:
-        out = []
-        for key in self.kv.keys():
-            if isinstance(key, tuple) and key[0] == _TASK:
-                entry = self.kv.get(key)
-                if entry is not None and entry.status == status:
-                    out.append(entry)
-        return out
+        return [entry for entry in self.tasks() if entry.status == status]
+
+    def close(self) -> None:
+        """Release the store's batch-flush threads (idempotent)."""
+        self.kv.close()

@@ -20,8 +20,12 @@ import threading
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.common.lockwatch import make_lock
-from repro.gcs.client import _EVENT, _OBJ, _OBJ_LOC, _TASK, GlobalControlStore
+from repro.gcs.client import GlobalControlStore
 from repro.gcs.tables import TaskStatus, TaskTableEntry
+
+# Record tags in the flush file: ``(tag, entity, value)``.
+TASK_RECORD = "task"
+EVENT_RECORD = "event"
 
 
 class GcsFlusher:
@@ -61,16 +65,17 @@ class GcsFlusher:
     # -- mechanics -------------------------------------------------------------
 
     def flush(self) -> int:
-        """Move all finished/failed task records (and their object metadata
-        and event logs) to disk.  Returns the number of entries flushed.
+        """Move all finished/failed task rows, then all event logs, to
+        disk.  Returns the number of entries flushed.
 
-        One flush runs at a time, enforced by a non-blocking in-progress
-        flag rather than by holding ``_lock`` across the scan: a flush
-        issues one GCS RPC per key (seconds on a replicated chain with hop
-        delays), and blocking every concurrent ``maybe_flush`` caller —
-        the runtime's task-finish path — for that long would stall the
-        data plane.  A caller that loses the race returns 0; the winner is
-        already doing the work.
+        The client's pop scans delete each row with a one-op chain write
+        right after reading it.  One flush runs at a time, enforced by a
+        non-blocking in-progress flag rather than by holding ``_lock``
+        across the scan: a flush issues two GCS RPCs per flushed key
+        (seconds on a replicated chain with hop delays), and blocking every
+        concurrent ``maybe_flush`` caller — the runtime's task-finish path
+        — for that long would stall the data plane.  A caller that loses
+        the race returns 0; the winner is already doing the work.
         """
         with self._lock:
             if self._closed or self._flushing:
@@ -79,25 +84,14 @@ class GcsFlusher:
         flushed = 0
         try:
             records: List[Tuple[str, Any, Any]] = []
-            for key in self.gcs.kv.keys():
-                if not isinstance(key, tuple):
-                    continue
-                table, entity = key
-                if table == _TASK:
-                    entry = self.gcs.kv.get(key)
-                    if entry is not None and entry.status in (
-                        TaskStatus.FINISHED,
-                        TaskStatus.FAILED,
-                    ):
-                        records.append((_TASK, entity, entry))
-                        self.gcs.kv.delete(key)
-                        flushed += 1
-                elif table == _EVENT:
-                    log = self.gcs.kv.log(key)
-                    if log:
-                        records.append((_EVENT, entity, log))
-                        self.gcs.kv.delete(key)
-                        flushed += len(log)
+            for entry in self.gcs.pop_tasks(
+                lambda entry: entry.status in (TaskStatus.FINISHED, TaskStatus.FAILED)
+            ):
+                records.append((TASK_RECORD, entry.task_id, entry))
+                flushed += 1
+            for category, log in self.gcs.pop_event_logs():
+                records.append((EVENT_RECORD, category, log))
+                flushed += len(log)
             if records:
                 with open(self.path, "ab") as f:
                     for record in records:
@@ -122,12 +116,12 @@ class GcsFlusher:
     def restore_task(self, task_id) -> Optional[TaskTableEntry]:
         """Look up a flushed task record (consulting durable lineage)."""
         for table, entity, value in self.iter_flushed():
-            if table == _TASK and entity == task_id:
+            if table == TASK_RECORD and entity == task_id:
                 return value
         return None
 
     def flushed_task_count(self) -> int:
-        return sum(1 for table, _e, _v in self.iter_flushed() if table == _TASK)
+        return sum(1 for table, _e, _v in self.iter_flushed() if table == TASK_RECORD)
 
     def close(self) -> None:
         """Quiesce the flusher at runtime shutdown.

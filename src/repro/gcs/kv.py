@@ -31,10 +31,6 @@ class KVStore:
         with self._lock:
             return self._data.get(key, default)
 
-    def contains(self, key: Any) -> bool:
-        with self._lock:
-            return key in self._data or key in self._logs
-
     def delete(self, key: Any) -> bool:
         with self._lock:
             had = key in self._data

@@ -61,14 +61,14 @@ class ShardedKV:
                     shard=str(index),
                     op=op,
                 )
-                for op in ("get", "put", "append", "log")
+                for op in ("get", "put", "append", "log", "delete")
             }
             for index in range(num_shards)
         ]
         self._publish_counters = [
             metrics.counter(
                 "gcs_publishes_total",
-                "Pub-sub publications (one per successful write)",
+                "Pub-sub publications (one per successful put or append)",
                 shard=str(index),
             )
             for index in range(num_shards)
@@ -124,8 +124,8 @@ class ShardedKV:
         self._publish_counters[index].inc()
 
     def batch(self, ops: List[tuple]) -> None:
-        """Apply ``[(op, key, value), ...]`` grouped into one write per
-        shard.  Keys of one entity (e.g. an object's location log and
+        """Apply ``[(op, key, value), ...]`` (op = "put" | "append" |
+        "delete") grouped into one write per shard.  Keys of one entity (e.g. an object's location log and
         metadata row) shard together, so a task's per-output writes
         coalesce instead of paying one chain round-trip each.  Relative
         order is preserved within each shard group.
@@ -159,9 +159,11 @@ class ShardedKV:
                 self.shards[index].write_batch(group)
         for index, group in items:
             counters = self._op_counters[index]
+            published = 0
             for op, _key, _value in group:
                 counters[op].inc()
-            self._publish_counters[index].inc(len(group))
+                published += op != "delete"
+            self._publish_counters[index].inc(published)
             self._batch_counters[index].inc()
             self._m_batch_size.observe(len(group))
 
@@ -169,12 +171,6 @@ class ShardedKV:
         index = _shard_of(key, len(self.shards))
         self._op_counters[index]["log"].inc()
         return self.shards[index].log(key)
-
-    def contains(self, key: Any) -> bool:
-        return self.shard_for(key).contains(key)
-
-    def delete(self, key: Any) -> None:
-        self.shard_for(key).delete(key)
 
     def subscribe(
         self, key: Any, callback: Callable[[Any, Any], None]

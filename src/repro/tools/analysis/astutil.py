@@ -61,7 +61,7 @@ MUTATORS = {
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
-    """``self.gcs.kv.put`` for an Attribute/Name chain, else None."""
+    """``self.store.put`` for an Attribute/Name chain, else None."""
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):

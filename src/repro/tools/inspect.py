@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List
 
-from repro.gcs.client import _ACTOR, _OBJ, _TASK
 from repro.gcs.tables import TaskStatus
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,31 +65,20 @@ class ClusterInspector:
 
     # -- table scans --------------------------------------------------------
 
-    def _rows(self, table: str):
-        for key in self.gcs.kv.keys():
-            if isinstance(key, tuple) and key[0] == table:
-                value = self.gcs.kv.get(key)
-                if value is not None:
-                    yield key[1], value
-
     def tasks_by_status(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
-        for _task_id, entry in self._rows(_TASK):
+        for entry in self.gcs.tasks():
             counts[entry.status.value] = counts.get(entry.status.value, 0) + 1
         return counts
 
     def pending_tasks(self) -> List:
         """Tasks not yet finished — the first place to look when stuck."""
-        out = []
-        for _task_id, entry in self._rows(_TASK):
-            if entry.status is TaskStatus.SCHEDULED:
-                out.append(entry)
-        return out
+        return self.gcs.tasks_with_status(TaskStatus.SCHEDULED)
 
     def object_stats(self):
         count = 0
         total_bytes = 0
-        for _object_id, (size, _task) in self._rows(_OBJ):
+        for _object_id, (size, _task) in self.gcs.objects():
             count += 1
             total_bytes += size
         return count, total_bytes
@@ -99,7 +87,7 @@ class ClusterInspector:
         """Registered objects every copy of which is gone (lost or evicted
         — retrievable only through reconstruction)."""
         out = []
-        for object_id, _meta in self._rows(_OBJ):
+        for object_id, _meta in self.gcs.objects():
             if not self.runtime.transfer.live_locations(object_id):
                 out.append(object_id)
         return out
@@ -122,7 +110,7 @@ class ClusterInspector:
 
     def actor_summary(self):
         alive = dead = 0
-        for _actor_id, entry in self._rows(_ACTOR):
+        for entry in self.gcs.actors():
             if entry.alive:
                 alive += 1
             else:

@@ -74,6 +74,18 @@ class TestFailureHandling:
         for i in range(50):
             assert chain.get(f"k{i}") == i
 
+    def test_delete_reports_a_dead_member(self):
+        chain = ReplicatedChain(num_replicas=3)
+        chain.put("k", 1)
+        chain.append("log", 1)
+        chain.kill_member(1)
+        chain.write_batch([("delete", "k", None), ("delete", "log", None)])
+        assert chain.reconfigurations == 1
+        assert chain.chain_length() == 2
+        for replica in chain.members:
+            assert replica.store.get("k") is None
+            assert replica.store.log("log") == []
+
 
 class TestMembership:
     def test_join_receives_state_transfer(self):
@@ -143,6 +155,15 @@ class TestPubSub:
         chain.put("b", 1)
         chain.write_batch([("put", "c", 2), ("append", "d", 3)])
         assert seen == []
+
+    def test_delete_does_not_publish(self):
+        chain = ReplicatedChain(num_replicas=2)
+        chain.put("k", 1)
+        seen = []
+        chain.subscribe("k", lambda *args: seen.append(args))
+        chain.write_batch([("delete", "k", None)])
+        assert seen == []
+        assert chain.get("k") is None
 
     def test_multiple_subscribers(self):
         chain = ReplicatedChain(num_replicas=2)

@@ -32,12 +32,6 @@ class TestBasicOps:
         assert not kv.delete("k")
         assert kv.get("k") is None
 
-    def test_contains(self):
-        kv = KVStore()
-        assert not kv.contains("k")
-        kv.put("k", 0)
-        assert kv.contains("k")
-
 
 class TestLogs:
     def test_append_preserves_order(self):
@@ -48,11 +42,6 @@ class TestLogs:
 
     def test_log_missing_key_empty(self):
         assert KVStore().log("nope") == []
-
-    def test_contains_sees_logs(self):
-        kv = KVStore()
-        kv.append("log", 1)
-        assert kv.contains("log")
 
     def test_num_entries_counts_data_and_logs(self):
         kv = KVStore()

@@ -59,9 +59,13 @@ class TestAggregation:
 
     def test_delete(self):
         kv = ShardedKV(num_shards=2)
+        log = ("log", ObjectID.from_seed("o"))
         kv.put("k", 1)
-        kv.delete("k")
+        kv.append(log, 1)
+        kv.batch([("delete", "k", None), ("delete", log, None)])
         assert kv.get("k") is None
+        assert kv.log(log) == []
+        assert kv.num_entries() == 0
 
 
 class TestSubscriptions:

@@ -332,6 +332,27 @@ def test_free_costs_one_blocking_batch_for_all_copies():
     ], calls.describe()
 
 
+def test_free_with_lineage_adds_one_delete_batch():
+    runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
+    runtime.ensure_function_registered(echo._function_id, echo._func)
+    refs = [echo.remote(i) for i in range(2)]
+    assert repro.get(refs, timeout=10) == [0, 1]
+    calls = ShardCalls(runtime.gcs.kv)
+    assert repro.free(refs, delete_lineage=True) == 2
+    caller = list(calls.by_thread()[threading.current_thread().name])
+    repro.shutdown()
+    # The retraction batch, one producer read per object, then every
+    # lineage row — metadata, location log, producing task — in one
+    # replicated delete batch.
+    assert caller == [
+        ("batch", (("append", "object_loc"),) * 2),
+        ("get", "object"),
+        ("get", "object"),
+        ("batch", (("delete", "object"), ("delete", "object_loc"),
+                   ("delete", "task")) * 2),
+    ], calls.describe()
+
+
 class EventWrites:
     """Records which ``ShardedKV`` write carried each lifecycle event, as
     ``(category, task) -> write``; a write is the set of ``(category,
