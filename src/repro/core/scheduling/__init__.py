@@ -6,7 +6,7 @@ One :class:`SchedulerPolicy` interface is shared by the live runtime
 :class:`ClusterView` and returns a :class:`Placement`.  The spillback
 decision in each local scheduler sits behind the companion
 :class:`SpillbackPolicy`.  See ``docs/SCHEDULING.md`` for the contract and
-``scripts/bench_scheduling.py`` for the league table that races every
+:mod:`repro.sim.league` for the league table that races every
 registered policy.
 """
 

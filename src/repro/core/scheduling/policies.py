@@ -4,8 +4,8 @@ Every policy implements :meth:`SchedulerPolicy.place`: observe a read-only
 :class:`~repro.core.scheduling.view.ClusterView`, return a
 :class:`Placement`.  The same policy objects drive the live runtime
 (``repro.init(scheduler_policy=...)``) and the discrete-event simulator
-(``SimConfig(scheduler_policy=...)``); ``scripts/bench_scheduling.py``
-races the whole registry at 100k–1M simulated tasks.
+(``SimConfig(scheduler_policy=...)``); :mod:`repro.sim.league` races
+the whole registry at 100k–1M simulated tasks.
 
 Policies must be deterministic given their constructor arguments: the
 power-of-two sampler carries its own seeded RNG, and tie-breaks use

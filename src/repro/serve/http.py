@@ -7,6 +7,7 @@ hit a real HTTP surface):
 
     POST /serve/<deployment>   body: JSON payload (or {"payload": ...})
         200 {"result": ...}          answered
+        400 body is not JSON, or Content-Length is not a count
         429 {"error": "backpressure", ...}   admission bound hit — back off
         404 unknown deployment
         500 {"error": ...}           replica raised
@@ -101,7 +102,18 @@ class ServeHTTPServer:
                         self._reply(404, {"error": f"unknown path {self.path!r}"})
                         return
                     name = self.path[len("/serve/") :].strip("/")
-                    length = int(self.headers.get("Content-Length") or 0)
+                    declared = self.headers.get("Content-Length") or "0"
+                    try:
+                        length = int(declared)
+                    except ValueError:
+                        length = -1
+                    if length < 0:
+                        # Reading a negative or unparsable length would
+                        # block or drop the connection without a reply.
+                        self._reply(
+                            400, {"error": f"bad Content-Length {declared!r}"}
+                        )
+                        return
                     raw = self.rfile.read(length) if length else b"null"
                     try:
                         payload = json.loads(raw.decode() or "null")

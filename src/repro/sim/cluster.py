@@ -12,7 +12,7 @@ a discrete-event clock:
   loads — the default ``lowest_wait`` scores backlog × EWMA(task duration)
   plus, when ``locality_aware``, remote input bytes ÷ bandwidth;
   ``SimConfig(scheduler_policy=...)`` swaps in any registered policy (see
-  ``scripts/bench_scheduling.py`` for the league table);
+  :mod:`repro.sim.league` for the league table);
 * task inputs are replicated to the executing node's store before the task
   runs; objects lost to node failures are reconstructed by re-executing
   their producing task from lineage, recursively.

@@ -14,7 +14,7 @@ like a paper experiment:
   reservation tasks among many short methods, submitted from hot nodes.
 
 The last two are the league-table shapes raced by
-``scripts/bench_scheduling.py`` (with ``empty_tasks``).
+:mod:`repro.sim.league` (with ``empty_tasks``).
 """
 
 from __future__ import annotations

@@ -253,12 +253,10 @@ class ReplicaAutoscaler:
         runtime: "Runtime",
         deployment: str,
         config: Optional[ReplicaAutoscalerConfig] = None,
-        restart_dead_nodes: bool = True,
     ):
         self.runtime = runtime
         self.deployment = deployment
         self.config = config or ReplicaAutoscalerConfig()
-        self.restart_dead_nodes = restart_dead_nodes
         self._high_streak = 0
         self._low_streak = 0
         self._last_action_at: Optional[float] = None
@@ -288,8 +286,7 @@ class ReplicaAutoscaler:
         # repair node capacity so restarting replicas can actually place.
         dead_replicas = sum(1 for r in row.get("replicas", ()) if r.get("dead"))
         if dead_replicas:
-            if self.restart_dead_nodes:
-                self._restart_dead_node()
+            self._restart_dead_node()
             replaced = plane.replace_dead_replicas(self.deployment)
             if replaced:
                 self.replaced += replaced
@@ -316,8 +313,7 @@ class ReplicaAutoscaler:
             return None
 
         if self._high_streak >= cfg.hysteresis and num_replicas < cfg.max_replicas:
-            if self.restart_dead_nodes:
-                self._restart_dead_node()
+            self._restart_dead_node()
             plane.scale_to(self.deployment, num_replicas + 1)
             return self._decide("scale_up", row, now=now, target=num_replicas + 1)
         if self._low_streak >= cfg.hysteresis and num_replicas > cfg.min_replicas:

@@ -28,7 +28,8 @@ Endpoints:
   /nodes/<id>     one node's panel (full hex id or unique prefix)
   /cluster_load   aggregate pressure signals (the autoscaler's inputs)
   /events         merged cluster event timeline
-                  (?since=<cursor>&limit=<n>&category=<cat> pagination)
+                  (?since=<cursor>&limit=<n>&category=<cat> pagination;
+                  a non-integer or negative cursor or limit is a 400)
   /serve          deployment rows + latest router metrics reports
   /config         RuntimeConfig.describe() joined with current values
 """
@@ -118,6 +119,24 @@ ENDPOINTS = (
 )
 
 
+class _BadQuery(ValueError):
+    """A query parameter the endpoint cannot use: answered with 400."""
+
+
+def _count_param(query: dict, name: str) -> Optional[int]:
+    """The non-negative integer query parameter ``name``, or None if absent."""
+    raw = query.get(name, [None])[0]
+    if raw is None:
+        return None
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise _BadQuery(f"{name} must be a non-negative integer, got {raw!r}")
+    return value
+
+
 def _index_html(runtime: "Runtime") -> str:
     snapshot = ClusterInspector(runtime).snapshot()
     links = " · ".join(
@@ -148,6 +167,7 @@ class DashboardServer:
                 parsed = urllib.parse.urlsplit(self.path)
                 path = parsed.path
                 query = urllib.parse.parse_qs(parsed.query)
+                status = 200
                 try:
                     if path == "/":
                         body, content_type = _index_html(outer.runtime), "text/html"
@@ -218,9 +238,8 @@ class DashboardServer:
                             "application/json",
                         )
                     elif path == "/events":
-                        since = int(query.get("since", ["0"])[0])
-                        limit_arg = query.get("limit", [None])[0]
-                        limit = int(limit_arg) if limit_arg is not None else None
+                        since = _count_param(query, "since") or 0
+                        limit = _count_param(query, "limit")
                         categories = query.get("category") or None
                         body, content_type = (
                             _json_dumps(
@@ -234,13 +253,17 @@ class DashboardServer:
                         self.send_response(404)
                         self.end_headers()
                         return
+                except _BadQuery as exc:
+                    status = 400
+                    body = _json_dumps({"error": str(exc)})
+                    content_type = "application/json"
                 except Exception as exc:  # noqa: BLE001 - surface as 500
                     self.send_response(500)
                     self.end_headers()
                     self.wfile.write(str(exc).encode())
                     return
                 payload = body.encode("utf-8")
-                self.send_response(200)
+                self.send_response(status)
                 self.send_header("Content-Type", content_type)
                 self.send_header("Content-Length", str(len(payload)))
                 self.end_headers()

@@ -1,6 +1,7 @@
 """The HTTP dashboard (Figure 5's "Web UI" riding on the GCS)."""
 
 import json
+import urllib.error
 import urllib.request
 
 import pytest
@@ -252,6 +253,14 @@ class TestEventsEndpoint:
         _status, body = fetch(dashboard, f"/events?since={cursor}")
         fresh = strict_loads(body)["events"]
         assert fresh and all(e["seq"] > cursor for e in fresh)
+
+    def test_bad_cursor_or_limit_is_400(self, runtime, dashboard):
+        for query in ("since=abc", "since=-1", "limit=abc", "limit=-1", "limit=1.5"):
+            with pytest.raises(urllib.error.HTTPError) as info:
+                fetch(dashboard, f"/events?{query}")
+            assert info.value.code == 400, query
+            error = strict_loads(info.value.read())["error"]
+            assert error.startswith(query.split("=")[0]), error
 
     def test_category_filter(self, runtime, dashboard):
         repro.get(work.remote(1))

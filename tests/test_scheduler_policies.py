@@ -309,9 +309,7 @@ class TestSpillbackHook:
 
 
 class TestRuntimeIntegration:
-    @pytest.mark.parametrize("policy", sorted(
-        {"lowest_wait", "locality", "power_of_two", "round_robin", "central_queue"}
-    ))
+    @pytest.mark.parametrize("policy", available_policies())
     def test_every_policy_drives_the_runtime(self, policy):
         rt = repro.init(num_nodes=3, num_cpus_per_node=2, scheduler_policy=policy)
         try:
@@ -397,17 +395,21 @@ class TestRuntimeIntegration:
 
 class TestLeagueDeterminism:
     def test_same_seed_same_rows(self):
-        from repro.sim.league import race
+        """Every registered policy finishes every league shape, and a
+        same-seed rerun reproduces each row exactly."""
+        from repro.sim.league import WORKLOADS, race
 
         kwargs = dict(
-            policies=["lowest_wait", "power_of_two", "central_queue"],
-            workloads=("ep_noop", "skewed_actors"),
-            tasks=400,
+            policies=available_policies(),
+            workloads=WORKLOADS,
+            tasks=200,
             num_nodes=8,
             seed=11,
         )
         rows1 = race(**kwargs)
         rows2 = race(**kwargs)
+        assert len(rows1) == len(available_policies()) * len(WORKLOADS)
+        assert all(row["tasks"] == 200 for row in rows1)
         for row in rows1 + rows2:
             row.pop("placement_us")  # wall-clock: outside the contract
         assert rows1 == rows2

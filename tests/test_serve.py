@@ -8,9 +8,11 @@ autoscaler's scale-up / scale-down / replace-dead reconciliation.
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
@@ -296,16 +298,24 @@ class TestReplicaAutoscaler:
         assert decision is not None and decision["action"] == "scale_down"
         assert handle.num_replicas == 1
 
-    def test_replaces_permanently_dead_replica(self, runtime):
-        handle = Slow.options(num_replicas=2, max_restarts=0).deploy(0.05)
+    @pytest.mark.parametrize("kill", ["replica", "node"])
+    def test_replaces_permanently_dead_replica(self, runtime, kill):
+        # num_cpus=3 on 4-CPU nodes puts one replica on each node, so a
+        # killed node's replica fits again only once the tick restarts it.
+        options = {"num_cpus": 3} if kill == "node" else {}
+        handle = Slow.options(num_replicas=2, max_restarts=0, **options).deploy(0.05)
         handle.query("warm", timeout=10)
-        repro.kill(repro.get_actor("serve:Slow#v1:0"), restart=False)
+        if kill == "node":
+            runtime.kill_node(runtime.nodes()[1].node_id)
+        else:
+            repro.kill(repro.get_actor("serve:Slow#v1:0"), restart=False)
 
         scaler = self._autoscaler(runtime, "Slow")
         router = serve.get_plane(runtime).get("Slow").router
         router.publish_report()
         decision = scaler.tick()
         assert decision is not None and decision["action"] == "replace_replica"
+        assert all(node.alive for node in runtime.nodes())
         stats = handle.stats()
         assert stats["alive_replicas"] == 2
         assert handle.query("after", timeout=10) == "after"
@@ -406,5 +416,26 @@ class TestHTTPIngress:
             with urllib.request.urlopen(f"{url}/serve", timeout=10) as resp:
                 summary = json.loads(resp.read())
             assert summary["Slow"]["shed"] >= 1
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_400(self, runtime, length):
+        server = serve.ServeHTTPServer(serve.get_plane(runtime)).start()
+        try:
+            address = urllib.parse.urlsplit(server.url)
+            with socket.create_connection(
+                (address.hostname, address.port), timeout=5
+            ) as sock:
+                sock.sendall(
+                    b"POST /serve/Slow HTTP/1.1\r\nHost: localhost\r\n"
+                    b"Content-Length: " + length.encode() + b"\r\n\r\n"
+                )
+                reply = b""
+                while chunk := sock.recv(4096):
+                    reply += chunk
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.split(b"\r\n")[0].endswith(b" 400 Bad Request")
+            assert "Content-Length" in json.loads(body)["error"]
         finally:
             server.stop()
