@@ -19,8 +19,8 @@ the runtime round-robins forwarded tasks across them, each replica with
 its own policy instance.
 
 ``locality_aware=False`` drops the transfer term of the default policy —
-the Figure 8a ablation.  ``decision_delay`` injects artificial scheduling
-latency — Figure 12b.
+the Figure 8a ablation.  (Figure 12b's scheduling-delay sweep runs on the
+simulator, ``repro.sim``.)
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ class GlobalScheduler:
         locality_aware: bool = True,
         default_task_duration: float = 0.001,
         default_bandwidth: float = 2e9,
-        decision_delay: float = 0.0,
         metrics: Optional[MetricsRegistry] = None,
         index: int = 0,
     ):
@@ -87,7 +86,6 @@ class GlobalScheduler:
         self.policy = policy
         self.avg_task_duration = ExponentialAverage(default_task_duration)
         self.avg_bandwidth = ExponentialAverage(default_bandwidth)
-        self.decision_delay = decision_delay
         self.decisions = 0
         self._lock = make_lock("GlobalScheduler._lock")
         metrics = metrics or NULL_REGISTRY
@@ -162,8 +160,6 @@ class GlobalScheduler:
 
     def schedule(self, spec: TaskSpec) -> "Node":
         """Filter candidates, then let the policy place ``spec``."""
-        if self.decision_delay:
-            time.sleep(self.decision_delay)
         candidates = [
             node
             for node in self._get_nodes()

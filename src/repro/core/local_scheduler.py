@@ -20,13 +20,15 @@ row is written SCHEDULED there, the local scheduler pulls any missing
 inputs via the object fetcher, and the task goes to a worker when all its
 inputs are local and its resources are available.
 
-Dispatch writes nothing.  A placement hands the ready tasks that fit to
-workers on the placing thread; the dispatcher thread hands off the rest
-as inputs arrive and resources free up.  Workers are a **persistent
-pool** — they park on a queue between tasks, so a hand-off costs a queue
-put instead of a per-task thread spawn.  The row's next write is the
-task's finish, which also carries the ``task_inputs_ready`` event of an
-input that arrived after placement.
+Dispatch writes nothing and has no thread of its own.  A queued task
+becomes runnable only when its placement finds it ready, when its last
+input lands, or when resources are released, so the thread that causes
+that event takes the ready tasks that fit and hands them to workers.
+Workers are a **persistent pool** — they park on a queue between tasks,
+so a hand-off costs a queue put instead of a per-task thread spawn, and a
+worker whose own release makes a queued task runnable takes it next.  The
+row's next write is the task's finish, which also carries the
+``task_inputs_ready`` event of an input that arrived after placement.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ import time
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.common.lockwatch import make_condition, make_thread
-from repro.common.events import BACKSTOP_INTERVAL, WaitStats
+from repro.common.lockwatch import make_lock, make_thread
 from repro.common.faults import NULL_FAULTS
 from repro.common.ids import ObjectID, TaskID
 from repro.common.metrics import MetricsRegistry, NULL_REGISTRY
@@ -83,7 +84,6 @@ class LocalScheduler:
         execute: Callable[["Node", TaskSpec, Dict[str, float], List[Event]], None],
         spillback_threshold: int = 16,
         spillback: Optional[object] = None,
-        wait_stats: Optional[WaitStats] = None,
         metrics: Optional[MetricsRegistry] = None,
         trace_events: bool = False,
         faults: Optional[object] = None,
@@ -95,11 +95,10 @@ class LocalScheduler:
         self._execute = execute
         self.spillback_threshold = spillback_threshold
         self._spillback = make_spillback(spillback, threshold=spillback_threshold)
-        self._wait_stats = wait_stats
         self._trace_events = trace_events
         self._faults = faults if faults is not None else NULL_FAULTS
 
-        self._cond = make_condition("LocalScheduler._cond")
+        self._lock = make_lock("LocalScheduler._lock")
         self._ready: deque = deque()
         self._waiting: Dict[TaskID, Set[ObjectID]] = {}
         self._waiting_specs: Dict[TaskID, TaskSpec] = {}
@@ -149,11 +148,7 @@ class LocalScheduler:
             node=node_label,
         )
 
-        node.resources.add_release_listener(self._notify)
-        self._dispatcher = make_thread(
-            self._dispatch_loop, name=f"dispatcher-{node.node_id.hex()[:6]}"
-        )
-        self._dispatcher.start()
+        node.resources.add_release_listener(self._dispatch)
 
     # -- submission (bottom-up entry point) ----------------------------------
 
@@ -203,8 +198,8 @@ class LocalScheduler:
                 kept.append(spec)
                 kept_events.append(event)
         # Drivers and workers submitting nested tasks land here at once:
-        # the counters move under the condition, once per call.
-        with self._cond:
+        # the counters move under the lock, once per call.
+        with self._lock:
             self.scheduled_locally += len(kept)
             self.forwarded += forwarded
         return kept, kept_events
@@ -238,11 +233,10 @@ class LocalScheduler:
         The whole batch's SCHEDULED rows, the ``submitted`` events not yet
         written (a first submission's row is born here) and the
         ``task_scheduled`` / ``task_inputs_ready`` events coalesce into one
-        shard write.  Then, under one condition acquisition, the ready
-        sub-batch joins the ready queue and every ready task that fits is
-        taken off it exactly as the dispatcher would, and handed to workers
-        on this thread.  A spec bounced before the write is forwarded with
-        its event; one bounced after it, without.
+        shard write.  Then, under one lock acquisition, the ready sub-batch
+        joins the ready queue and every ready task that fits is taken off
+        it and handed to workers on this thread.  A spec bounced before the
+        write is forwarded with its event; one bounced after it, without.
         """
         node = self.node
         if self._faults.enabled:
@@ -286,7 +280,7 @@ class LocalScheduler:
         self._m_placed.inc(len(specs))
         handoffs: List[Handoff] = []
         spawn: List[threading.Thread] = []
-        with self._cond:
+        with self._lock:
             if self._stopped:
                 bounced = True
             else:
@@ -299,14 +293,14 @@ class LocalScheduler:
                     for spec in ready:
                         self._ready.append(spec)
                         self._ready_since[spec.task_id] = now_mono
-                    # Whatever is left does not fit now: a resource
-                    # release wakes the dispatcher for it.
+                    # Whatever is left does not fit now: the resource
+                    # release that frees room for it hands it off.
                     handoffs, spawn = self._take_dispatch_batch()
         if bounced:
             # The node died between the alive check above and here: specs
             # registered now would be invisible to the kill path's drain
             # (it already ran) and lost forever.  stop()/drain() hold this
-            # condition, so the check is authoritative — reroute all (their
+            # lock, so the check is authoritative — reroute all (their
             # submitted events are already written).
             for spec in specs:
                 self._forward_to_global(spec)
@@ -340,9 +334,11 @@ class LocalScheduler:
         )
 
     def _input_ready(self, task_id: TaskID, object_id: ObjectID) -> None:
-        """A placed task's input arrived (on the thread whose store put
-        landed it, so nothing here writes to the GCS or runs the task)."""
-        with self._cond:
+        """A placed task's input arrived, on the thread whose store put
+        landed it.  Its last input makes the task ready, and this thread
+        hands it to a worker if it fits (nothing here writes to the GCS or
+        runs the task)."""
+        with self._lock:
             pending = self._waiting.get(task_id)
             if pending is None:
                 return
@@ -359,41 +355,27 @@ class LocalScheduler:
                     # Its task_inputs_ready event, with this time, rides
                     # the task's finish batch.
                     self._arrived[task_id] = time.perf_counter()
-                self._cond.notify_all()
+                handoffs, spawn = self._take_dispatch_batch()
         if stopped:
             # Stopped before drain() ran: drain will not see the task now,
             # so hand it back for placement on a live node.
             self._forward_to_global(spec)
+            return
+        self._hand_off(handoffs, spawn)
 
     # -- dispatch ----------------------------------------------------------------
 
-    def _notify(self) -> None:
-        with self._cond:
-            self._cond.notify_all()
-
-    def _dispatch_loop(self) -> None:
-        """Hand queued tasks to workers as their inputs arrive and
-        resources free up.  Memory only: a picked task's row stays
-        SCHEDULED until its finish."""
-        notified = True
-        while True:
-            with self._cond:
-                if self._stopped:
-                    # Whatever is still queued is drain()'s to reroute.
-                    return
-                handoffs, spawn = self._take_dispatch_batch()
-                if not handoffs:
-                    # Notification-driven: ready-queue pushes and resource
-                    # releases notify this condition.  The timed wait is
-                    # only a guarded missed-wakeup backstop.
-                    notified = self._cond.wait(timeout=BACKSTOP_INTERVAL)
-                    continue
-            if not notified and self._wait_stats is not None:
-                # A task was dispatchable but no notification arrived: the
-                # backstop caught a missed wakeup.
-                self._wait_stats.record_backstop(recovered=True)
-            notified = True
-            self._hand_off(handoffs, spawn)
+    def _dispatch(self) -> None:
+        """Resources were released (the pool's release listener, on the
+        releasing thread): hand every ready task that now fits to a
+        worker.  Memory only: a picked task's row stays SCHEDULED until
+        its finish."""
+        with self._lock:
+            if self._stopped:
+                # Whatever is still queued is drain()'s to reroute.
+                return
+            handoffs, spawn = self._take_dispatch_batch()
+        self._hand_off(handoffs, spawn)
 
     def _pick_dispatchable(self) -> Optional[TaskSpec]:
         """First ready task whose resources fit right now (lock held)."""
@@ -454,17 +436,22 @@ class LocalScheduler:
             if handoff is None:  # stop() sentinel
                 return
             spec, lifecycle = handoff
+            idle = False
             try:
                 self._execute(self.node, spec, dict(spec.resources), lifecycle)
+                idle = True
             finally:
-                self.node.resources.release(spec.resources)
-                with self._cond:
+                with self._lock:
                     self._running.discard(spec.task_id)
-                    self._cond.notify_all()
-            with self._cond:
-                if self._stopped:
-                    return
-                self._idle_workers += 1
+                    # Idle before the release, and only when going back to
+                    # the queue: the release's own dispatch then hands
+                    # this worker the next queued task.
+                    idle = idle and not self._stopped
+                    if idle:
+                        self._idle_workers += 1
+                self.node.resources.release(spec.resources)
+            if not idle:
+                return
 
     # -- cancellation ---------------------------------------------------------
 
@@ -475,7 +462,7 @@ class LocalScheduler:
         it), or ``None`` if the task is already running here, finished, or
         unknown — in those cases cancellation is cooperative only.
         """
-        with self._cond:
+        with self._lock:
             for index, spec in enumerate(self._ready):
                 if spec.task_id == task_id:
                     del self._ready[index]
@@ -489,25 +476,25 @@ class LocalScheduler:
 
     def running_tasks(self) -> List[TaskID]:
         """IDs of tasks currently executing on this node's workers."""
-        with self._cond:
+        with self._lock:
             return list(self._running)
 
     # -- load info (heartbeats to the global scheduler) --------------------------
 
     def backlog(self) -> int:
         """Dispatch backlog: tasks placed here but not yet finished."""
-        with self._cond:
+        with self._lock:
             return len(self._ready) + len(self._waiting) + len(self._running)
 
     def queue_length(self) -> int:
-        with self._cond:
+        with self._lock:
             return len(self._ready) + len(self._waiting)
 
     # -- lifecycle ------------------------------------------------------------------
 
     def drain(self) -> List[TaskSpec]:
         """Remove and return all not-yet-running tasks (node failure path)."""
-        with self._cond:
+        with self._lock:
             drained = list(self._ready)
             drained.extend(self._waiting_specs.values())
             self._ready.clear()
@@ -518,33 +505,12 @@ class LocalScheduler:
             return drained
 
     def stop(self) -> None:
-        with self._cond:
+        """Post one stop sentinel per pool thread.  Parked workers wake and
+        exit; a busy worker exits after its task and leaves its sentinel
+        behind in a dead queue.  Nothing waits for either: a worker inside
+        user code is a daemon and may never return."""
+        with self._lock:
             self._stopped = True
-            self._cond.notify_all()
             pool_size = len(self._pool_threads)
-        # One sentinel per pool thread: parked workers wake and exit; busy
-        # workers notice ``_stopped`` after their task and leave their
-        # sentinel behind in a dead queue.
         for _ in range(pool_size):
             self._work_queue.put(None)
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        """Wait for the dispatcher thread to exit (call ``stop`` first)."""
-        if self._dispatcher is not threading.current_thread():
-            self._dispatcher.join(timeout)
-        me = threading.current_thread()
-        with self._cond:
-            pool = list(self._pool_threads)
-        # One shared deadline across the pool: a worker stranded in a
-        # blocked task must not multiply the wait (they are daemons and
-        # exit with the process regardless).
-        deadline = None if timeout is None else time.monotonic() + timeout
-        for worker in pool:
-            if worker is me:
-                continue
-            remaining = (
-                None
-                if deadline is None
-                else max(0.0, deadline - time.monotonic())
-            )
-            worker.join(remaining)

@@ -58,7 +58,8 @@ class ResourcePool:
 
     def add_release_listener(self, callback) -> None:
         """Register a callback invoked (without locks held) after every
-        release — used by node dispatchers to re-examine their queues."""
+        release, on the releasing thread — the node's local scheduler hands
+        the queued tasks that now fit to workers there."""
         self._release_listeners.append(callback)
 
     @property

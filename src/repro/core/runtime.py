@@ -77,7 +77,6 @@ class RuntimeConfig:
     num_global_schedulers: int = 1
     locality_aware: bool = True
     spillback_threshold: int = 16
-    scheduler_delay: float = 0.0  # Fig 12b-style latency injection
     # Pluggable scheduling (repro.core.scheduling): the placement policy
     # driven by every global scheduler replica, as a registry name
     # ("lowest_wait", "locality", "power_of_two", "round_robin",
@@ -112,18 +111,12 @@ class RuntimeConfig:
     # task-count or placement triggers.  None (the default) installs the
     # null injector — every hook is a single attribute check.
     fault_schedule: Optional[Any] = None
-    # First app-level retry waits this long; each further attempt doubles
-    # it (capped).  Only used when a task sets max_retries > 0.
-    retry_backoff_base: float = 0.02
     # Ops plane: per-node reporters sampling scheduler/store/transfer
     # pressure into the GCS node-report table (repro.tools.reporter).
     # Default off; disabled mode is one attribute check on the node
     # lifecycle paths (the NULL_FAULTS pattern).
     reporters_enabled: bool = False
     reporter_interval_seconds: float = 0.25
-    # Serve plane: how often each deployment's router publishes its
-    # per-replica latency/queue-depth report into the GCS serve tables.
-    serve_report_interval_seconds: float = 0.25
 
     @classmethod
     def describe(cls) -> List[Dict[str, Any]]:
@@ -161,7 +154,6 @@ _CONFIG_FIELD_DOCS: Dict[str, str] = {
     "num_global_schedulers": "Global scheduler replicas sharing the policy.",
     "locality_aware": "Weigh object locality in placement decisions.",
     "spillback_threshold": "Local backlog above which tasks spill to the global scheduler.",
-    "scheduler_delay": "Injected scheduling latency (Fig 12b experiments).",
     "scheduler_policy": "Placement policy: registry name, class, or instance.",
     "spillback_policy": "Forward-to-global policy: registry name, class, or instance.",
     "gcs_flush_path": "Flush finished-task lineage to this file when over threshold.",
@@ -170,10 +162,8 @@ _CONFIG_FIELD_DOCS: Dict[str, str] = {
     "trace_events_enabled": "Record task-lifecycle trace events in the GCS event log.",
     "value_cache_capacity_bytes": "Byte budget of the deserialized-value cache.",
     "fault_schedule": "Deterministic fault-injection plan (None = null injector).",
-    "retry_backoff_base": "First app-level retry delay; doubles per attempt.",
     "reporters_enabled": "Per-node reporters publishing load rows into the GCS.",
     "reporter_interval_seconds": "Reporter sampling period.",
-    "serve_report_interval_seconds": "Serve router metrics publication period.",
 }
 
 
@@ -214,7 +204,6 @@ class Node:
             ),
             spillback_threshold=runtime.config.spillback_threshold,
             spillback=runtime.config.spillback_policy,
-            wait_stats=runtime.wait_stats,
             metrics=runtime.metrics,
             trace_events=runtime.config.trace_events_enabled,
             faults=runtime.faults,
@@ -279,7 +268,6 @@ class Runtime:
                 get_nodes=self.live_nodes,
                 policy=self.make_scheduler_policy(),
                 locality_aware=config.locality_aware,
-                decision_delay=config.scheduler_delay,
                 metrics=self.metrics,
                 index=index,
             )
@@ -1115,20 +1103,28 @@ class Runtime:
             ):
                 lost.set()
 
+        state = {"done": False}
+
+        def rearm() -> None:
+            if not state["done"]:
+                self.fetcher.ensure_local(object_id, node)
+                check_lost()
+
         def on_location_update(op: str, _node_id: NodeID) -> None:
-            # A retraction may have removed the last live copy of an object
-            # with no lineage: deliver the ObjectLostError verdict by event
-            # instead of re-querying the GCS every poll round.  The check
-            # reads the GCS, so it is queued off the publishing thread.
+            # A retraction may have removed the last live copy: with no
+            # lineage, deliver the ObjectLostError verdict by event instead
+            # of re-querying the GCS every poll round; with lineage, re-arm
+            # the fetch, whose earlier round may have ended when a copy
+            # landed here and was evicted before this reader saw it.  Both
+            # read the GCS, so they are queued off the publishing thread.
             if op == "remove":
-                self.transfer.enqueue(check_lost)
+                self.transfer.enqueue(rearm)
 
         unsubscribe = self.gcs.subscribe_object_locations(
             object_id, on_location_update
         )
         try:
-            self.fetcher.ensure_local(object_id, node)
-            check_lost()
+            rearm()
             while True:
                 # Re-fetch each round: eviction re-arms the completion, and
                 # the fetch (or reconstruction) must then be re-triggered.
@@ -1160,9 +1156,10 @@ class Runtime:
                 # Backstop fired with nothing decided: guard against a
                 # missed wakeup by re-arming the fetch and the lost check.
                 self.wait_stats.record_backstop()
-                self.fetcher.ensure_local(object_id, node)
-                check_lost()
+                rearm()
         finally:
+            # A re-arm still queued must not fetch for a reader gone.
+            state["done"] = True
             unsubscribe()
 
     def get(self, object_ids, timeout: Optional[float] = None):
@@ -1337,9 +1334,13 @@ class Runtime:
     # ------------------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Quiesce the cluster: stop and join dispatcher threads, interrupt
-        actor loops, and close the GCS flusher, so repeated init/shutdown
-        cycles in one process do not accumulate daemon threads."""
+        """Quiesce the cluster: interrupt and join actor loops, post the
+        stop sentinel to every task worker, stop the transfer threads and
+        close the GCS flusher, so repeated init/shutdown cycles in one
+        process do not accumulate daemon threads.  Task workers are not
+        joined: an idle one exits on its sentinel, and one inside user code
+        is a daemon that exits after its task, so shutdown never waits on
+        it."""
         if self.stopped:
             return
         self.stopped = True
@@ -1357,8 +1358,6 @@ class Runtime:
         self.actors.shutdown()
         for node in self.nodes():
             node.local_scheduler.stop()
-        for node in self.nodes():
-            node.local_scheduler.join(timeout=2.0)
         self.fetcher.close()
         if self.flusher is not None:
             self.flusher.close()

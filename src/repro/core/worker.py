@@ -31,6 +31,7 @@ from repro.gcs.tables import TaskStatus
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.runtime import Node, Runtime
 
+RETRY_BACKOFF_BASE = 0.02  # first app-level retry delay; doubles per attempt
 RETRY_BACKOFF_CAP = 1.0  # upper bound on one exponential-backoff sleep
 
 
@@ -53,10 +54,9 @@ def should_retry(spec: TaskSpec, exc: BaseException, attempt: int) -> bool:
     return isinstance(exc, tuple(spec.retry_exceptions))
 
 
-def retry_delay(runtime: "Runtime", attempt: int) -> float:
+def retry_delay(attempt: int) -> float:
     """Exponential backoff before retry ``attempt`` (0-based), capped."""
-    base = runtime.config.retry_backoff_base
-    return min(base * (2 ** attempt), RETRY_BACKOFF_CAP)
+    return min(RETRY_BACKOFF_BASE * (2 ** attempt), RETRY_BACKOFF_CAP)
 
 
 def resolve_args(
@@ -226,7 +226,7 @@ def run_task(
                     # a retried method counts once toward its checkpoint
                     # interval.
                     runtime.record_task_retry(spec, exc, attempt)
-                    time.sleep(retry_delay(runtime, attempt))
+                    time.sleep(retry_delay(attempt))
                     attempt += 1
                     continue
                 return TaskStatus.FAILED, as_outputs(

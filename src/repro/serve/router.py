@@ -57,6 +57,7 @@ from repro.core.gc import free_objects
 _LATENCY_WINDOW = 2048  # completed-request latencies kept for p50/p99
 _IDLE_WAIT = 0.05  # batcher/waiter backstop wait when nothing is due
 _GET_BACKSTOP = 30.0  # a batch outstanding this long is failed, not waited
+_REPORT_INTERVAL = 0.25  # router metrics publication period
 
 
 class ServeFuture:
@@ -124,7 +125,6 @@ class Router:
         batch_wait_timeout_s: float,
         max_queue_per_replica: int,
         max_inflight_per_replica: int = 2,
-        report_interval: Optional[float] = None,
     ):
         self._runtime = runtime
         self.deployment_name = deployment_name
@@ -133,11 +133,6 @@ class Router:
         self.batch_wait_timeout_s = batch_wait_timeout_s
         self.max_queue_per_replica = max_queue_per_replica
         self.max_inflight_per_replica = max_inflight_per_replica
-        self._report_interval = (
-            runtime.config.serve_report_interval_seconds
-            if report_interval is None
-            else report_interval
-        )
 
         self._cond = make_condition("serve.Router._cond")
         self._slots: List[_ReplicaSlot] = []
@@ -547,7 +542,7 @@ class Router:
     def _report_loop(self) -> None:
         while True:
             with self._cond:
-                self._cond.wait(self._report_interval)
+                self._cond.wait(_REPORT_INTERVAL)
                 if self._stopped:
                     return
             self.publish_report()

@@ -172,11 +172,14 @@ class TestInitValidation:
             "gcs_client_cache",
             "value_cache_enabled",
             "prefetch_parallelism",
+            "scheduler_delay",
+            "retry_backoff_base",
+            "serve_report_interval_seconds",
         ],
     )
     def test_retired_toggle_fails_loudly(self, retired):
-        """The legacy-path toggles are gone: an old config is refused, not
-        silently ignored."""
+        """The legacy-path toggles and the one-value knobs are gone: an old
+        config is refused, not silently ignored."""
         with pytest.raises(TypeError, match=retired):
             repro.init(**{retired: False})
         assert not repro.is_initialized()

@@ -207,6 +207,6 @@ class TestShutdownQuiescence:
             assert repro.get(actor.echo.remote(7)) == 7
             assert repro.get(sleepy.remote(0.0)) == 0.0
             repro.shutdown()
-        # Dispatchers and actor loops are joined by shutdown; transient
-        # worker threads drain within the settle window.
+        # Actor loops are joined by shutdown; idle task workers exit on
+        # its stop sentinel within the settle window.
         assert settled_thread_count() <= baseline + 1

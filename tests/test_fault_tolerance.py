@@ -5,6 +5,7 @@ behaviours Figures 11a/11b measure at cluster scale.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -74,6 +75,71 @@ class TestTaskReconstruction:
             assert value[-1] == 0
             assert rt.reconstruction.reconstructed_tasks > 0
         finally:
+            repro.shutdown()
+
+    def test_copy_evicted_before_the_reader_sees_it_is_rebuilt_at_once(
+        self, monkeypatch
+    ):
+        """The reader's fetch is armed before the output exists (no
+        location yet, lineage known), and the copy lands and is evicted
+        before the reader wakes: the location retraction re-arms the fetch,
+        so the replay starts then and the reader does not wait out the
+        notification layer's backstop."""
+        from repro.core import runtime as runtime_module
+
+        rt = repro.init(
+            num_nodes=1, num_cpus_per_node=2, object_store_capacity_bytes=25_000
+        )
+        gate, blocked, released = (threading.Event() for _ in range(3))
+        got = []
+        reader = threading.Thread(
+            target=lambda: got.append(repro.get(ref, timeout=10))
+        )
+        wait_any = runtime_module.wait_any
+
+        def held_wait_any(*args, **kwargs):
+            # The reader's first wait is held until its copy is gone.
+            if threading.current_thread() is reader and not released.is_set():
+                blocked.set()
+                assert released.wait(10)
+            return wait_any(*args, **kwargs)
+
+        monkeypatch.setattr(runtime_module, "wait_any", held_wait_any)
+
+        @repro.remote
+        def held_blob(i):
+            assert gate.wait(10)
+            return bytes(10_000) + bytes([i])
+
+        try:
+            ref = held_blob.remote(1)
+            reader.start()
+            assert blocked.wait(10)
+            node = rt.driver_node
+            landed, removed = threading.Event(), threading.Event()
+            node.store.on_available(ref.object_id, lambda _oid: landed.set())
+            rt.gcs.subscribe_object_locations(
+                ref.object_id, lambda op, _node: op == "remove" and removed.set()
+            )
+            gate.set()
+            assert landed.wait(10)
+            # 3 x 10 KB in a 25 KB store: the second put evicts the LRU
+            # copy, the output.
+            for _ in range(2):
+                repro.put(bytes(10_000))
+            assert removed.wait(10)
+            backstops = rt.wait_stats.snapshot()["backstop_timeouts"]
+            began = time.monotonic()
+            released.set()
+            reader.join(10)
+            elapsed = time.monotonic() - began
+            assert got == [bytes(10_000) + bytes([1])]
+            assert elapsed < 0.5, f"get took {elapsed:.2f} s"
+            assert rt.wait_stats.snapshot()["backstop_timeouts"] == backstops
+            assert rt.reconstruction.reconstructed_tasks == 1
+        finally:
+            gate.set()
+            released.set()
             repro.shutdown()
 
     def test_put_object_loss_is_permanent(self, runtime):
@@ -394,7 +460,7 @@ class TestFinishedBetweenKillSnapshots:
         stop = victim.local_scheduler.stop
 
         def held_stop():
-            stopping.set()  # alive is False; the dispatcher still runs
+            stopping.set()  # alive is False; releases still dispatch
             assert resume.wait(10)
             stop()
 

@@ -1,8 +1,9 @@
 """Hop budgets: what one operation costs in GCS shard calls, exactly.
 
 Clock-free: hop delay 0, a counting shim on ``ShardedKV`` keyed by calling
-thread, counts read at quiescence (``repro.shutdown()`` joins every runtime
-thread and itself makes no GCS call).  The numbers are the table in
+thread, counts read at quiescence (:func:`quiesce`: ``repro.shutdown()``,
+which itself makes no GCS call, then a join of the task workers it
+stopped).  The numbers are the table in
 ``docs/ARCHITECTURE.md`` ("Shard calls per operation"): a change that moves
 a count must edit that table, and the failure message is the per-thread
 list of calls.
@@ -66,14 +67,40 @@ class ShardCalls:
         )
 
 
+def quiesce():
+    """``repro.shutdown()``, then join the task workers: shutdown only posts
+    their stop sentinel, and a worker whose output a ``get`` has read may
+    still be writing its finish batch."""
+    runtime = repro.api.get_runtime()
+    repro.shutdown()
+    for node in runtime.nodes():
+        for worker in node.local_scheduler._pool_threads:
+            worker.join(10)
+            assert not worker.is_alive()
+
+
 def run_counted(submit, expect=7):
     """Shard calls of ``get(submit())`` on an idle one-node cluster, split
     into (caller's, everyone's) and read at quiescence."""
     calls = ShardCalls(repro.api.get_runtime().gcs.kv)
     assert repro.get(submit(), timeout=10) == expect
     caller = list(calls.by_thread().get(threading.current_thread().name, ()))
-    repro.shutdown()
+    quiesce()
     return caller, calls
+
+
+def hand_off_threads(scheduler):
+    """The name of the thread that hands each task to a worker, in order,
+    from now on."""
+    threads = []
+    hand_off = scheduler._hand_off
+
+    def recorded(handoffs, spawn):
+        threads.extend(threading.current_thread().name for _ in handoffs)
+        hand_off(handoffs, spawn)
+
+    scheduler._hand_off = recorded
+    return threads
 
 
 def assert_row_first(caller, calls):
@@ -159,7 +186,7 @@ def test_actor_creation_costs_four_blocking_calls_five_in_the_background():
     actor = Echo.remote()
     caller = list(calls.by_thread()[threading.current_thread().name])
     assert runtime.actors.get_state(actor.actor_id).ready.wait(10)
-    repro.shutdown()
+    quiesce()
     (actor_thread,) = [
         c for t, c in calls.by_thread().items() if t.startswith("actor-")
     ]
@@ -225,7 +252,7 @@ def test_forwarded_task_costs_one_blocking_call_four_in_all():
     runtime.fetcher.ensure_local(ref.object_id, runtime.driver_node)
     gate.set()
     assert repro.get(ref, timeout=10) == 7
-    repro.shutdown()
+    quiesce()
     # The far node's place_many SCHEDULED batch (global placement reads
     # nothing for a by-value argument) on the caller, whose placement also
     # hands the task to a far worker; the finish batch; the copy's location
@@ -261,7 +288,7 @@ def test_task_queued_behind_its_input_costs_one_blocking_call():
     caller = list(calls.by_thread()[threading.current_thread().name])
     gate.set()
     assert repro.get(ref, timeout=10) == 7
-    repro.shutdown()
+    quiesce()
     # place_many's SCHEDULED batch; the input's fetch is registration
     # only (no location published yet, lineage known).
     assert [op for op, _ in caller] == ["batch"], calls.describe()
@@ -280,31 +307,61 @@ def test_task_queued_behind_its_input_costs_one_blocking_call():
     ], calls.describe()
 
 
-def test_dispatchers_make_no_gcs_call():
+def test_input_arrival_hands_off_on_the_storing_thread():
     runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
     runtime.ensure_function_registered(echo._function_id, echo._func)
+    gate = threading.Event()
+    producers = []
+
+    @repro.remote
+    def held(x):
+        producers.append(threading.current_thread().name)
+        assert gate.wait(10)
+        return x
+
+    unfinished = held.remote(7)
+    handed = hand_off_threads(runtime.driver_node.local_scheduler)
+    ref = echo.remote(unfinished)
+    assert handed == []  # queued behind its input
+    gate.set()
+    assert repro.get(ref, timeout=10) == 7
+    quiesce()
+    # held's worker stores its output, which makes echo ready with a CPU
+    # free: that same thread hands echo to a worker.
+    assert handed == producers
+
+
+def test_dispatch_needs_no_thread_of_its_own():
+    runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
+    runtime.ensure_function_registered(echo._function_id, echo._func)
+    assert not any(
+        thread.name.startswith("dispatcher-") for thread in threading.enumerate()
+    )
     (handed_off,) = [
         family for family in runtime.metrics.families()
         if family.name == "scheduler_fastpath_total"
     ]
+    handed = hand_off_threads(runtime.driver_node.local_scheduler)
     caller, calls = run_counted(
         lambda: echo.submit_many([(i,) for i in range(8)]), list(range(8))
     )
-    assert not any(
-        thread.startswith("dispatcher-") for thread in calls.by_thread()
-    ), calls.describe()
     assert [op for op, _ in caller] == ["batch"], calls.describe()
     assert len(calls.calls) == 1 + 8, calls.describe()
-    # The placement handed two tasks to workers; the dispatcher handed off
-    # the other six as CPUs freed up, from memory alone.
+    # The placement handed two tasks to workers; each of the other six was
+    # handed off, from memory alone, by the worker whose release freed a
+    # CPU for it.
     assert sum(m.value for m in handed_off.series.values()) == 2
+    me = threading.current_thread().name
+    assert handed[:2] == [me, me], handed
+    assert len(handed) == 8, handed
+    assert all(thread.startswith("worker-") for thread in handed[2:]), handed
 
 
 def test_put_costs_one_blocking_batch():
     runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
     calls = ShardCalls(runtime.gcs.kv)
     repro.put(7)
-    repro.shutdown()
+    quiesce()
     # add_task_outputs: the location append and the metadata row, which
     # shard together.
     assert calls.calls == [
@@ -325,7 +382,7 @@ def test_free_costs_one_blocking_batch_for_all_copies():
     calls = ShardCalls(runtime.gcs.kv)
     assert repro.free(refs) == 4
     caller = list(calls.by_thread()[threading.current_thread().name])
-    repro.shutdown()
+    quiesce()
     # One retraction per copy, all in one batch.
     assert caller == [
         ("batch", (("append", "object_loc"),) * 4)
@@ -340,7 +397,7 @@ def test_free_with_lineage_adds_one_delete_batch():
     calls = ShardCalls(runtime.gcs.kv)
     assert repro.free(refs, delete_lineage=True) == 2
     caller = list(calls.by_thread()[threading.current_thread().name])
-    repro.shutdown()
+    quiesce()
     # The retraction batch, one producer read per object, then every
     # lineage row — metadata, location log, producing task — in one
     # replicated delete batch.
@@ -404,7 +461,7 @@ def test_tasks_and_methods_leave_the_same_records(single_node_runtime):
     refs = [echo.remote(i) for i in range(12)]
     methods = [actor.echo.remote(i) for i in range(12)]
     assert repro.get(refs + methods, timeout=10) == list(range(12)) * 2
-    repro.shutdown()  # quiescence: every finish batch has landed
+    quiesce()  # every finish batch has landed
     gcs = runtime.gcs
     events = {}
     for category in (

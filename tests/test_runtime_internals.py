@@ -1,5 +1,8 @@
 """Runtime internals: submission dedup, driver failover, config handling."""
 
+import threading
+import time
+
 import pytest
 
 import repro
@@ -108,9 +111,9 @@ class TestDriverNodeFailover:
 
 class TestShutdown:
     def test_a_spec_rerouted_during_shutdown_is_not_placed(self):
-        """A dispatcher whose round raced ``shutdown`` reroutes its specs;
-        every scheduler is stopped while its node is alive, so a placement
-        would bounce between them without end."""
+        """A spec whose input landed just after ``shutdown`` stopped its
+        scheduler is rerouted; every scheduler is stopped while its node is
+        alive, so a placement would bounce between them without end."""
         runtime = repro.init(num_nodes=2, num_cpus_per_node=1)
         spec = TaskSpec(
             task_id=TaskID.from_seed("rerouted"),
@@ -123,6 +126,23 @@ class TestShutdown:
         repro.shutdown()
         runtime.route_and_place(spec)
         assert runtime.gcs.get_task(spec.task_id) is None
+
+    def test_shutdown_does_not_wait_for_a_task_in_user_code(self):
+        """Shutdown stops the task workers but joins none: one inside user
+        code is a daemon that exits after its task."""
+        started = threading.Event()
+
+        @repro.remote
+        def sleeper():
+            started.set()
+            time.sleep(60)
+
+        repro.init(num_nodes=1, num_cpus_per_node=1)
+        sleeper.remote()
+        assert started.wait(10)
+        began = time.monotonic()
+        repro.shutdown()
+        assert time.monotonic() - began < 0.5
 
 
 class TestEventLogIntegrity:

@@ -154,9 +154,51 @@ class TestLocalScheduler:
         )
         assert scheduler.forwarded > 0  # both counting sites were exercised
 
+    def test_racing_hand_offs_keep_the_pool_at_the_cpu_count(self):
+        """Placements, input arrivals and releases hand tasks off from many
+        threads at once.  Each hand-off claims one parked worker or starts
+        one, and a finishing worker is parked before its release hands
+        off, so with no task blocked in ``get`` the pool never outgrows
+        the CPUs, and no hand-off is stranded in the queue."""
+
+        @repro.remote
+        def inc(x):
+            return x + 1
+
+        threads_n, chain, wave = 6, 20, 8
+        rt = repro.init(num_nodes=1, num_cpus_per_node=4)
+        results = [None] * threads_n
+
+        def submitter(i):
+            ref = inc.remote(i)
+            for _ in range(chain):  # each link queued behind the last
+                ref = inc.remote(ref)
+            results[i] = (ref, repro.submit_many(inc, [(j,) for j in range(wave)]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=submitter, args=(i,))
+                for i in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            for i, (ref, refs) in enumerate(results):
+                assert repro.get(ref, timeout=60) == i + chain + 1
+                assert repro.get(refs, timeout=60) == list(range(1, wave + 1))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(rt.driver_node.local_scheduler._pool_threads) <= 4
+        repro.shutdown()
+
     def test_stop_halts_dispatch(self, runtime):
         node = runtime.nodes()[1]
         node.local_scheduler.stop()
-        # Dispatcher exits; placing on a stopped-but-alive scheduler is
-        # not part of the contract, but stop() itself must be clean.
+        # Every worker gets its stop sentinel; placing on a stopped-but-
+        # alive scheduler is not part of the contract, but stop() itself
+        # must be clean.
         assert node.local_scheduler._stopped

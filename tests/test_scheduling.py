@@ -1,6 +1,7 @@
 """Bottom-up scheduling: spillback, feasibility, locality, heterogeneity."""
 
 import collections
+import threading
 import time
 
 import pytest
@@ -36,6 +37,17 @@ def gpu_task():
 def consume(payload):
     from repro.core import context
 
+    return context.current_node().node_id
+
+
+_HOLD = threading.Event()
+
+
+@repro.remote
+def consume_held(payload):
+    from repro.core import context
+
+    assert _HOLD.wait(20)
     return context.current_node().node_id
 
 
@@ -125,15 +137,27 @@ class TestResourceAwareness:
 
 class TestLocality:
     def test_large_input_attracts_task(self):
-        """Locality-aware placement: the task goes to the data (Fig 8a)."""
-        rt = repro.init(num_nodes=3, num_cpus_per_node=2, spillback_threshold=0)
+        """Locality-aware placement: the task goes to the data (Fig 8a).
+
+        Every task is placed by the global scheduler (threshold 0) and held
+        until all four are placed, so no duration is reported and the
+        EWMA task duration stays at its 1 ms start.  The holder has 4 CPUs,
+        so it is never full (no 1 s penalty) and scores at most 3 placed
+        tasks x 1 ms = 3 ms; every other node is empty and scores the
+        transfer, 20 MB / 2 GB/s = 10 ms.  All four go to the data, by a
+        margin of 3x, whatever finishes when."""
+        rt = repro.init(num_nodes=3, num_cpus_per_node=4, spillback_threshold=0)
+        _HOLD.clear()
         try:
-            payload = repro.put(b"x" * 5_000_000)  # on the driver node
+            payload = repro.put(b"x" * 20_000_000)  # on the driver node
             holder = rt.driver_node.node_id
-            results = repro.get([consume.remote(payload) for _ in range(4)])
+            refs = [consume_held.remote(payload) for _ in range(4)]
+            _HOLD.set()
+            results = repro.get(refs, timeout=20)
             hits = sum(1 for node_id in results if node_id == holder)
-            assert hits >= 3, f"only {hits}/4 tasks placed with the data"
+            assert hits == 4, f"only {hits}/4 tasks placed with the data"
         finally:
+            _HOLD.set()
             repro.shutdown()
 
     def test_transferred_input_registers_new_location(self, runtime):

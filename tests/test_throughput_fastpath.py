@@ -156,7 +156,7 @@ class TestSubmitFastpath:
         """With every CPU slot held by a blocked task, later submissions
         stay queued — their placement hands nothing to a worker, so the
         counter does not move — and still all complete once the workers
-        free up, by the dispatcher's hand-off."""
+        free up, each handed off by the worker whose release made room."""
         rt = repro.init(num_nodes=1, num_cpus_per_node=2)
         try:
             _GATE.clear()
