@@ -589,7 +589,10 @@ def free(
 
     With ``delete_lineage=True`` the producing tasks' GCS records are also
     removed, permanently bounding GCS memory at the cost of making the
-    objects unrecoverable (see ``repro.core.gc``).
+    objects unrecoverable (see ``repro.core.gc``): a later ``get`` raises
+    ``ObjectLostError`` at once.  The GCS is lineage's only home, so this
+    bounds the driver's memory too: no other copy of the specs or their
+    by-value arguments is kept.
     """
     from repro.core.gc import free_objects
 

@@ -612,20 +612,15 @@ class ActorManager:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def shutdown(self, timeout: float = 2.0) -> None:
-        """Interrupt every actor loop and join its thread.
+    def shutdown(self) -> None:
+        """Interrupt every actor loop; join none.
 
-        Called with ``runtime.stopped`` already True, so woken loops see
-        themselves stale and exit.  A loop stuck in user code past the
-        join timeout is abandoned (it is a daemon thread)."""
+        Called with ``runtime.stopped`` already True, so a woken loop sees
+        itself stale and exits.  One inside user code is a daemon thread
+        that exits after its method, so shutdown never waits on it."""
         with self._lock:
             states = list(self.actors.values())
         for state in states:
             with state.cond:
                 state.interrupt.set()
                 state.cond.notify_all()
-        current = threading.current_thread()
-        for state in states:
-            thread = state.thread
-            if thread is not None and thread is not current:
-                thread.join(timeout=timeout)

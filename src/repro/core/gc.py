@@ -13,7 +13,9 @@ developing."  This module implements that feature:
   every other finished task record from the GCS.
 
 Safety property: an object remains reconstructible iff it is in the live
-set's ancestor closure.  Tests assert both directions.
+set's ancestor closure.  Tests assert both directions.  Lineage has one
+home, the GCS task table, so once it is deleted here nothing else in the
+process still holds the specs or their by-value arguments.
 """
 
 from __future__ import annotations
@@ -35,10 +37,12 @@ def free_objects(
     """Drop every copy of the given objects from every store.
 
     With ``delete_lineage`` the producing tasks' records are removed too,
-    so the objects become permanently unrecoverable (and their GCS rows
-    stop consuming memory).  Returns the number of store copies dropped.
-    Every copy's location retraction goes out in one GCS write, after the
-    store deletes and before the one lineage delete batch.
+    so the objects become permanently unrecoverable and a ``get`` of one
+    raises ``ObjectLostError`` at once (and their rows, with the specs'
+    arguments, stop consuming memory).  Returns the number of store
+    copies dropped.  Every copy's location retraction goes out in one GCS
+    write, after the store deletes and before the one lineage delete
+    batch.
     """
     object_ids = list(object_ids)
     nodes = runtime.nodes()
@@ -64,9 +68,10 @@ class LineageGarbageCollector:
 
     def live_task_closure(self, live_objects: Iterable[ObjectID]) -> Set[TaskID]:
         """Every task in the ancestor closure of the live objects."""
+        graph = self.runtime.graph
         keep: Set[TaskID] = set()
         for object_id in live_objects:
-            keep |= self.runtime.graph.ancestors(object_id)
+            keep |= graph.ancestors(object_id)
         return keep
 
     def collect(self, live_objects: Iterable[ObjectID]) -> int:
@@ -88,15 +93,10 @@ class LineageGarbageCollector:
             )
 
         removed = {entry.task_id for entry in gcs.pop_tasks(collectable)}
-        # Object metadata whose producer was collected is dead weight too
-        # (the objects can no longer be reconstructed once evicted).
-        live_locations = self.runtime.transfer.live_locations
-        self.collected_objects += sum(
-            1
-            for _object_id in gcs.pop_objects(
-                lambda object_id, task_id: task_id in removed
-                and not live_locations(object_id)
-            )
+        # Their outputs can no longer be reconstructed: metadata with no
+        # copy left is dead weight, and a copy's row becomes a root.
+        self.collected_objects += gcs.orphan_objects(
+            removed, self.runtime.transfer.live_locations
         )
         self.collected_tasks += len(removed)
         return len(removed)

@@ -431,27 +431,32 @@ class LocalScheduler:
             self._work_queue.put(handoff)
 
     def _worker_loop(self) -> None:
-        while True:
-            handoff = self._work_queue.get()
-            if handoff is None:  # stop() sentinel
-                return
-            spec, lifecycle = handoff
-            idle = False
-            try:
-                self._execute(self.node, spec, dict(spec.resources), lifecycle)
-                idle = True
-            finally:
-                with self._lock:
-                    self._running.discard(spec.task_id)
-                    # Idle before the release, and only when going back to
-                    # the queue: the release's own dispatch then hands
-                    # this worker the next queued task.
-                    idle = idle and not self._stopped
-                    if idle:
-                        self._idle_workers += 1
-                self.node.resources.release(spec.resources)
-            if not idle:
-                return
+        # A hand-off lives only in ``_run_handoff``'s frame, so a worker
+        # idle on the queue pins no spec (nor its by-value arguments).
+        while self._run_handoff(self._work_queue.get()):
+            pass
+
+    def _run_handoff(self, handoff: Optional[Handoff]) -> bool:
+        """Run one hand-off; False when this worker exits instead of going
+        back to the queue (the ``stop()`` sentinel, or stopped since)."""
+        if handoff is None:  # stop() sentinel
+            return False
+        spec, lifecycle = handoff
+        idle = False
+        try:
+            self._execute(self.node, spec, dict(spec.resources), lifecycle)
+            idle = True
+        finally:
+            with self._lock:
+                self._running.discard(spec.task_id)
+                # Idle before the release, and only when going back to
+                # the queue: the release's own dispatch then hands this
+                # worker the next queued task.
+                idle = idle and not self._stopped
+                if idle:
+                    self._idle_workers += 1
+            self.node.resources.release(spec.resources)
+        return idle
 
     # -- cancellation ---------------------------------------------------------
 

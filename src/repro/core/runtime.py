@@ -261,7 +261,6 @@ class Runtime:
             self.gcs, metrics=self.metrics, faults=self.faults
         )
         self.fetcher = ObjectFetcher(self.gcs, self.transfer, metrics=self.metrics)
-        self.graph = TaskGraph()
         self.global_schedulers = [
             GlobalScheduler(
                 self.gcs,
@@ -315,9 +314,6 @@ class Runtime:
         self.actors = ActorManager(self)
         self.reconstruction = ReconstructionManager(self)
         self.fetcher.reconstruct = self.reconstruction.maybe_reconstruct
-        self.fetcher.lineage_known = (
-            lambda object_id: self.graph.producer_of(object_id) is not None
-        )
 
         # Cancellation registry: task_id -> forced?  A task stays marked
         # after cancellation (the stored error is the durable record); the
@@ -692,29 +688,28 @@ class Runtime:
         the actor loop at its turn.  Returns True if a cancellation was
         recorded.
         """
-        task_id = self.graph.producer_of(object_id)
+        task_id = self.gcs.known_producer(object_id) or self.gcs.creating_task(
+            object_id
+        )
         if task_id is None:
             raise ValueError(
                 f"object {object_id!r} was not produced by a task "
                 "(put objects cannot be cancelled)"
             )
-        spec = self.graph.task(task_id)
         nodes = self.nodes()
-        if spec is not None and all(
-            any(node.store.contains(oid) for node in nodes)
-            for oid in spec.return_ids
-        ):
+        if any(node.store.contains(object_id) for node in nodes):
             # The finish writer stores a task's outputs before it writes
             # the terminal row: a caller may already hold the result of a
             # task whose row still reads SCHEDULED.
             return False
         entry = self.gcs.get_task(task_id)
-        if entry is not None and entry.status in (
+        if entry is None or entry.status in (
             TaskStatus.FINISHED,
             TaskStatus.FAILED,
             TaskStatus.CANCELLED,
         ):
             return False
+        spec = entry.spec
         with self._cancel_lock:
             already = task_id in self._cancelled
             self._cancelled[task_id] = self._cancelled.get(task_id, False) or force
@@ -727,10 +722,10 @@ class Runtime:
         self.trace_event(
             "task_cancelled",
             task=task_id.hex()[:8],
-            name=spec.function_name if spec is not None else "?",
+            name=spec.function_name,
             force=force,
         )
-        if spec is not None and spec.actor_id is None:
+        if spec.actor_id is None:
             # Try to dequeue before it ever runs; racing with dispatch is
             # fine — the worker's entry check catches the loser.
             for node in nodes:
@@ -786,10 +781,11 @@ class Runtime:
         per ``(args, kwargs)`` call (already encoded).  Returns ``(specs,
         admitted, events, node)``; the caller hands ``admitted`` with their
         ``task_submitted`` ``events`` to ``node``'s local scheduler, whose
-        placement write is each row's first, then records them with
-        :meth:`_accepted` — every spec, except under replay those whose
-        outputs still exist or that are in flight, which keep their
-        deterministic futures."""
+        placement write is each row's first, then counts them — every
+        spec, except under replay those whose outputs still exist or that
+        are in flight, which keep their deterministic futures.  A rejected
+        submission (``ResourceRequestError``) is not counted and leaves no
+        trace."""
         parent, first, node = self._submission_context_many(len(calls))
         if resources is None:
             resources = normalize_resources()
@@ -818,15 +814,6 @@ class Runtime:
             admitted = [s for s in specs if self._admit_replayed_task(s)]
         return specs, admitted, self._submitted_events(admitted), node
 
-    def _accepted(self, specs: List[TaskSpec]) -> None:
-        """Record submissions the scheduler accepted: their task-graph
-        entries and the submission counter.  A rejected submission
-        (``ResourceRequestError``) never reaches here, so it leaves no
-        trace; no ref to a spec escapes before this runs."""
-        for spec in specs:
-            self.graph.add_task(spec)
-        self._m_tasks_submitted.inc(len(specs))
-
     def _submitted_events(self, specs: List[TaskSpec]) -> List[Optional[Event]]:
         """One ``task_submitted`` event per spec (``None`` with tracing off)."""
         if not self._trace_enabled:
@@ -845,15 +832,13 @@ class Runtime:
     ) -> None:
         """Record actor-method submissions placed on their actor's node:
         each row (SCHEDULED there), its method-log entry and its
-        ``task_submitted`` event in one ``gcs.add_tasks`` write per shard,
-        then the task graph.  Durable on return — before the spec can reach
-        the mailbox; the method's next write is its finish."""
+        ``task_submitted`` event in one ``gcs.add_tasks`` write per shard.
+        Durable on return — before the spec can reach the mailbox; the
+        method's next write is its finish."""
         events = self._submitted_events(specs)
         self.gcs.add_tasks(
             specs, node_id, events=[e for e in events if e is not None]
         )
-        for spec in specs:
-            self.graph.add_task(spec)
 
     def submit_task(
         self,
@@ -883,7 +868,7 @@ class Runtime:
         )
         if admitted:
             node.local_scheduler.submit(admitted[0], events[0])
-            self._accepted(admitted)
+            self._m_tasks_submitted.inc()
         return specs[0].return_ids
 
     def _admit_replayed_task(self, spec: TaskSpec) -> bool:
@@ -941,7 +926,7 @@ class Runtime:
         )
         if admitted:
             node.local_scheduler.submit_many(admitted, events)
-            self._accepted(admitted)
+            self._m_tasks_submitted.inc(len(admitted))
         return [spec.return_ids for spec in specs]
 
     def create_actor(
@@ -975,7 +960,6 @@ class Runtime:
             # Claim the name before any durable side effect: a duplicate
             # raises ValueError here and no actor or task row is created.
             self.gcs.register_actor_name(name, actor_id)
-        self.graph.add_task(spec)
         self.actors.create_actor(
             cls,
             spec,
@@ -1089,18 +1073,17 @@ class Runtime:
         lost = Completion(stats=self.wait_stats)
 
         def check_lost() -> None:
-            # Lineage known locally ⇒ the object is reconstructible, so
-            # the lost verdict (lineage-less and no live copy) can never
-            # apply — skip the GCS entry read it would otherwise cost on
-            # every blocking get of a still-in-flight task return.
-            if self.graph.producer_of(object_id) is not None:
+            # The object is lost when it has no in-flight producer, no row
+            # that names a producer, and no live copy.  A producer the GCS
+            # client knows (in flight, or finished with its lineage kept)
+            # rules the verdict out without the object-row read it would
+            # otherwise cost every blocking get of a task return.
+            if self.gcs.known_producer(object_id) is not None:
                 return
             entry = self.gcs.get_object_entry(object_id)
             if (
-                entry is not None
-                and entry.task_id is None
-                and not self.transfer.live_locations(object_id)
-            ):
+                entry is None or entry.task_id is None
+            ) and not self.transfer.live_locations(object_id):
                 lost.set()
 
         state = {"done": False}
@@ -1292,6 +1275,13 @@ class Runtime:
     # Introspection
     # ------------------------------------------------------------------
 
+    @property
+    def graph(self) -> TaskGraph:
+        """The task graph (Figure 4), built from the GCS task table on each
+        access: a read-only view of the one copy of lineage, so collected
+        or flushed lineage is not in it."""
+        return TaskGraph(entry.spec for entry in self.gcs.tasks())
+
     def nodes_info(self) -> List[Dict[str, Any]]:
         """Cluster membership snapshot (like ``ray.nodes()``): one dict per
         node, including dead ones, in creation order."""
@@ -1334,12 +1324,12 @@ class Runtime:
     # ------------------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Quiesce the cluster: interrupt and join actor loops, post the
-        stop sentinel to every task worker, stop the transfer threads and
-        close the GCS flusher, so repeated init/shutdown cycles in one
-        process do not accumulate daemon threads.  Task workers are not
-        joined: an idle one exits on its sentinel, and one inside user code
-        is a daemon that exits after its task, so shutdown never waits on
+        """Quiesce the cluster: interrupt every actor loop, post the stop
+        sentinel to every task worker, stop the transfer threads and close
+        the GCS flusher, so repeated init/shutdown cycles in one process do
+        not accumulate daemon threads.  No actor loop or task worker is
+        joined: an idle one exits when signalled, and one inside user code
+        is a daemon that exits after its call, so shutdown never waits on
         it."""
         if self.stopped:
             return

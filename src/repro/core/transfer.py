@@ -315,11 +315,6 @@ class ObjectFetcher:
         # reconstruct(object_id) is installed by the runtime after the
         # reconstruction manager exists (breaks a construction cycle).
         self.reconstruct: Optional[Callable[[ObjectID], None]] = None
-        # lineage_known(object_id) — installed by the runtime — answers
-        # "does the local task graph know this object's producing task?"
-        # without touching the GCS.  See ensure_local's light path; until
-        # installed, nothing is known and every fetch takes the full path.
-        self.lineage_known: Callable[[ObjectID], bool] = lambda _oid: False
         self._inflight: Dict[Tuple[NodeID, ObjectID], float] = {}
         self._inflight_lock = make_lock("ObjectFetcher._inflight_lock")
         metrics = metrics or NULL_REGISTRY
@@ -471,18 +466,20 @@ class ObjectFetcher:
         )
         # Light path — checked *after* subscribing, so a publication that
         # raced ahead of the subscription is visible in the hint (writers
-        # set the hint before the location append).  No location ever
-        # published plus locally-known lineage means the object is still
-        # being produced: the authoritative location read would come back
-        # empty and the reconstruct probe would find no entry, so both
-        # remote round-trips are skipped and the subscription (or the
-        # producing node's own store) announces the object when it exists.
-        # A publication in flight is *not* a reason to return here: its
+        # set the hint before the location append).  No location published
+        # plus a producer in flight (the GCS client's index, a local
+        # lookup) means the object is still being produced: the
+        # authoritative location read would come back empty and the
+        # reconstruct probe would find no entry, so both remote
+        # round-trips are skipped and the subscription (or the producing
+        # node's own store) announces the object when it exists.  A
+        # publication in flight is *not* a reason to return here: its
         # ``object_loc`` shard group may land before the subscription did
         # while the rest of its batch is still in flight, so only the
         # location read in ``first_attempt`` can rule it out.
-        if not self.gcs.has_location_hint(object_id) and self.lineage_known(
-            object_id
+        if (
+            not self.gcs.has_location_hint(object_id)
+            and self.gcs.in_flight_producer(object_id) is not None
         ):
             return
         self.transfer.enqueue(first_attempt)

@@ -15,7 +15,7 @@ import itertools
 import threading
 import time
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple,
 )
 
 from repro.common.lockwatch import make_rlock
@@ -73,14 +73,27 @@ class GlobalControlStore:
         # so workers can skip the remote read that would otherwise tax
         # every single task execution with a chain hop.
         self._function_cache: Dict[FunctionID, Any] = {}
-        # Location-publication hint: every location append flows through
-        # this client, so an ID absent from this set has never had a copy
-        # anywhere.  Fetchers that also hold the object's lineage locally
-        # use this to skip the authoritative (remote) location read and
-        # wait on the pub-sub subscription alone.  Never cleared — a
-        # retracted location keeps its hint, which only forces the full
-        # (checked) path.  GIL-atomic set add/lookup; no lock needed.
-        self._published_locations: Set[ObjectID] = set()
+        # In-flight producers: each return ID of a placed task maps to that
+        # task from its placement write (:meth:`set_task_states`,
+        # :meth:`add_tasks`) until its finish batch has landed or
+        # :meth:`delete_lineage` drops it, so it holds one entry per
+        # placed-but-unfinished return (:meth:`pop_tasks` callers take
+        # terminal rows only).  Every placement and finish flows through
+        # this client, so the lookup answers "is this object still being
+        # produced?" without a shard call.  GIL-atomic dict ops; no lock.
+        self._in_flight: Dict[ObjectID, TaskID] = {}
+        # Location-publication hints: every location append flows through
+        # this client, so an ID absent from this map has had no location
+        # published since its lineage was last deleted.  A fetcher whose
+        # object has an in-flight producer uses this to skip the
+        # authoritative (remote) location read and wait on the pub-sub
+        # subscription alone.  Each hint keeps the producer the object's
+        # row names (None for a put, or when a transfer published it
+        # first): a finished output's lineage is known here until
+        # :meth:`delete_lineage` or :meth:`orphan_objects` drops the hint
+        # with the row's producer.  A retracted location keeps its hint,
+        # which only forces the full (checked) path.
+        self._published_locations: Dict[ObjectID, Optional[TaskID]] = {}
         # Publications in flight: an object is here from just before a
         # write carrying its location ``add`` until that write returns.  A
         # concurrent publication of the same object may clear the mark
@@ -121,15 +134,27 @@ class GlobalControlStore:
         self.kv.put((_OBJ, object_id), (size, task_id))
 
     def _write(
-        self, ops: List[tuple], published: Sequence[ObjectID] = (), batched: bool = True
+        self,
+        ops: List[tuple],
+        published: Optional[Dict[ObjectID, Optional[TaskID]]] = None,
+        batched: bool = True,
     ) -> None:
         """Send ``ops`` in one :meth:`ShardedKV.batch`, or op by op with
         ``batched=False`` (the reference a batch is tested against).
-        ``published`` are the objects whose location ``add`` the ops carry:
-        hinted before the write — a reader that subscribes and *then*
-        misses the hint is guaranteed the publication has not happened yet
-        — and marked in flight until it returns."""
-        self._published_locations.update(published)
+        ``published`` maps the objects whose location ``add`` the ops carry
+        to the producer their rows name (None: no row is written, or it
+        names none): hinted before the write — a reader that subscribes
+        and *then* misses the hint is guaranteed the publication has not
+        happened yet — and marked in flight until it returns."""
+        published = published or {}
+        hints = self._published_locations
+        for object_id, producer in published.items():
+            # ``setdefault`` is atomic: a concurrent copy's publication
+            # never erases the producer an output's publication names.
+            if producer is None:
+                hints.setdefault(object_id, None)
+            else:
+                hints[object_id] = producer
         self._publishing.update(published)
         try:
             if batched:
@@ -141,21 +166,23 @@ class GlobalControlStore:
             self._publishing.difference_update(published)
 
     @staticmethod
-    def _output_ops(entries: List[tuple]) -> Tuple[List[tuple], List[ObjectID]]:
+    def _output_ops(
+        entries: List[tuple],
+    ) -> Tuple[List[tuple], Dict[ObjectID, Optional[TaskID]]]:
         """The per-output rows of ``entries`` (see :meth:`add_task_outputs`)
         — location append before metadata put, per object — and the
-        objects given a location."""
-        ops, published = [], []
+        objects given a location, with their producers."""
+        ops, published = [], {}
         for object_id, size, task_id, node_id in entries:
             if node_id is not None:
-                published.append(object_id)
+                published[object_id] = task_id
                 ops.append(("append", (_OBJ_LOC, object_id), ("add", node_id)))
             ops.append(("put", (_OBJ, object_id), (size, task_id)))
         return ops, published
 
     def add_object_location(self, object_id: ObjectID, node_id: NodeID) -> None:
         add = ("append", (_OBJ_LOC, object_id), ("add", node_id))
-        self._write([add], [object_id], batched=False)
+        self._write([add], {object_id: None}, batched=False)
 
     def remove_object_location(self, object_id: ObjectID, node_id: NodeID) -> None:
         self.kv.append((_OBJ_LOC, object_id), ("remove", node_id))
@@ -218,7 +245,8 @@ class GlobalControlStore:
         live loop writes it.  With a ``checkpoint`` blob taken at that
         counter, the checkpoint row rides along too (Figure 11b restores
         from it).  ``batched=False`` issues the same writes per-op (the
-        test reference)."""
+        test reference).  Once the write has landed, the task's returns
+        leave the in-flight producer index."""
         ops, published = self._output_ops(entries)
         row = TaskTableEntry(task_id=task_id, spec=spec, status=status, node_id=node_id)
         ops.append(("put", (_TASK, task_id), row))
@@ -229,6 +257,8 @@ class GlobalControlStore:
                 ops.append(("put", (_ACTOR_CKPT, spec.actor_id), ckpt))
         ops.extend(self._event_ops(events))
         self._write(ops, published, batched)
+        for object_id, _size, _task_id, _node_id in entries:
+            self._in_flight.pop(object_id, None)
 
     def location_in_flight(self, object_id: ObjectID) -> bool:
         """Is a write carrying a location ``add`` for ``object_id`` in
@@ -238,13 +268,30 @@ class GlobalControlStore:
         return object_id in self._publishing
 
     def has_location_hint(self, object_id: ObjectID) -> bool:
-        """Has any location for ``object_id`` ever been published through
-        this client?  ``False`` means no copy has ever existed (the object
-        may still be in production) — an in-process invariant, because all
-        location appends flow through this client.  A cheap local
-        pre-check only: when ``True``, callers still need the
-        authoritative :meth:`get_object_locations` read."""
+        """Has a location for ``object_id`` been published through this
+        client since its lineage was last deleted?  ``False`` with an
+        in-flight producer means no copy exists yet — an in-process
+        invariant, because all location appends flow through this client.
+        A cheap local pre-check only: when ``True``, callers still need
+        the authoritative :meth:`get_object_locations` read."""
         return object_id in self._published_locations
+
+    def in_flight_producer(self, object_id: ObjectID) -> Optional[TaskID]:
+        """The placed task whose finish batch, which publishes
+        ``object_id``, has not landed yet; None if there is none.  A local
+        lookup, no shard call."""
+        return self._in_flight.get(object_id)
+
+    def known_producer(self, object_id: ObjectID) -> Optional[TaskID]:
+        """The task that produces ``object_id`` when this client knows its
+        lineage is kept: in flight, or finished and published with no
+        lineage delete since.  None leaves the question to the object row.
+        Local lookups, no shard call; the in-flight index is read first,
+        because a finish hints its outputs before its write and leaves
+        the index after it."""
+        return self._in_flight.get(object_id) or self._published_locations.get(
+            object_id
+        )
 
     def get_object_locations(self, object_id: ObjectID) -> Set[NodeID]:
         locations: Set[NodeID] = set()
@@ -288,19 +335,29 @@ class GlobalControlStore:
         """Every object row as ``(object_id, (size, producing task))``."""
         return self._rows(_OBJ)
 
-    def pop_objects(
-        self, take: Callable[[ObjectID, Optional[TaskID]], bool]
-    ) -> Iterator[ObjectID]:
-        """Yield every object ``take(object_id, producing task)`` accepts,
-        deleting its metadata row and location log (one shard, one batch)
-        right after the row is read."""
-        for object_id, (_size, task_id) in self._rows(_OBJ):
-            if take(object_id, task_id):
+    def orphan_objects(
+        self, task_ids: Set[TaskID], has_copy: Callable[[ObjectID], Any]
+    ) -> int:
+        """The rows of ``task_ids`` are gone: their outputs lose their
+        lineage.  An output with no copy (``has_copy`` is falsy) loses its
+        metadata row and location log (one shard, one batch) right after
+        the row is read; one with a copy keeps them, re-rooted to name no
+        producer, like a put's, so freeing it later makes it lost.  Either
+        way its hint goes.  Returns the number of rows deleted."""
+        deleted = 0
+        for object_id, (size, task_id) in self._rows(_OBJ):
+            if task_id not in task_ids:
+                continue
+            self._published_locations.pop(object_id, None)
+            if has_copy(object_id):
+                self.kv.put((_OBJ, object_id), (size, None))
+            else:
                 self.kv.batch([
                     ("delete", (_OBJ, object_id), None),
                     ("delete", (_OBJ_LOC, object_id), None),
                 ])
-                yield object_id
+                deleted += 1
+        return deleted
 
     def delete_lineage(self, object_ids: Iterable[ObjectID]) -> None:
         """Drop the objects' metadata, location logs and producing task
@@ -308,6 +365,8 @@ class GlobalControlStore:
         ``creating_task`` read per object finds its producer."""
         ops: List[tuple] = []
         for object_id in object_ids:
+            self._in_flight.pop(object_id, None)
+            self._published_locations.pop(object_id, None)
             task_id = self.creating_task(object_id)
             ops.append(("delete", (_OBJ, object_id), None))
             ops.append(("delete", (_OBJ_LOC, object_id), None))
@@ -358,10 +417,14 @@ class GlobalControlStore:
         An actor-method spec is also appended to its actor's method log, in
         the same batch: the log shards by ``ActorID`` and the row by
         ``TaskID``, and shard groups flush concurrently, so a method
-        submission is still one round-trip.
+        submission is still one round-trip.  As with
+        :meth:`set_task_states`, the specs' returns enter the in-flight
+        producer index before the write.
         """
         ops: List[tuple] = []
         for spec in specs:
+            for object_id in spec.return_ids:
+                self._in_flight[object_id] = spec.task_id
             ops.append((
                 "put",
                 (_TASK, spec.task_id),
@@ -395,10 +458,13 @@ class GlobalControlStore:
         nothing records that a task started.  For a first submission this
         is the row's first write, and its ``task_submitted`` event leads
         ``events``.  Events are seq-stamped in list order so timeline
-        ordering holds.
+        ordering holds.  Each placed spec's returns enter the in-flight
+        producer index before the write (:meth:`in_flight_producer`).
         """
         ops: List[tuple] = []
         for spec, node_id in placements:
+            for object_id in spec.return_ids:
+                self._in_flight[object_id] = spec.task_id
             ops.append((
                 "put",
                 (_TASK, spec.task_id),

@@ -172,7 +172,11 @@ class Router:
         return self
 
     def stop(self) -> None:
-        """Idempotent: fail everything still queued and join the threads."""
+        """Idempotent: fail everything still queued and join the batcher
+        and reporter.  The waiters are not joined: one may be blocked on a
+        replica inside user code (whose loop, stale once the runtime
+        stops, never stores the batch), and it exits at its next poll
+        slice instead."""
         with self._cond:
             if self._stopped:
                 return
@@ -189,7 +193,7 @@ class Router:
             for request in batch:
                 request.future._set_error(error)
         current = threading.current_thread()
-        for thread in [self._batcher, self._reporter, *self._waiters]:
+        for thread in [self._batcher, self._reporter]:
             if thread is not None and thread is not current:
                 thread.join(timeout=2.0)
 
@@ -426,7 +430,8 @@ class Router:
         """Fetch one batch's results, polling in short slices so a replica
         whose node died *after* the batch finished (its outputs lost with
         the node's store, so no error will ever arrive) is detected by
-        state instead of wedging this waiter for the full backstop."""
+        state instead of wedging this waiter for the full backstop, and a
+        stopped router's waiter exits."""
         deadline = time.monotonic() + _GET_BACKSTOP
         while True:
             remaining = deadline - time.monotonic()
@@ -440,6 +445,10 @@ class Router:
                     ref.object_id, timeout=min(0.5, remaining)
                 )
             except GetTimeoutError:
+                if self._stopped:
+                    raise RuntimeError(
+                        f"serve router for {self.deployment_name!r} stopped"
+                    ) from None
                 state = self._runtime.actors.get_state(slot.handle.actor_id)
                 if state is None or state.dead_forever:
                     raise ActorDiedError(

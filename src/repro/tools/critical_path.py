@@ -134,8 +134,9 @@ class CriticalPathReport:
 
 
 class CriticalPath:
-    """Walks the task graph backwards from the last finish to build the
-    longest lineage-dependent chain, then attributes its time."""
+    """Walks the task graph (a view of the GCS task table, read once per
+    analysis) backwards from the last finish to build the longest
+    lineage-dependent chain, then attributes its time."""
 
     def __init__(self, runtime: "Runtime"):
         self.runtime = runtime

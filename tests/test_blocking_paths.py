@@ -207,6 +207,6 @@ class TestShutdownQuiescence:
             assert repro.get(actor.echo.remote(7)) == 7
             assert repro.get(sleepy.remote(0.0)) == 0.0
             repro.shutdown()
-        # Actor loops are joined by shutdown; idle task workers exit on
-        # its stop sentinel within the settle window.
+        # Shutdown joins nothing: interrupted actor loops and idle task
+        # workers (on its stop sentinel) exit within the settle window.
         assert settled_thread_count() <= baseline + 1

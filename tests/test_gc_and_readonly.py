@@ -1,17 +1,36 @@
 """Lineage GC (Section 7 limitation) and read-only methods (Section 5.1
 future work) — the paper's stated extensions, implemented."""
 
+import gc
 import threading
+import time
+import weakref
 
+import numpy as np
 import pytest
 
 import repro
+from repro.common.errors import ObjectLostError
 from repro.core.gc import LineageGarbageCollector, free_objects
 
 
 @repro.remote
 def step(x):
     return x + 1
+
+
+@repro.remote
+def nbytes(array):
+    return array.nbytes
+
+
+def assert_lost_at_once(ref):
+    """A ``get`` of ``ref`` raises ``ObjectLostError`` well before its
+    timeout: nothing is left that could produce the object."""
+    began = time.monotonic()
+    with pytest.raises(ObjectLostError):
+        repro.get(ref, timeout=2)
+    assert time.monotonic() - began < 0.5
 
 
 @repro.remote
@@ -49,8 +68,25 @@ class TestFree:
         ref = step.remote(1)
         repro.get(ref, timeout=10)
         repro.free(ref, delete_lineage=True)
-        with pytest.raises(repro.ReproError):
-            repro.get(ref, timeout=2)
+        assert_lost_at_once(ref)
+        assert not runtime.gcs.has_location_hint(ref.object_id)
+        assert runtime.graph.num_tasks() == runtime.gcs.num_tasks()
+
+    def test_free_with_lineage_releases_the_spec_and_its_arguments(
+        self, runtime
+    ):
+        """The GCS is lineage's only home: once the row is deleted, nothing
+        in the process pins the spec or a by-value argument."""
+        array = np.ones(1 << 17)  # 1 MiB
+        alive = weakref.ref(array)
+        ref = nbytes.remote(array)
+        del array
+        assert repro.get(ref, timeout=10) == 1 << 20
+        repro.free(ref, delete_lineage=True)
+        gc.collect()
+        assert alive() is None
+        # Every task has finished: no producer is in flight.
+        assert runtime.gcs._in_flight == {}
 
     def test_free_list(self, runtime):
         refs = [repro.put(i) for i in range(3)]
@@ -110,9 +146,9 @@ class TestLineageGC:
         assert repro.get(live, timeout=10) == 5
         assert repro.get(dead, timeout=10) == 105
 
-        gc = LineageGarbageCollector(runtime)
+        collector = LineageGarbageCollector(runtime)
         before = runtime.gcs.num_tasks()
-        removed = gc.collect([live.object_id])
+        removed = collector.collect([live.object_id])
         assert removed >= 5  # the dead chain went away
         assert runtime.gcs.num_tasks() == before - removed
 
@@ -123,11 +159,11 @@ class TestLineageGC:
     def test_collected_lineage_is_gone(self, runtime):
         ref = step.remote(7)
         assert repro.get(ref, timeout=10) == 8
-        gc = LineageGarbageCollector(runtime)
-        gc.collect([])  # nothing is live
+        LineageGarbageCollector(runtime).collect([])  # nothing is live
         repro.free(ref)
-        with pytest.raises(repro.ReproError):
-            repro.get(ref, timeout=2)
+        assert_lost_at_once(ref)
+        assert not runtime.gcs.has_location_hint(ref.object_id)
+        assert runtime.graph.num_tasks() == runtime.gcs.num_tasks()
 
     def test_inflight_tasks_never_collected(self, runtime):
         import time

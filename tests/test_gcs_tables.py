@@ -82,13 +82,16 @@ class TestObjectTable:
         """Each publication's in-flight mark is cleared when its write
         returns, however many threads publish the same objects at once: a
         mark left behind would let a fetch skip its reconstruction probe
-        for an object no write is bringing."""
+        for an object no write is bringing.  And a copy's publication never
+        erases the producer an output's publication names: losing it would
+        cost every blocking get of the object an object-row read."""
         oids = [ObjectID.from_seed(f"o{i}") for i in range(4)]
         node = NodeID.from_seed("n")
+        producer = TaskID.from_seed("producer")
 
         def publish():
             for i in range(200):
-                gcs.add_task_outputs([(oids[i % 4], 1, None, node)])
+                gcs.add_task_outputs([(oids[i % 4], 1, producer, node)])
                 gcs.add_object_location(oids[(i + 1) % 4], node)
 
         interval = sys.getswitchinterval()
@@ -103,7 +106,7 @@ class TestObjectTable:
         finally:
             sys.setswitchinterval(interval)
         assert not any(gcs.location_in_flight(oid) for oid in oids)
-        assert all(gcs.has_location_hint(oid) for oid in oids)
+        assert all(gcs.known_producer(oid) == producer for oid in oids)
 
 
 def _spec(seed):

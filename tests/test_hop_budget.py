@@ -2,8 +2,8 @@
 
 Clock-free: hop delay 0, a counting shim on ``ShardedKV`` keyed by calling
 thread, counts read at quiescence (:func:`quiesce`: ``repro.shutdown()``,
-which itself makes no GCS call, then a join of the task workers it
-stopped).  The numbers are the table in
+which itself makes no GCS call, then a join of the task workers and actor
+loops it signalled).  The numbers are the table in
 ``docs/ARCHITECTURE.md`` ("Shard calls per operation"): a change that moves
 a count must edit that table, and the failure message is the per-thread
 list of calls.
@@ -68,15 +68,17 @@ class ShardCalls:
 
 
 def quiesce():
-    """``repro.shutdown()``, then join the task workers: shutdown only posts
-    their stop sentinel, and a worker whose output a ``get`` has read may
+    """``repro.shutdown()``, then join the task workers and actor loops:
+    shutdown only signals them, and one whose output a ``get`` has read may
     still be writing its finish batch."""
     runtime = repro.api.get_runtime()
     repro.shutdown()
+    threads = [state.thread for state in runtime.actors.actors.values()]
     for node in runtime.nodes():
-        for worker in node.local_scheduler._pool_threads:
-            worker.join(10)
-            assert not worker.is_alive()
+        threads.extend(node.local_scheduler._pool_threads)
+    for thread in threads:
+        thread.join(10)
+        assert not thread.is_alive()
 
 
 def run_counted(submit, expect=7):

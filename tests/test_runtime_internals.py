@@ -128,18 +128,27 @@ class TestShutdown:
         assert runtime.gcs.get_task(spec.task_id) is None
 
     def test_shutdown_does_not_wait_for_a_task_in_user_code(self):
-        """Shutdown stops the task workers but joins none: one inside user
-        code is a daemon that exits after its task."""
+        """Shutdown signals the task workers and actor loops but joins
+        none: one inside user code is a daemon that exits after its call."""
         started = threading.Event()
+        method_started = threading.Event()
 
         @repro.remote
         def sleeper():
             started.set()
             time.sleep(60)
 
-        repro.init(num_nodes=1, num_cpus_per_node=1)
+        @repro.remote
+        class Sleeper:
+            def sleep(self):
+                method_started.set()
+                time.sleep(60)
+
+        repro.init(num_nodes=1, num_cpus_per_node=2)
         sleeper.remote()
+        Sleeper.remote().sleep.remote()
         assert started.wait(10)
+        assert method_started.wait(10)
         began = time.monotonic()
         repro.shutdown()
         assert time.monotonic() - began < 0.5

@@ -23,37 +23,30 @@ def spec(name, args=(), parent=None, actor=None, method=None, counter=-1, creati
 
 class TestDataEdges:
     def test_task_to_outputs(self):
-        graph = TaskGraph()
         s = spec("t", returns=2)
-        graph.add_task(s)
+        graph = TaskGraph([s])
         data = graph.edges(EdgeType.DATA)
         assert {e.dst for e in data} == set(s.return_ids)
 
     def test_input_to_task(self):
-        graph = TaskGraph()
         producer = spec("p")
-        graph.add_task(producer)
         consumer = spec("c", args=(ArgRef(producer.return_ids[0]),))
-        graph.add_task(consumer)
+        graph = TaskGraph([consumer, producer])
         assert graph.producer_of(producer.return_ids[0]) == producer.task_id
         assert consumer.task_id in graph.consumers_of(producer.return_ids[0])
 
     def test_replay_does_not_duplicate(self):
-        graph = TaskGraph()
         s = spec("t")
-        graph.add_task(s)
-        graph.add_task(s)
+        graph = TaskGraph([s, s])
         assert graph.num_tasks() == 1
         assert len(graph.edges()) == 1
 
 
 class TestControlEdges:
     def test_parent_to_child(self):
-        graph = TaskGraph()
         parent = spec("parent")
-        graph.add_task(parent)
         child = spec("child", parent="parent")
-        graph.add_task(child)
+        graph = TaskGraph([parent, child])
         assert graph.children_of(parent.task_id) == [child.task_id]
         kinds = {e.kind for e in graph.edges() if e.dst == child.task_id}
         assert EdgeType.CONTROL in kinds
@@ -62,13 +55,14 @@ class TestControlEdges:
 class TestStatefulEdges:
     def test_chain_in_invocation_order(self):
         """Methods on one actor form a chain of stateful edges (Fig 4)."""
-        graph = TaskGraph()
-        graph.add_task(spec("create", actor="A", creation=True))
         m_specs = [
             spec(f"m{i}", actor="A", method="m", counter=i) for i in range(3)
         ]
-        for m in m_specs:
-            graph.add_task(m)
+        # In a table scan's order, not invocation order.
+        graph = TaskGraph(
+            [m_specs[2], m_specs[0], spec("create", actor="A", creation=True),
+             m_specs[1]]
+        )
         chain = graph.stateful_chain(ActorID.from_seed("A"))
         assert chain == [m.task_id for m in m_specs]
         stateful = graph.edges(EdgeType.STATEFUL)
@@ -80,10 +74,11 @@ class TestStatefulEdges:
         )
 
     def test_separate_actors_have_separate_chains(self):
-        graph = TaskGraph()
-        graph.add_task(spec("a0", actor="A", method="m", counter=0))
-        graph.add_task(spec("b0", actor="B", method="m", counter=0))
-        graph.add_task(spec("a1", actor="A", method="m", counter=1))
+        graph = TaskGraph([
+            spec("a0", actor="A", method="m", counter=0),
+            spec("b0", actor="B", method="m", counter=0),
+            spec("a1", actor="A", method="m", counter=1),
+        ])
         chain_a = graph.stateful_chain(ActorID.from_seed("A"))
         assert len(chain_a) == 2
         assert len(graph.stateful_chain(ActorID.from_seed("B"))) == 1
@@ -91,13 +86,10 @@ class TestStatefulEdges:
 
 class TestLineageQueries:
     def test_ancestors_transitive(self):
-        graph = TaskGraph()
         t1 = spec("t1")
-        graph.add_task(t1)
         t2 = spec("t2", args=(ArgRef(t1.return_ids[0]),))
-        graph.add_task(t2)
         t3 = spec("t3", args=(ArgRef(t2.return_ids[0]),))
-        graph.add_task(t3)
+        graph = TaskGraph([t1, t2, t3])
         ancestors = graph.ancestors(t3.return_ids[0])
         assert ancestors == {t1.task_id, t2.task_id, t3.task_id}
 
@@ -106,11 +98,11 @@ class TestLineageQueries:
         assert graph.ancestors(ObjectID.from_seed("x")) == set()
 
     def test_to_dot_contains_nodes_and_styles(self):
-        graph = TaskGraph()
-        t1 = spec("t1")
-        graph.add_task(t1)
-        graph.add_task(spec("m0", actor="A", method="m", counter=0))
-        graph.add_task(spec("m1", actor="A", method="m", counter=1))
+        graph = TaskGraph([
+            spec("t1"),
+            spec("m0", actor="A", method="m", counter=0),
+            spec("m1", actor="A", method="m", counter=1),
+        ])
         dot = graph.to_dot()
         assert "digraph" in dot
         assert "style=bold" in dot  # stateful edge styling
