@@ -231,6 +231,11 @@ class ActorManager:
             instance = self._construct_instance(state, incarnation, node, interrupt)
             if instance is None:
                 return
+            if incarnation > 1:
+                # A restart reads what the last incarnation's finishes
+                # wrote (checkpoint, outputs for the read-only skip): let
+                # those still queued land.
+                runtime.flush_finishes()
             restored_counter = self._restore_checkpoint(state, instance)
             # Read the durable method log *before* taking state.cond: a
             # chain read of the log is a blocking RPC, and anything

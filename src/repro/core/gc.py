@@ -42,9 +42,12 @@ def free_objects(
     arguments, stop consuming memory).  Returns the number of store
     copies dropped.  Every copy's location retraction goes out in one GCS
     write, after the store deletes and before the one lineage delete
-    batch.
+    batch.  A lineage delete first lets every queued finish land, so no
+    finish writes a freed object's rows back.
     """
     object_ids = list(object_ids)
+    if delete_lineage:
+        runtime.flush_finishes()
     nodes = runtime.nodes()
     retractions = [
         (object_id, node.node_id)
@@ -79,8 +82,10 @@ class LineageGarbageCollector:
 
         Actor tasks are never collected here: their chain is the actor's
         recovery state for as long as the actor lives.  Returns the number
-        of task records removed.
+        of task records removed.  Queued finishes land first, so every
+        task that has run is collectable.
         """
+        self.runtime.flush_finishes()
         keep = self.live_task_closure(live_objects)
         gcs = self.runtime.gcs
 

@@ -26,9 +26,12 @@ input lands, or when resources are released, so the thread that causes
 that event takes the ready tasks that fit and hands them to workers.
 Workers are a **persistent pool** — they park on a queue between tasks,
 so a hand-off costs a queue put instead of a per-task thread spawn, and a
-worker whose own release makes a queued task runnable takes it next.  The
-row's next write is the task's finish, which also carries the
-``task_inputs_ready`` event of an input that arrived after placement.
+worker whose own release makes a queued task runnable takes it next.  A
+worker makes no GCS call: it queues its task's finish on the node's
+finish queue (``worker.FinishQueue``) and releases its resources at once,
+and the node's drain thread writes the finish behind it.  The row's next
+write is that finish, which also carries the ``task_inputs_ready`` event
+of an input that arrived after placement.
 """
 
 from __future__ import annotations

@@ -55,7 +55,7 @@ from repro.core.resources import ResourcePool, normalize_resources
 from repro.core.task_graph import TaskGraph
 from repro.core.task_spec import TaskSpec
 from repro.core.transfer import ObjectFetcher, TransferService
-from repro.core.worker import execute_task, write_finish
+from repro.core.worker import FinishQueue, execute_task, write_finish
 from repro.gcs.client import GlobalControlStore
 from repro.gcs.tables import TaskStatus
 
@@ -208,6 +208,8 @@ class Node:
             trace_events=runtime.config.trace_events_enabled,
             faults=runtime.faults,
         )
+        # Its workers' finishes, written behind them by one drain thread.
+        self.finishes = FinishQueue(runtime, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Node({self.node_id.hex()[:8]}, alive={self.alive})"
@@ -414,6 +416,13 @@ class Runtime:
         node.local_scheduler.stop()
         drained = node.local_scheduler.drain()
         running.update(node.local_scheduler.running_tasks())
+        # Finishes queued here are lost with the node, as if their workers
+        # had died mid-task: their rows stay SCHEDULED here.  Any worker
+        # that queues one later was in the late snapshot.
+        unfinished = [
+            spec for spec in node.finishes.drop() if spec.actor_id is None
+        ]
+        running.difference_update(spec.task_id for spec in unfinished)
         lost = node.store.drop_all()
         for object_id in lost:
             self.gcs.remove_object_location(object_id, node_id)
@@ -426,6 +435,8 @@ class Runtime:
         for spec in drained:
             if spec.actor_id is None:
                 self._resubmit(spec, node)
+        for spec in unfinished:
+            self._resubmit(spec, node)
         # Tasks running on the dead node are lost with it: their worker
         # threads are stranded (they exit quietly via NodeDiedError) and
         # their outputs will never materialize, so resubmit each one now.
@@ -434,9 +445,9 @@ class Runtime:
         # nothing to replay.  Actor methods are replayed separately by the
         # actor-restart path (on_node_death), which preserves the
         # stateful-edge order.  A task that already finished needs nothing
-        # here: a worker that finished on the dead node replays its own
-        # outputs (execute_task), and outputs stored before the kill were
-        # dropped above like every copy on this node.
+        # here: the drain of a finish that landed on the dead node replays
+        # its outputs (FinishQueue), and outputs stored before the kill
+        # were dropped above like every copy on this node.
         for task_id in running:
             entry = self.lookup_task(task_id)
             if (
@@ -698,10 +709,12 @@ class Runtime:
             )
         nodes = self.nodes()
         if any(node.store.contains(object_id) for node in nodes):
-            # The finish writer stores a task's outputs before it writes
+            # The finish writer stores a task's outputs before it queues
             # the terminal row: a caller may already hold the result of a
             # task whose row still reads SCHEDULED.
             return False
+        # A finish still queued decides the row: let it land.
+        self.flush_finishes()
         entry = self.gcs.get_task(task_id)
         if entry is None or entry.status in (
             TaskStatus.FINISHED,
@@ -741,6 +754,13 @@ class Runtime:
                     )
                     break
         return True
+
+    def flush_finishes(self) -> None:
+        """The finish barrier: wait until every finish queued on any node
+        so far has been written.  Bounded by hop time: a drain never waits
+        on user code."""
+        for node in self.nodes():
+            node.finishes.flush()
 
     # ------------------------------------------------------------------
     # Submission
@@ -1325,8 +1345,9 @@ class Runtime:
 
     def shutdown(self) -> None:
         """Quiesce the cluster: interrupt every actor loop, post the stop
-        sentinel to every task worker, stop the transfer threads and close
-        the GCS flusher, so repeated init/shutdown cycles in one process do
+        sentinel to every task worker, land every queued finish and stop
+        the finish drains, stop the transfer threads and close the GCS
+        flusher, so repeated init/shutdown cycles in one process do
         not accumulate daemon threads.  No actor loop or task worker is
         joined: an idle one exits when signalled, and one inside user code
         is a daemon that exits after its call, so shutdown never waits on
@@ -1346,8 +1367,15 @@ class Runtime:
         for reporter in reporters:
             reporter.stop()
         self.actors.shutdown()
-        for node in self.nodes():
+        nodes = self.nodes()
+        for node in nodes:
             node.local_scheduler.stop()
+        # What is queued lands before the store closes; each drain then
+        # exits, and a finish queued later starts one that writes it and
+        # exits.
+        self.flush_finishes()
+        for node in nodes:
+            node.finishes.stop()
         self.fetcher.close()
         if self.flusher is not None:
             self.flusher.close()

@@ -296,7 +296,7 @@ class TransferService:
             self.gcs.add_object_location(object_id, dst.node_id)
             if dst.alive and not dst.store.contains(object_id):
                 # Freed by a reader before the add landed (see
-                # ``worker.write_finish``): retract after the add.
+                # ``worker.FinishQueue``): retract after the add.
                 self.gcs.remove_object_location(object_id, dst.node_id)
         return True
 

@@ -2,10 +2,15 @@
 
 A worker executes one task at a time: it pins and deserializes the task's
 inputs from the local object store (they are guaranteed local by the local
-scheduler), runs the function, and writes outputs back to the local store,
-registering them in the GCS object table.  An actor's thread runs its
-methods through the same two stages (:func:`run_task`,
-:func:`write_finish`); only what precedes them differs.
+scheduler), runs the function, writes outputs back to the local store and
+queues the finish — the outputs' GCS object-table rows, the terminal task
+row, the ``task_finished`` event — on its node's :class:`FinishQueue`.  It
+never waits for that write: the store put has already woken every local
+reader, and the node's one ``finish-<node>`` drain thread group-commits
+whatever finishes it finds queued in one GCS batch, which publishes the
+locations remote readers wait on.  An actor's thread runs its methods
+through the same two stages (:func:`run_task`, :func:`write_finish`); only
+what precedes them differs.
 
 Error semantics follow Ray: an exception raised by a task is captured as a
 :class:`TaskExecutionError` stored *in place of* the return value; every
@@ -15,17 +20,24 @@ propagates the error instead of running.
 
 from __future__ import annotations
 
+import threading
 import time
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
+    Tuple,
+)
 
 from repro.common.errors import (
     NodeDiedError,
     TaskCancelledError,
     TaskExecutionError,
 )
+from repro.common.events import BACKSTOP_INTERVAL
+from repro.common.lockwatch import make_condition, make_thread
 from repro.common.serialization import serialize
 from repro.core import context
 from repro.core.task_spec import ArgRef, TaskSpec
+from repro.gcs.client import Finish
 from repro.gcs.tables import TaskStatus
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -128,8 +140,8 @@ def store_outputs(node: "Node", spec: TaskSpec, values: List[Any]) -> list:
     """Write outputs to the local store and return their GCS object-table
     rows ``(object_id, size, task_id, node_id_or_None)`` — ``None`` when the
     store put failed and there is no location to publish.  :func:`write_finish`
-    folds the rows into the task's single finish-time batch
-    (``GlobalControlStore.finish_task``), location before metadata.
+    queues them in the task's finish, which its node's drain writes
+    (``GlobalControlStore.finish_tasks``), location before metadata.
     """
     entries = []
     for object_id, value in zip(spec.return_ids, values):
@@ -242,6 +254,168 @@ def run_task(
             node.store.unpin(dep)
 
 
+#: Marks the finish drain threads (see :meth:`FinishQueue.flush`).
+_on_drain = threading.local()
+
+
+class PendingFinish(NamedTuple):
+    """A finish on its node's queue: its GCS writes, and whether the drain
+    replays its outputs should the node be dead once they land (an
+    execution's finish, not an error value's)."""
+
+    finish: Finish
+    replay_on_death: bool
+
+
+class FinishQueue:
+    """One node's finishes, group-committed behind its workers.
+
+    A worker stores its outputs, puts the finish here and takes its next
+    task at once: local readers wake on the store put and remote ones on
+    the location publication, so none needs the worker to wait.  One
+    ``finish-<node>`` drain thread, started at the node's first finish,
+    takes every queued finish each time it wakes and writes them all in
+    one :meth:`GlobalControlStore.finish_tasks` batch (one round trip per
+    shard it touches), then runs the post-write steps.  It holds no lock
+    across the write.
+
+    Barriers: :meth:`flush` waits until everything queued so far is
+    written (bounded by hop time: the drain never waits on user code);
+    :meth:`drop` (node death) empties the queue for good and returns the
+    specs, whose rows stay SCHEDULED on the dead node.  A failed batch is
+    counted and logged, and the drain carries on."""
+
+    def __init__(self, runtime: "Runtime", node: "Node"):
+        self._runtime = runtime
+        self._node = node
+        node_hex = node.node_id.hex()
+        self._thread_name = f"finish-{node_hex[:6]}"
+        self._cond = make_condition("FinishQueue._cond")
+        self._queued: List[PendingFinish] = []
+        self._thread: Optional[threading.Thread] = None
+        self._put_count = 0  # finishes ever queued
+        self._done_count = 0  # of those, written, failed or dropped
+        self._dropped = False
+        self._stopped = False
+        self._m_errors = runtime.metrics.counter(
+            "finish_drain_errors_total",
+            "Finish batches the drain failed to write",
+            node=node_hex[:8],
+        )
+
+    def put(self, pending: PendingFinish) -> None:
+        """Queue one finish; a dropped (dead) queue discards it, because
+        ``kill_node`` resubmits every task still running there."""
+        with self._cond:
+            if self._dropped:
+                return
+            self._queued.append(pending)
+            self._put_count += 1
+            thread = None
+            if self._thread is None:
+                thread = self._thread = make_thread(
+                    self._drain, name=self._thread_name
+                )
+            self._cond.notify()
+        if thread is not None:
+            thread.start()
+
+    def flush(self) -> None:
+        """Wait until every finish queued before this call is written.  A
+        no-op on a drain thread: a drain that waited on another could wait
+        on one waiting on it."""
+        if getattr(_on_drain, "active", False):
+            return
+        with self._cond:
+            target = self._put_count
+            while self._done_count < target:
+                self._cond.wait(BACKSTOP_INTERVAL)
+
+    def drop(self) -> List[TaskSpec]:
+        """The node died: discard its queued finishes, and every later
+        one, and return their specs."""
+        with self._cond:
+            self._dropped = True
+            dropped, self._queued = self._queued, []
+            self._done_count += len(dropped)
+            self._cond.notify_all()
+        return [pending.finish.spec for pending in dropped]
+
+    def stop(self) -> None:
+        """Let the drain exit once the queue is empty; a later finish
+        starts a drain that writes it and exits."""
+        with self._cond:
+            self._stopped = True
+            self._cond.notify_all()
+
+    def _drain(self) -> None:
+        _on_drain.active = True
+        while self._drain_once():
+            pass
+
+    def _drain_once(self) -> bool:
+        """Write every queued finish in one batch; False when the queue is
+        empty and stopped.  A batch lives only in this frame, so a drain
+        idle on the queue pins no spec (nor its by-value arguments)."""
+        with self._cond:
+            while not self._queued and not self._stopped:
+                self._cond.wait(BACKSTOP_INTERVAL)
+            if not self._queued:
+                self._thread = None
+                return False
+            batch, self._queued = self._queued, []
+        try:
+            self._write(batch)
+        finally:
+            with self._cond:
+                self._done_count += len(batch)
+                self._cond.notify_all()
+        return True
+
+    def _write(self, batch: List[PendingFinish]) -> None:
+        runtime, node = self._runtime, self._node
+        gcs = runtime.gcs
+        try:
+            gcs.finish_tasks([pending.finish for pending in batch])
+            if node.alive:
+                # A reader may get an output from the store and free it
+                # before this batch lands, so its retraction can precede
+                # the add: retract again.
+                gcs.remove_object_locations([
+                    (object_id, node_id)
+                    for pending in batch
+                    for object_id, _size, _task_id, node_id in pending.finish.entries
+                    if node_id is not None and not node.store.contains(object_id)
+                ])
+            for pending in batch:
+                spec = pending.finish.spec
+                runtime.reconstruction.task_finished(spec.task_id)
+                if pending.replay_on_death and not node.alive:
+                    # The node died under this attempt, which may have run
+                    # entirely between kill_node's running-set snapshots
+                    # and whose finish may have published a copy after
+                    # kill_node retracted the node's: retract it and
+                    # replay the outputs.
+                    gcs.remove_object_locations(
+                        [(object_id, node.node_id) for object_id in spec.return_ids]
+                    )
+                    for object_id in spec.return_ids:
+                        runtime.reconstruction.maybe_reconstruct(object_id)
+        except Exception as exc:  # noqa: BLE001 - a dead drain strands every later finish
+            # A batch that did not land leaves its rows SCHEDULED, as a
+            # worker that died mid-task would; the drain carries on.
+            self._m_errors.inc()
+            try:
+                gcs.record_event(
+                    "finish_write_failed",
+                    node=node.node_id.hex()[:8],
+                    tasks=[p.finish.task_id.short() for p in batch],
+                    error=repr(exc),
+                )
+            except Exception:  # noqa: RT-EXCEPT-SWALLOW
+                pass  # the counter has recorded the failure
+
+
 def write_finish(
     runtime: "Runtime",
     node: "Node",
@@ -250,21 +424,26 @@ def write_finish(
     values: List[Any],
     started: float,
     lifecycle: Sequence[Tuple[str, Dict[str, Any]]] = (),
+    replay_on_death: bool = False,
     **actor_rows: Any,
 ) -> None:
     """The one finish writer: store ``values`` as ``spec``'s outputs on
-    ``node`` and publish them, the terminal task row and the
-    ``task_finished`` event in a single GCS batch.  Used for specs that
-    ran (``run_task``'s verdict, or an actor's constructor), and for specs
-    that never will (an error value, ``started`` = now).  The task is then
-    no longer in flight for reconstruction.
+    ``node``, then queue the finish — the outputs' publication, the
+    terminal task row and the ``task_finished`` event — on the node's
+    :class:`FinishQueue` and return.  Used for specs that ran
+    (``run_task``'s verdict, or an actor's constructor), and for specs that
+    never will (an error value, ``started`` = now).  The task leaves the
+    in-flight producer index and reconstruction's in-flight set when its
+    finish lands.
 
     Nothing writes a row between placement and finish, so the
     ``lifecycle`` events not yet written ride the same batch with their own
     times: a queued task's ``task_inputs_ready``, an actor method's
     ``task_scheduled`` and ``task_inputs_ready``.  A method also passes its
     ``actor_rows`` (``progress``, ``checkpoint``: see
-    ``GlobalControlStore.finish_task``) to ride the same batch."""
+    ``GlobalControlStore.finish_tasks``); the node's queue is FIFO, so an
+    actor's rows land in method order.  ``replay_on_death``: see
+    :class:`PendingFinish`."""
     entries = store_outputs(node, spec, values)
     duration = time.perf_counter() - started
     finished = dict(
@@ -276,26 +455,20 @@ def write_finish(
         status=status.value,
         kind=spec.kind,
     )
-    runtime.gcs.finish_task(
-        spec.task_id,
-        status,
-        node.node_id,
-        entries,
-        events=[*lifecycle, ("task_finished", finished)],
-        spec=spec,
-        **actor_rows,
-    )
-    if node.alive:
-        # A reader may get an output from the store and free it before this
-        # batch lands, so its retraction can precede the add: retract again.
-        runtime.gcs.remove_object_locations([
-            (object_id, node_id)
-            for object_id, _size, _task_id, node_id in entries
-            if node_id is not None and not node.store.contains(object_id)
-        ])
+    node.finishes.put(PendingFinish(
+        Finish(
+            spec.task_id,
+            status,
+            node.node_id,
+            entries,
+            [*lifecycle, ("task_finished", finished)],
+            spec,
+            **actor_rows,
+        ),
+        replay_on_death,
+    ))
     runtime.report_task_duration(duration)
     runtime.discard_cancellation_event(spec.task_id)
-    runtime.reconstruction.task_finished(spec.task_id)
 
 
 def execute_task(
@@ -330,16 +503,8 @@ def execute_task(
         # outputs and the finish-state write.  Exit without recording
         # anything for this stranded attempt.
         return
-    write_finish(runtime, node, spec, status, values, started, lifecycle)
-    if not node.alive:
-        # The node died under this attempt, which may have run entirely
-        # between kill_node's running-set snapshots, and this finish may
-        # have published a copy after kill_node retracted the node's:
-        # retract it and replay the outputs.
-        runtime.gcs.remove_object_locations(
-            [(object_id, node.node_id) for object_id in spec.return_ids]
-        )
-        for object_id in spec.return_ids:
-            runtime.reconstruction.maybe_reconstruct(object_id)
+    write_finish(
+        runtime, node, spec, status, values, started, lifecycle, replay_on_death=True
+    )
     if replay:
         runtime.clear_replay_hint(spec.task_id)

@@ -15,7 +15,8 @@ import itertools
 import threading
 import time
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple,
+    Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Set,
+    Tuple,
 )
 
 from repro.common.lockwatch import make_rlock
@@ -43,6 +44,21 @@ _NODE_REPORT = "node_report"  # per-node reporter snapshot rows
 _DEPLOYMENT = "deployment"  # serve: current row per deployment name
 _DEPLOYMENT_LOG = "deployment_log"  # serve: append-only version history
 _SERVE_REPORT = "serve_report"  # serve: per-deployment router metrics row
+
+
+class Finish(NamedTuple):
+    """Every GCS write of one task finish (see
+    :meth:`GlobalControlStore.finish_tasks`)."""
+
+    task_id: TaskID
+    status: TaskStatus
+    node_id: NodeID
+    #: ``(object_id, size, task_id, node_id_or_None)`` per output.
+    entries: List[Tuple[ObjectID, int, Optional[TaskID], Optional[NodeID]]]
+    events: Optional[List[Tuple[str, Dict[str, Any]]]]
+    spec: Any
+    progress: Optional[Tuple[int, int]] = None
+    checkpoint: Any = None
 
 
 class GlobalControlStore:
@@ -232,33 +248,56 @@ class GlobalControlStore:
         progress: Optional[Tuple[int, int]] = None,
         checkpoint: Any = None,
     ) -> None:
-        """Coalesce *every* GCS write of one task finish into batched shard
-        writes: the per-output rows (as in :meth:`add_task_outputs`), the
-        terminal task row, and the ``events`` (``task_finished`` last).
-        Output rows precede the task row, so a reader that observes
-        ``FINISHED`` can already see the outputs' metadata.  The row is
-        rebuilt from the caller's ``spec`` (the finisher holds it), so a
-        finish reads nothing.
+        """One task's finish: :meth:`finish_tasks` of one."""
+        self.finish_tasks(
+            [Finish(task_id, status, node_id, entries, events, spec, progress, checkpoint)],
+            batched,
+        )
+
+    def finish_tasks(self, finishes: List["Finish"], batched: bool = True) -> None:
+        """Coalesce *every* GCS write of many task finishes into one
+        :meth:`ShardedKV.batch` (a node's finish drain commits its queue
+        this way): per finish, the per-output rows (as in
+        :meth:`add_task_outputs`), the terminal task row, and the
+        ``events`` (``task_finished`` last), in queue order.  Output rows
+        precede their task row, so a reader that observes ``FINISHED`` can
+        already see the outputs' metadata.  Each row is rebuilt from the
+        finisher's ``spec``, so a finish reads nothing.
 
         An actor method's finish also carries its actor's ``progress`` row,
         ``(incarnation, methods executed)``: a blind put, because only the
         live loop writes it.  With a ``checkpoint`` blob taken at that
         counter, the checkpoint row rides along too (Figure 11b restores
         from it).  ``batched=False`` issues the same writes per-op (the
-        test reference).  Once the write has landed, the task's returns
+        test reference).  Once the write has landed, the tasks' returns
         leave the in-flight producer index."""
-        ops, published = self._output_ops(entries)
-        row = TaskTableEntry(task_id=task_id, spec=spec, status=status, node_id=node_id)
-        ops.append(("put", (_TASK, task_id), row))
-        if progress is not None:
-            ops.append(("put", (_ACTOR_PROGRESS, spec.actor_id), progress))
-            if checkpoint is not None:
-                ckpt = (progress[1], checkpoint)
-                ops.append(("put", (_ACTOR_CKPT, spec.actor_id), ckpt))
-        ops.extend(self._event_ops(events))
+        ops: List[tuple] = []
+        published: Dict[ObjectID, Optional[TaskID]] = {}
+        for finish in finishes:
+            output_ops, output_published = self._output_ops(finish.entries)
+            ops.extend(output_ops)
+            published.update(output_published)
+            spec = finish.spec
+            ops.append((
+                "put",
+                (_TASK, finish.task_id),
+                TaskTableEntry(
+                    task_id=finish.task_id,
+                    spec=spec,
+                    status=finish.status,
+                    node_id=finish.node_id,
+                ),
+            ))
+            if finish.progress is not None:
+                ops.append(("put", (_ACTOR_PROGRESS, spec.actor_id), finish.progress))
+                if finish.checkpoint is not None:
+                    ckpt = (finish.progress[1], finish.checkpoint)
+                    ops.append(("put", (_ACTOR_CKPT, spec.actor_id), ckpt))
+            ops.extend(self._event_ops(finish.events))
         self._write(ops, published, batched)
-        for object_id, _size, _task_id, _node_id in entries:
-            self._in_flight.pop(object_id, None)
+        for finish in finishes:
+            for object_id, _size, _task_id, _node_id in finish.entries:
+                self._in_flight.pop(object_id, None)
 
     def location_in_flight(self, object_id: ObjectID) -> bool:
         """Is a write carrying a location ``add`` for ``object_id`` in
@@ -362,16 +401,38 @@ class GlobalControlStore:
     def delete_lineage(self, object_ids: Iterable[ObjectID]) -> None:
         """Drop the objects' metadata, location logs and producing task
         rows in one delete batch: the objects become unrecoverable.  One
-        ``creating_task`` read per object finds its producer."""
+        ``creating_task`` read per object finds its producer.
+
+        The producer's other returns lose their lineage with it.  They are
+        found locally, as ``ObjectID.for_task_return(producer, i)`` whose
+        hint names that producer, and each loses its hint and its row in
+        the same batch but keeps its location log: like a put with no
+        row, it is readable while a copy lives and lost once freed."""
+        freed = list(object_ids)
+        gone = set(freed)
+        hints = self._published_locations
         ops: List[tuple] = []
-        for object_id in object_ids:
+        producers: List[TaskID] = []
+        for object_id in freed:
             self._in_flight.pop(object_id, None)
-            self._published_locations.pop(object_id, None)
+            hints.pop(object_id, None)
             task_id = self.creating_task(object_id)
             ops.append(("delete", (_OBJ, object_id), None))
             ops.append(("delete", (_OBJ_LOC, object_id), None))
             if task_id is not None:
+                producers.append(task_id)
                 ops.append(("delete", (_TASK, task_id), None))
+        for task_id in producers:
+            for index in itertools.count():
+                sibling = ObjectID.for_task_return(task_id, index)
+                if sibling in gone:
+                    continue
+                if task_id not in (hints.get(sibling), self._in_flight.get(sibling)):
+                    break
+                gone.add(sibling)
+                hints.pop(sibling, None)
+                self._in_flight.pop(sibling, None)
+                ops.append(("delete", (_OBJ, sibling), None))
         if ops:
             self.kv.batch(ops)
 
@@ -384,7 +445,7 @@ class GlobalControlStore:
         table already holds one, and return whichever row it holds: a
         re-placement that landed first keeps its row.  Every other row is
         written blind, by a placement (:meth:`set_task_states`,
-        :meth:`add_tasks`) or a finish (:meth:`finish_task`)."""
+        :meth:`add_tasks`) or a finish (:meth:`finish_tasks`)."""
         existing = self.kv.get((_TASK, entry.task_id))
         if existing is not None:
             return existing
@@ -404,7 +465,7 @@ class GlobalControlStore:
         actor's and whose queue is the actor's mailbox (a stateless task's
         first row is written by its placement, :meth:`set_task_states`).
 
-        The submit-side mirror of :meth:`finish_task`: one
+        The submit-side mirror of :meth:`finish_tasks`: one
         :meth:`ShardedKV.batch` call groups every row into one chain write
         per shard instead of one round-trip per task, and the submit events
         ride in the same batch.  Events are seq-stamped here in submission
@@ -450,7 +511,7 @@ class GlobalControlStore:
         SCHEDULED on the node that now holds the task — plus trace events
         in one coalesced shard write.
 
-        The scheduler-side mirror of :meth:`finish_task`: a placement
+        The scheduler-side mirror of :meth:`finish_tasks`: a placement
         already holds the specs, so the rows are rebuilt directly — no
         per-row read-modify-write round-trip — and every row plus the
         batch's ``task_scheduled``/``task_inputs_ready`` events collapse
@@ -547,7 +608,7 @@ class GlobalControlStore:
 
     def get_actor_progress(self, actor_id: ActorID) -> Optional[Tuple[int, int]]:
         """``(incarnation, methods executed)`` as of the actor's last
-        finished method (see :meth:`finish_task`), or None before it."""
+        finished method (see :meth:`finish_tasks`), or None before it."""
         return self.kv.get((_ACTOR_PROGRESS, actor_id))
 
     # ------------------------------------------------------------------

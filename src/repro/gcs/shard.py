@@ -89,9 +89,10 @@ class ShardedKV:
         # Flushes one batch's per-shard groups concurrently when chain
         # hops cost real time (threads are spawned lazily on first use and
         # reused, so batches in the free-hop regime never pay for them).
-        # Sized for concurrent *issuers* (many workers finish tasks at
-        # once), not for shard count — an undersized pool makes callers
-        # queue behind each other's round-trips.
+        # Sized for concurrent *issuers* (every node's finish drain, the
+        # placing threads and the transfer threads write at once), not for
+        # shard count — an undersized pool makes callers queue behind each
+        # other's round-trips.
         self._flush_pool = ThreadPoolExecutor(
             max_workers=max(16, 2 * num_shards),
             thread_name_prefix="gcs-batch-flush",

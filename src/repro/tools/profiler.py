@@ -41,6 +41,8 @@ class Profiler:
         self.runtime = runtime
 
     def profiles(self) -> Dict[str, FunctionProfile]:
+        # Every task that has returned is in the log read below.
+        self.runtime.flush_finishes()
         out: Dict[str, FunctionProfile] = {}
         for record in self.runtime.gcs.events("task_finished"):
             payload = record.as_dict()

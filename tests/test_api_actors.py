@@ -142,6 +142,7 @@ class TestActorKill:
         late = gate.work.remote(False)  # submitted to an already-dead actor
         release.set()
         runtime.actors.get_state(gate.actor_id).thread.join(10)  # quiescence
+        runtime.flush_finishes()  # every queued finish has landed
 
         refs = [done, running, *queued, late]
         finished = Tally(

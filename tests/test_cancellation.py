@@ -65,18 +65,18 @@ def test_cancel_is_idempotent_and_false_after_finish(runtime):
 
 
 def test_cancel_is_false_once_the_result_is_held(runtime, monkeypatch):
-    """The finish writer stores the outputs before it writes the FINISHED
-    row; a ``get`` can return inside that window, and a ``cancel`` made
-    there has nothing to stop either."""
-    real = runtime.gcs.finish_task
+    """The finish writer stores the outputs before its drain writes the
+    FINISHED row; a ``get`` can return inside that window, and a ``cancel``
+    made there has nothing to stop either."""
+    real = runtime.gcs.finish_tasks
     holding, release = threading.Event(), threading.Event()
 
-    def held_finish_task(*args, **kwargs):
+    def held_finish_tasks(*args, **kwargs):
         holding.set()
         assert release.wait(30)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(runtime.gcs, "finish_task", held_finish_task)
+    monkeypatch.setattr(runtime.gcs, "finish_tasks", held_finish_tasks)
     ref = quick.remote(5)
     assert repro.get(ref, timeout=10) == 10
     assert holding.wait(10)

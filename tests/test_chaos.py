@@ -100,6 +100,7 @@ def test_workload_survives_gcs_member_failure():
             shard.kill_member(0)
         second = repro.get([grow.remote([], 10 + i) for i in range(8)], timeout=30)
         assert second == [[10 + i] for i in range(8)]
+        rt.flush_finishes()  # the finishes, behind the get, write every shard
         for shard in rt.gcs.kv.shards:
             assert shard.chain_length() == 1  # reconfigured, still serving
             shard.add_member()  # restore replication

@@ -184,6 +184,7 @@ class TestActorReconstruction:
         actor = Accumulator.options(checkpoint_interval=5).remote()
         refs = [actor.add.remote(1) for _ in range(12)]
         assert repro.get(refs[-1], timeout=20) == 12
+        runtime.flush_finishes()  # the checkpoint at 10 is durable
         state = runtime.actors.get_state(actor.actor_id)
         runtime.kill_node(state.node.node_id)
         assert repro.get(actor.add.remote(1), timeout=30) == 13
@@ -466,14 +467,14 @@ class TestFinishedBetweenKillSnapshots:
 
         monkeypatch.setattr(victim.local_scheduler, "stop", held_stop)
         finished = threading.Event()
-        finish_task = runtime.gcs.finish_task
+        finish_tasks = runtime.gcs.finish_tasks
 
-        def watched_finish_task(task_id, *args, **kwargs):
-            finish_task(task_id, *args, **kwargs)
-            if task_id == second_id:
+        def watched_finish_tasks(finishes, *args, **kwargs):
+            finish_tasks(finishes, *args, **kwargs)
+            if any(finish.task_id == second_id for finish in finishes):
                 finished.set()
 
-        monkeypatch.setattr(runtime.gcs, "finish_task", watched_finish_task)
+        monkeypatch.setattr(runtime.gcs, "finish_tasks", watched_finish_tasks)
         killer = threading.Thread(target=runtime.kill_node, args=(victim.node_id,))
         killer.start()
         assert stopping.wait(10)
@@ -514,6 +515,7 @@ class TestKillWithNoSurvivorThatFits:
             with pytest.raises(repro.TaskExecutionError) as info:
                 repro.get(ref, timeout=10)
             assert isinstance(info.value.cause, ResourceRequestError)
+            runtime.flush_finishes()  # the finish lands behind the get
             row = runtime.gcs.get_task(runtime.graph.producer_of(ref.object_id))
             assert row.status == TaskStatus.FAILED
         gate.set()  # let the stranded attempt exit

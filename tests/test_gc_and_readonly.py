@@ -19,6 +19,11 @@ def step(x):
     return x + 1
 
 
+@repro.remote(num_returns=2)
+def pair(x):
+    return x, x + 1
+
+
 @repro.remote
 def nbytes(array):
     return array.nbytes
@@ -72,6 +77,25 @@ class TestFree:
         assert not runtime.gcs.has_location_hint(ref.object_id)
         assert runtime.graph.num_tasks() == runtime.gcs.num_tasks()
 
+    @pytest.mark.parametrize("lineage_first", [True, False])
+    def test_free_with_lineage_takes_the_sibling_returns_lineage(
+        self, runtime, lineage_first
+    ):
+        """The producer's other returns lose their lineage with its row:
+        readable while a copy lives, lost at once when freed, in either
+        order."""
+        a, b = pair.remote(3)
+        assert repro.get([a, b], timeout=10) == [3, 4]
+        if lineage_first:
+            repro.free([a], delete_lineage=True)
+            assert repro.get(b, timeout=10) == 4  # its copy still lives
+            repro.free([b])
+        else:
+            repro.free([b])
+            repro.free([a], delete_lineage=True)
+        assert_lost_at_once(a)
+        assert_lost_at_once(b)
+
     def test_free_with_lineage_releases_the_spec_and_its_arguments(
         self, runtime
     ):
@@ -97,21 +121,22 @@ class TestFree:
     ):
         """A reader can get an output from the store and free it before the
         finish batch that publishes its location lands: the retraction then
-        precedes the add, and the finish must retract again."""
-        finish_task = runtime.gcs.finish_task
+        precedes the add, and the drain must retract again."""
+        finish_tasks = runtime.gcs.finish_tasks
         task_finished = runtime.reconstruction.task_finished
         freed, done = [], threading.Event()
 
-        def free_first(task_id, status, node_id, entries, *args, **kwargs):
-            freed.extend(entry[0] for entry in entries)
+        def free_first(finishes, *args, **kwargs):
+            for finish in finishes:
+                freed.extend(entry[0] for entry in finish.entries)
             free_objects(runtime, freed)
-            finish_task(task_id, status, node_id, entries, *args, **kwargs)
+            finish_tasks(finishes, *args, **kwargs)
 
         def finished(task_id):
             task_finished(task_id)
             done.set()
 
-        monkeypatch.setattr(runtime.gcs, "finish_task", free_first)
+        monkeypatch.setattr(runtime.gcs, "finish_tasks", free_first)
         monkeypatch.setattr(runtime.reconstruction, "task_finished", finished)
         step.remote(1)
         assert done.wait(10)

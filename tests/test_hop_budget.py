@@ -3,10 +3,15 @@
 Clock-free: hop delay 0, a counting shim on ``ShardedKV`` keyed by calling
 thread, counts read at quiescence (:func:`quiesce`: ``repro.shutdown()``,
 which itself makes no GCS call, then a join of the task workers and actor
-loops it signalled).  The numbers are the table in
+loops it signalled, then the finish barrier).  The numbers are the table in
 ``docs/ARCHITECTURE.md`` ("Shard calls per operation"): a change that moves
 a count must edit that table, and the failure message is the per-thread
 list of calls.
+
+Finishes are written behind the workers: a task worker makes no shard call,
+an actor thread writes no task row, and every finish lands in a group
+commit on its node's ``finish-<node>`` drain thread, one batch per drain
+wake-up, so a wave of n finishes takes 1 to n batches.
 """
 
 import threading
@@ -34,22 +39,31 @@ class Echo:
 
 class ShardCalls:
     """Records every ``ShardedKV.get/put/append/batch/log`` call made after
-    construction as ``(thread, op, tables)``."""
+    construction as ``(thread, op, tables)``, and the thread of every batch
+    that writes a terminal task row (a finish) in ``finishers``."""
 
     OPS = ("get", "put", "append", "batch", "log")
 
     def __init__(self, kv):
         self.calls = []
+        self.finishers = []
         for op in self.OPS:
             setattr(kv, op, self._counted(op, getattr(kv, op)))
 
     def _counted(self, op, original):
         def call(first, *rest):
+            thread = threading.current_thread().name
             if op == "batch":
                 what = tuple((o, key[0]) for o, key, _value in first)
+                if any(
+                    o == "put" and key[0] == "task"
+                    and value.status is not TaskStatus.SCHEDULED
+                    for o, key, value in first
+                ):
+                    self.finishers.append(thread)
             else:
                 what = first[0]
-            self.calls.append((threading.current_thread().name, op, what))
+            self.calls.append((thread, op, what))
             return original(first, *rest)
 
         return call
@@ -68,9 +82,9 @@ class ShardCalls:
 
 
 def quiesce():
-    """``repro.shutdown()``, then join the task workers and actor loops:
-    shutdown only signals them, and one whose output a ``get`` has read may
-    still be writing its finish batch."""
+    """``repro.shutdown()``, join the task workers and actor loops, then
+    land every queued finish: shutdown only signals them, and one whose
+    output a ``get`` has read may still be queueing its finish."""
     runtime = repro.api.get_runtime()
     repro.shutdown()
     threads = [state.thread for state in runtime.actors.actors.values()]
@@ -79,6 +93,34 @@ def quiesce():
     for thread in threads:
         thread.join(10)
         assert not thread.is_alive()
+    runtime.flush_finishes()
+
+
+def assert_finishes_behind(calls):
+    """No task worker makes a shard call, and every finish is written by a
+    finish drain: none by an actor thread."""
+    for thread, _op, _what in calls.calls:
+        assert not thread.startswith("worker-"), calls.describe()
+    for thread in calls.finishers:
+        assert thread.startswith("finish-"), calls.describe()
+
+
+def finish_batches(calls):
+    """The op lists of the finish drains' batches, in order."""
+    return [
+        what for thread, op, what in calls.calls
+        if thread.startswith("finish-") and op == "batch"
+    ]
+
+
+def assert_wave(calls, *finishes):
+    """The drains wrote exactly ``finishes`` (each a finish batch's ops),
+    in 1 to ``len(finishes)`` batches."""
+    batches = finish_batches(calls)
+    assert 1 <= len(batches) <= len(finishes), calls.describe()
+    assert Tally(op for batch in batches for op in batch) == Tally(
+        op for finish in finishes for op in finish
+    ), calls.describe()
 
 
 def run_counted(submit, expect=7):
@@ -88,7 +130,12 @@ def run_counted(submit, expect=7):
     assert repro.get(submit(), timeout=10) == expect
     caller = list(calls.by_thread().get(threading.current_thread().name, ()))
     quiesce()
+    assert_finishes_behind(calls)
     return caller, calls
+
+
+# A finish batch: the output's location and metadata, then the row.
+FINISH = (("append", "object_loc"), ("put", "object"), ("put", "task"))
 
 
 def hand_off_threads(scheduler):
@@ -120,10 +167,12 @@ def test_task_on_idle_node_costs_one_blocking_call_two_in_all():
     assert (len(caller), len(calls.calls)) == (1, 2), calls.describe()
     # The placement write is the row's first: SCHEDULED + task_submitted
     # + task_scheduled + task_inputs_ready.  The placement hands the task
-    # to a worker, whose finish batch is the row's next write.
+    # to a worker, whose finish, written by the node's drain, is the row's
+    # next write.
     assert caller == [
         ("batch", (("put", "task"),) + (("append", "event"),) * 3)
     ], calls.describe()
+    assert finish_batches(calls) == [FINISH + (("append", "event"),)]
 
 
 def test_submit_many_costs_one_blocking_call_plus_one_per_task():
@@ -133,51 +182,92 @@ def test_submit_many_costs_one_blocking_call_plus_one_per_task():
         lambda: echo.submit_many([(i,) for i in range(8)]), list(range(8))
     )
     # place_many's SCHEDULED batch (rows + every event) on the caller, then
-    # a finish batch per task.  Dispatch writes nothing.
-    assert (len(caller), len(calls.calls)) == (1, 1 + 8), calls.describe()
+    # the eight finishes in 1 to 8 drain batches.  Dispatch writes nothing.
     assert [op for op, _ in caller] == ["batch"], calls.describe()
     assert_row_first(caller, calls)
+    assert_wave(calls, *[FINISH + (("append", "event"),)] * 8)
+    assert len(calls.calls) == 1 + len(finish_batches(calls)), calls.describe()
+
+
+def test_a_held_drain_commits_a_whole_wave_in_one_batch():
+    runtime = repro.init(num_nodes=1, num_cpus_per_node=8)
+    runtime.ensure_function_registered(echo._function_id, echo._func)
+    finishes = runtime.driver_node.finishes
+    finish_tasks = runtime.gcs.finish_tasks
+    holding, release = threading.Event(), threading.Event()
+
+    def held_first(batch, *args, **kwargs):
+        if not holding.is_set():
+            holding.set()
+            assert release.wait(10)
+        return finish_tasks(batch, *args, **kwargs)
+
+    runtime.gcs.finish_tasks = held_first
+    assert repro.get(echo.remote(-1), timeout=10) == -1
+    assert holding.wait(10)  # the drain is inside its first write
+    queued, wave_queued = [], threading.Event()
+    put = finishes.put
+
+    def counted(pending):
+        put(pending)
+        queued.append(pending)
+        if len(queued) == 8:
+            wave_queued.set()
+
+    finishes.put = counted
+    calls = ShardCalls(runtime.gcs.kv)
+    # The get returns on the store puts, while the drain is held.
+    assert repro.get(echo.submit_many([(i,) for i in range(8)]), timeout=10) == (
+        list(range(8))
+    )
+    assert wave_queued.wait(10)
+    release.set()
+    quiesce()
+    assert_finishes_behind(calls)
+    # The held batch, then the whole wave in one group commit.
+    held, wave = finish_batches(calls)
+    assert held == FINISH + (("append", "event"),), calls.describe()
+    assert wave == (FINISH + (("append", "event"),)) * 8, calls.describe()
 
 
 def method_calls(actor_class):
     """Shard calls of ``get(actor.echo.remote(7))``, split into the
-    caller's and the actor thread's."""
+    caller's and the finish drain's."""
     runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
     actor = actor_class.remote()
-    # ``ready`` is set after the loop's last start-up write.
+    # ``ready`` is set after the loop's last start-up write, and the
+    # creation's finish lands behind it.
     assert runtime.actors.get_state(actor.actor_id).ready.wait(10)
+    runtime.flush_finishes()
     caller, calls = run_counted(lambda: actor.echo.remote(7))
     # The caller's one call holds everything a restart or a reader needs.
     assert caller == [
         ("batch", (("put", "task"), ("append", "actor_log"), ("append", "event")))
     ], calls.describe()
-    (actor_thread,) = [
-        c for t, c in calls.by_thread().items() if t.startswith("actor-")
+    (drain,) = [
+        c for t, c in calls.by_thread().items() if t.startswith("finish-")
     ]
-    return actor_thread, calls
+    return drain, calls
 
 
-# A finish batch: the output's location and metadata, then the row.
-FINISH = (("append", "object_loc"), ("put", "object"), ("put", "task"))
-
-# The method's one background write: outputs, FINISHED row, the actor's
-# progress row (a blind put), and task_scheduled + task_inputs_ready +
-# task_finished.  No start write: the row is SCHEDULED on the actor's node
-# from submission on.
+# The method's one background write, by its node's finish drain: outputs,
+# FINISHED row, the actor's progress row (a blind put), and task_scheduled
+# + task_inputs_ready + task_finished.  No start write: the row is
+# SCHEDULED on the actor's node from submission on.
 METHOD_FINISH = FINISH + (("put", "actor_progress"),) + (("append", "event"),) * 3
 
 
 def test_actor_method_costs_one_blocking_call_two_in_all():
-    actor_thread, calls = method_calls(Echo)
+    drain, calls = method_calls(Echo)
     assert len(calls.calls) == 2, calls.describe()
-    assert actor_thread == [("batch", METHOD_FINISH)], calls.describe()
+    assert drain == [("batch", METHOD_FINISH)], calls.describe()
 
 
 def test_checkpointed_actor_method_costs_one_blocking_call_two_in_all():
     # The checkpoint taken at the method's counter rides the same batch.
-    actor_thread, calls = method_calls(Echo.options(checkpoint_interval=1))
+    drain, calls = method_calls(Echo.options(checkpoint_interval=1))
     assert len(calls.calls) == 2, calls.describe()
-    assert actor_thread == [
+    assert drain == [
         ("batch", METHOD_FINISH[:4] + (("put", "actor_ckpt"),) + METHOD_FINISH[4:])
     ], calls.describe()
 
@@ -189,15 +279,18 @@ def test_actor_creation_costs_four_blocking_calls_five_in_the_background():
     caller = list(calls.by_thread()[threading.current_thread().name])
     assert runtime.actors.get_state(actor.actor_id).ready.wait(10)
     quiesce()
+    assert_finishes_behind(calls)
     (actor_thread,) = [
         c for t, c in calls.by_thread().items() if t.startswith("actor-")
     ]
-    assert (len(caller), len(actor_thread)) == (4, 5), calls.describe()
+    drain = finish_batches(calls)
+    assert (len(caller), len(actor_thread) + len(drain)) == (4, 5), calls.describe()
     # The creation row is written blind, by its placement; nothing reads it.
     assert ("get", "task") not in caller, calls.describe()
     assert caller[-1] == ("batch", (("put", "task"),)), calls.describe()
+    # The creation's finish is the drain's; the actor thread reads.
+    assert drain == [(("put", "task"), ("append", "event"))], calls.describe()
     assert actor_thread == [
-        ("batch", (("put", "task"), ("append", "event"))),  # finish
         ("get", "actor_ckpt"),  # restore
         ("log", "actor_log"),  # mailbox rebuild
         ("get", "actor"),  # update_actor(node_id, alive) is a
@@ -210,6 +303,7 @@ def test_reconstructing_one_lost_output_costs_eight_calls():
     runtime.ensure_function_registered(echo._function_id, echo._func)
     ref = echo.remote(7)
     assert repro.get(ref, timeout=10) == 7
+    runtime.flush_finishes()  # the finish lands behind the get
     node = runtime.driver_node
     node.store.delete(ref.object_id)
     runtime.gcs.remove_object_location(ref.object_id, node.node_id)
@@ -257,8 +351,8 @@ def test_forwarded_task_costs_one_blocking_call_four_in_all():
     quiesce()
     # The far node's place_many SCHEDULED batch (global placement reads
     # nothing for a by-value argument) on the caller, whose placement also
-    # hands the task to a far worker; the finish batch; the copy's location
-    # read and write.
+    # hands the task to a far worker; the far drain's finish batch; the
+    # copy's location read and write.
     assert (len(caller), len(calls.calls)) == (1, 4), calls.describe()
     assert [op for op, _ in caller] == ["batch"], calls.describe()
     assert_row_first(caller, calls)
@@ -272,6 +366,7 @@ def test_forwarded_task_costs_one_blocking_call_four_in_all():
     ]
     assert len(movers) == 2, calls.describe()
     assert all(t.startswith("transfer-") for t in movers), calls.describe()
+    assert_finishes_behind(calls)
 
 
 def test_task_queued_behind_its_input_costs_one_blocking_call():
@@ -296,17 +391,16 @@ def test_task_queued_behind_its_input_costs_one_blocking_call():
     assert [op for op, _ in caller] == ["batch"], calls.describe()
     assert_row_first(caller, calls)
     # The input's arrival and echo's dispatch write nothing: its
-    # task_inputs_ready event rides echo's finish batch.  (held's worker
-    # stores its output before its own finish batch, so the two finish
-    # batches may start in either order.)
-    assert len(calls.calls) == 3, calls.describe()
-    assert sorted(
-        (op, what) for thread, op, what in calls.calls
-        if thread.startswith("worker-")
-    ) == [
-        ("batch", FINISH + (("append", "event"),)),
-        ("batch", FINISH + (("append", "event"),) * 2),
-    ], calls.describe()
+    # task_inputs_ready event rides echo's finish.  (held's worker stores
+    # its output before it queues its finish, so the two finishes may be
+    # queued in either order, and in one drain batch or two.)
+    assert_finishes_behind(calls)
+    assert_wave(
+        calls,
+        FINISH + (("append", "event"),),
+        FINISH + (("append", "event"),) * 2,
+    )
+    assert len(calls.calls) == 1 + len(finish_batches(calls)), calls.describe()
 
 
 def test_input_arrival_hands_off_on_the_storing_thread():
@@ -348,7 +442,8 @@ def test_dispatch_needs_no_thread_of_its_own():
         lambda: echo.submit_many([(i,) for i in range(8)]), list(range(8))
     )
     assert [op for op, _ in caller] == ["batch"], calls.describe()
-    assert len(calls.calls) == 1 + 8, calls.describe()
+    assert_wave(calls, *[FINISH + (("append", "event"),)] * 8)
+    assert len(calls.calls) == 1 + len(finish_batches(calls)), calls.describe()
     # The placement handed two tasks to workers; each of the other six was
     # handed off, from memory alone, by the worker whose release freed a
     # CPU for it.
@@ -396,6 +491,7 @@ def test_free_with_lineage_adds_one_delete_batch():
     runtime.ensure_function_registered(echo._function_id, echo._func)
     refs = [echo.remote(i) for i in range(2)]
     assert repro.get(refs, timeout=10) == [0, 1]
+    runtime.flush_finishes()  # the finishes land behind the get
     calls = ShardCalls(runtime.gcs.kv)
     assert repro.free(refs, delete_lineage=True) == 2
     caller = list(calls.by_thread()[threading.current_thread().name])

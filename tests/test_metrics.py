@@ -54,6 +54,8 @@ DOCUMENTED_SERIES = {
     # reconstruction
     "reconstruction_tasks_total",
     "reconstruction_objects_total",
+    # finish drains
+    "finish_drain_errors_total",
     # runtime / event layer
     "tasks_submitted_total",
     "actor_methods_submitted_total",

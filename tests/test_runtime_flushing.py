@@ -41,6 +41,7 @@ class TestRuntimeFlushing:
         try:
             ref = produce.remote(7)
             expected = repro.get(ref, timeout=20)
+            rt.flush_finishes()  # the finish lands behind the get
             # Push the finished record out to disk.
             flushed = rt.flusher.flush()
             assert flushed >= 1
@@ -59,6 +60,7 @@ class TestRuntimeFlushing:
         try:
             ref = produce.remote(1)
             repro.get(ref, timeout=20)
+            rt.flush_finishes()  # the finish lands behind the get
             task_id = rt.gcs.creating_task(ref.object_id)
             rt.flusher.flush()
             assert rt.gcs.get_task(task_id) is None

@@ -81,6 +81,7 @@ class TestSubmissionDedup:
 
         first = submit_as_replay()
         assert repro.get(first, timeout=10) == 42
+        runtime.flush_finishes()  # the finish lands behind the get
         executed_before = len(runtime.gcs.events("task_finished"))
         second = submit_as_replay(replay=True)  # identical deterministic ID
         assert second == first
@@ -158,6 +159,7 @@ class TestEventLogIntegrity:
     def test_every_finished_task_has_an_event(self, runtime):
         refs = [plus_one.remote(i) for i in range(10)]
         repro.get(refs, timeout=20)
+        runtime.flush_finishes()  # the finishes land behind the get
         events = runtime.gcs.events("task_finished")
         assert len(events) == 10
         names = {e.as_dict()["name"] for e in events}

@@ -146,6 +146,7 @@ class TestBatchResults:
         for i in range(20):
             assert handle.query(i, timeout=10) == (i, 1)
         replica = repro.get_actor("serve:Batcher#v1:0")
+        runtime.flush_finishes()  # the finishes land behind the replies
         batches = [
             spec
             for spec in runtime.gcs.actor_method_log(replica.actor_id)

@@ -104,6 +104,7 @@ class TestSubmitMany:
         )
         try:
             values = repro.get(submit(range(12)), timeout=30)
+            rt.flush_finishes()  # the finishes land behind the get
             rows = sorted(
                 (entry.spec.function_name, entry.spec.args, entry.status)
                 for entry in rt.gcs.tasks_with_status(TaskStatus.FINISHED)
@@ -242,6 +243,7 @@ class TestClientSideCaches:
     def test_hint_set_by_batched_finish(self, single_node_runtime):
         ref = add_one.remote(1)
         assert repro.get(ref, timeout=10) == 2
+        single_node_runtime.flush_finishes()  # the finish lands behind the get
         assert single_node_runtime.gcs.has_location_hint(ref.object_id)
 
 
