@@ -416,12 +416,12 @@ class Runtime:
         node.local_scheduler.stop()
         drained = node.local_scheduler.drain()
         running.update(node.local_scheduler.running_tasks())
-        # Finishes queued here are lost with the node, as if their workers
-        # had died mid-task: their rows stay SCHEDULED here.  Any worker
-        # that queues one later was in the late snapshot.
-        unfinished = [
-            spec for spec in node.finishes.drop() if spec.actor_id is None
-        ]
+        # Stateless finishes queued here are lost with the node, as if
+        # their workers had died mid-task: their rows stay SCHEDULED here.
+        # Any worker that queues one later was in the late snapshot.  An
+        # actor's queued finishes still land, so its restart replays from
+        # the checkpoint its last methods wrote.
+        unfinished = node.finishes.drop()
         running.difference_update(spec.task_id for spec in unfinished)
         lost = node.store.drop_all()
         for object_id in lost:
@@ -491,6 +491,10 @@ class Runtime:
         old = self.node(node_id)
         if old.alive:
             return old
+        # The dead node's last finishes (an actor's, or a batch in flight
+        # at the kill) retract their copies under this NodeID: let them
+        # land before a copy can appear here again.
+        old.finishes.flush()
         node = Node(
             node_id,
             dict(old.resources.total),
@@ -761,6 +765,13 @@ class Runtime:
         on user code."""
         for node in self.nodes():
             node.finishes.flush()
+
+    def landed_gcs(self) -> GlobalControlStore:
+        """The GCS once every finish queued so far has landed: the read
+        side's one accessor, so every task that has returned is in the
+        rows and events a tool reads through it."""
+        self.flush_finishes()
+        return self.gcs
 
     # ------------------------------------------------------------------
     # Submission
@@ -1216,9 +1227,13 @@ class Runtime:
                 values.append(value)
         return values[0] if single else values
 
-    def object_available(self, object_id: ObjectID) -> bool:
-        """Has the object been created (any live copy in the cluster)?"""
-        return bool(self.transfer.live_locations(object_id))
+    def object_available(self, object_id: ObjectID, node: Node) -> bool:
+        """Has the object been created: a copy in ``node``'s store (a local
+        check, which sees a task's output before its finish lands) or a
+        live copy anywhere in the cluster?"""
+        return node.store.contains(object_id) or bool(
+            self.transfer.live_locations(object_id)
+        )
 
     def wait(
         self,
@@ -1237,20 +1252,29 @@ class Runtime:
         if num_returns > len(id_list):
             raise ValueError("num_returns exceeds number of futures")
         deadline = None if timeout is None else time.monotonic() + timeout
+        node = context.current_node() or self.driver_node
         ready: List[ObjectID] = []
         pending: List[ObjectID] = list(id_list)
         # One shared completion poked by every watched object's GCS
-        # location feed: any new copy anywhere in the cluster wakes us.
+        # location feed (any new copy anywhere in the cluster) and by its
+        # availability in the caller's store (a local output, before its
+        # finish publishes it).
         progress = Completion(stats=self.wait_stats)
 
         def on_location_update(op: str, _node_id: NodeID) -> None:
             if op == "add":
                 progress.set()
 
+        def on_local(_available: Completion) -> None:
+            progress.set()
+
         unsubscribes = [
             self.gcs.subscribe_object_locations(object_id, on_location_update)
             for object_id in pending
         ]
+        local = [node.store.availability_event(object_id) for object_id in pending]
+        for available in local:
+            available.add_callback(on_local)
         try:
             with context.blocked():
                 while True:
@@ -1262,7 +1286,7 @@ class Runtime:
                         # Return *exactly* num_returns ready futures (like
                         # ray.wait): extras stay pending for the next call.
                         if len(ready) < num_returns and self.object_available(
-                            object_id
+                            object_id, node
                         ):
                             ready.append(object_id)
                         else:
@@ -1283,8 +1307,9 @@ class Runtime:
         finally:
             for unsubscribe in unsubscribes:
                 unsubscribe()
+            for available in local:
+                available.remove_callback(on_local)
         if fetch_local and ready:
-            node = context.current_node() or self.driver_node
             self.fetcher.prefetch(ready, node)
             with context.blocked():
                 for object_id in ready:
@@ -1371,11 +1396,11 @@ class Runtime:
         for node in nodes:
             node.local_scheduler.stop()
         # What is queued lands before the store closes; each drain then
-        # exits, and a finish queued later starts one that writes it and
-        # exits.
-        self.flush_finishes()
+        # exits (giving up a batch that fails to write), and a finish
+        # queued later starts one that writes it and exits.
         for node in nodes:
             node.finishes.stop()
+        self.flush_finishes()
         self.fetcher.close()
         if self.flusher is not None:
             self.flusher.close()

@@ -34,7 +34,7 @@ from repro.common.errors import (
 )
 from repro.common.events import BACKSTOP_INTERVAL
 from repro.common.lockwatch import make_condition, make_thread
-from repro.common.serialization import serialize
+from repro.common.serialization import SerializedObject, serialize
 from repro.core import context
 from repro.core.task_spec import ArgRef, TaskSpec
 from repro.gcs.client import Finish
@@ -136,16 +136,18 @@ def normalize_returns(spec: TaskSpec, output: Any) -> List[Any]:
     return list(output)
 
 
-def store_outputs(node: "Node", spec: TaskSpec, values: List[Any]) -> list:
-    """Write outputs to the local store and return their GCS object-table
-    rows ``(object_id, size, task_id, node_id_or_None)`` — ``None`` when the
-    store put failed and there is no location to publish.  :func:`write_finish`
-    queues them in the task's finish, which its node's drain writes
-    (``GlobalControlStore.finish_tasks``), location before metadata.
+def store_outputs(
+    node: "Node", spec: TaskSpec, values: List[SerializedObject]
+) -> list:
+    """Write serialized outputs to the local store and return their GCS
+    object-table rows ``(object_id, size, task_id, node_id_or_None)`` —
+    ``None`` when the store put failed and there is no location to
+    publish.  :func:`write_finish` queues them in the task's finish, which
+    its node's drain writes (``GlobalControlStore.finish_tasks``), location
+    before metadata.
     """
     entries = []
-    for object_id, value in zip(spec.return_ids, values):
-        serialized = serialize(value)
+    for object_id, serialized in zip(spec.return_ids, values):
         stored = node.alive and node.store.put(object_id, serialized)
         entries.append((
             object_id,
@@ -279,11 +281,14 @@ class FinishQueue:
     shard it touches), then runs the post-write steps.  It holds no lock
     across the write.
 
-    Barriers: :meth:`flush` waits until everything queued so far is
+    Barriers: :meth:`flush` waits until everything reserved so far is
     written (bounded by hop time: the drain never waits on user code);
-    :meth:`drop` (node death) empties the queue for good and returns the
-    specs, whose rows stay SCHEDULED on the dead node.  A failed batch is
-    counted and logged, and the drain carries on."""
+    :meth:`drop` (node death) takes the stateless finishes off the queue
+    for good and returns their specs, whose rows stay SCHEDULED on the
+    dead node, while an actor's finishes still land (their checkpoint and
+    progress rows bound its replay).  A batch whose write fails is counted
+    and logged, and goes back to the head of the queue for the drain's
+    next wake-up; once the queue is stopped it is given up instead."""
 
     def __init__(self, runtime: "Runtime", node: "Node"):
         self._runtime = runtime
@@ -293,24 +298,34 @@ class FinishQueue:
         self._cond = make_condition("FinishQueue._cond")
         self._queued: List[PendingFinish] = []
         self._thread: Optional[threading.Thread] = None
-        self._put_count = 0  # finishes ever queued
-        self._done_count = 0  # of those, written, failed or dropped
+        self._put_count = 0  # finishes ever reserved
+        self._done_count = 0  # of those, written, given up or dropped
         self._dropped = False
         self._stopped = False
+        self._retrying = False  # the head of the queue failed to write
         self._m_errors = runtime.metrics.counter(
             "finish_drain_errors_total",
             "Finish batches the drain failed to write",
             node=node_hex[:8],
         )
 
-    def put(self, pending: PendingFinish) -> None:
-        """Queue one finish; a dropped (dead) queue discards it, because
-        ``kill_node`` resubmits every task still running there."""
+    def reserve(self) -> None:
+        """Count a finish whose outputs are about to be stored: a reader
+        they wake may flush before :meth:`put` queues it, and the flush
+        must wait for it."""
         with self._cond:
-            if self._dropped:
+            self._put_count += 1
+
+    def put(self, pending: Optional[PendingFinish]) -> None:
+        """Queue a reserved finish (None: its writer failed before it had
+        one).  A dropped (dead) queue discards it, because ``kill_node``
+        resubmits every task still running there."""
+        with self._cond:
+            if self._dropped or pending is None:
+                self._done_count += 1
+                self._cond.notify_all()
                 return
             self._queued.append(pending)
-            self._put_count += 1
             thread = None
             if self._thread is None:
                 thread = self._thread = make_thread(
@@ -321,7 +336,7 @@ class FinishQueue:
             thread.start()
 
     def flush(self) -> None:
-        """Wait until every finish queued before this call is written.  A
+        """Wait until every finish reserved before this call is written.  A
         no-op on a drain thread: a drain that waited on another could wait
         on one waiting on it."""
         if getattr(_on_drain, "active", False):
@@ -332,18 +347,23 @@ class FinishQueue:
                 self._cond.wait(BACKSTOP_INTERVAL)
 
     def drop(self) -> List[TaskSpec]:
-        """The node died: discard its queued finishes, and every later
-        one, and return their specs."""
+        """The node died: discard its queued stateless finishes, and every
+        later finish, and return their specs.  An actor's queued finishes
+        stay for the drain to write, which then exits."""
         with self._cond:
-            self._dropped = True
-            dropped, self._queued = self._queued, []
+            self._dropped = self._stopped = True
+            dropped = [p for p in self._queued if p.finish.spec.actor_id is None]
+            self._queued = [
+                p for p in self._queued if p.finish.spec.actor_id is not None
+            ]
             self._done_count += len(dropped)
             self._cond.notify_all()
         return [pending.finish.spec for pending in dropped]
 
     def stop(self) -> None:
-        """Let the drain exit once the queue is empty; a later finish
-        starts a drain that writes it and exits."""
+        """Let the drain exit once the queue is empty, giving up a batch
+        that fails to write; a later finish starts a drain that writes it
+        and exits."""
         with self._cond:
             self._stopped = True
             self._cond.notify_all()
@@ -358,62 +378,83 @@ class FinishQueue:
         empty and stopped.  A batch lives only in this frame, so a drain
         idle on the queue pins no spec (nor its by-value arguments)."""
         with self._cond:
+            if self._retrying and not self._stopped:
+                # Back off until a put, a stop or the backstop wakes us.
+                self._cond.wait(BACKSTOP_INTERVAL)
             while not self._queued and not self._stopped:
                 self._cond.wait(BACKSTOP_INTERVAL)
             if not self._queued:
                 self._thread = None
                 return False
             batch, self._queued = self._queued, []
-        try:
-            self._write(batch)
-        finally:
-            with self._cond:
+        written = self._write(batch)
+        with self._cond:
+            self._retrying = not written and not self._stopped
+            if self._retrying:
+                self._queued[:0] = batch
+            else:
                 self._done_count += len(batch)
-                self._cond.notify_all()
+            self._cond.notify_all()
         return True
 
-    def _write(self, batch: List[PendingFinish]) -> None:
-        runtime, node = self._runtime, self._node
-        gcs = runtime.gcs
+    def _write(self, batch: List[PendingFinish]) -> bool:
+        """Write ``batch`` and run its post-write steps; False if the write
+        failed, which leaves its rows SCHEDULED."""
         try:
-            gcs.finish_tasks([pending.finish for pending in batch])
-            if node.alive:
-                # A reader may get an output from the store and free it
-                # before this batch lands, so its retraction can precede
-                # the add: retract again.
-                gcs.remove_object_locations([
-                    (object_id, node_id)
-                    for pending in batch
-                    for object_id, _size, _task_id, node_id in pending.finish.entries
-                    if node_id is not None and not node.store.contains(object_id)
-                ])
-            for pending in batch:
-                spec = pending.finish.spec
-                runtime.reconstruction.task_finished(spec.task_id)
-                if pending.replay_on_death and not node.alive:
-                    # The node died under this attempt, which may have run
-                    # entirely between kill_node's running-set snapshots
-                    # and whose finish may have published a copy after
-                    # kill_node retracted the node's: retract it and
-                    # replay the outputs.
-                    gcs.remove_object_locations(
-                        [(object_id, node.node_id) for object_id in spec.return_ids]
-                    )
-                    for object_id in spec.return_ids:
-                        runtime.reconstruction.maybe_reconstruct(object_id)
+            self._runtime.gcs.finish_tasks([pending.finish for pending in batch])
         except Exception as exc:  # noqa: BLE001 - a dead drain strands every later finish
-            # A batch that did not land leaves its rows SCHEDULED, as a
-            # worker that died mid-task would; the drain carries on.
-            self._m_errors.inc()
-            try:
-                gcs.record_event(
-                    "finish_write_failed",
-                    node=node.node_id.hex()[:8],
-                    tasks=[p.finish.task_id.short() for p in batch],
-                    error=repr(exc),
+            self._report(batch, exc)
+            return False
+        try:
+            self._after_write(batch)
+        except Exception as exc:  # noqa: BLE001 - the finishes have landed
+            self._report(batch, exc)
+        return True
+
+    def _after_write(self, batch: List[PendingFinish]) -> None:
+        runtime, node = self._runtime, self._node
+        dead = not node.alive
+        retractions = []
+        for pending in batch:
+            if dead and pending.replay_on_death:
+                # The node died under this attempt, which may have run
+                # entirely between kill_node's running-set snapshots and
+                # whose finish may have published a copy after kill_node
+                # retracted the node's: retract it, then replay below.
+                retractions.extend(
+                    (object_id, node.node_id)
+                    for object_id in pending.finish.spec.return_ids
                 )
-            except Exception:  # noqa: RT-EXCEPT-SWALLOW
-                pass  # the counter has recorded the failure
+                continue
+            # A reader may get an output from the store and free it before
+            # this batch lands, so its retraction can precede the add; and
+            # a dead node's copies are gone: retract again.
+            retractions.extend(
+                (object_id, node_id)
+                for object_id, _size, _task_id, node_id in pending.finish.entries
+                if node_id is not None and (dead or not node.store.contains(object_id))
+            )
+        try:
+            runtime.gcs.remove_object_locations(retractions)
+        finally:
+            for pending in batch:
+                runtime.reconstruction.task_finished(pending.finish.task_id)
+        for pending in batch:
+            if dead and pending.replay_on_death:
+                for object_id in pending.finish.spec.return_ids:
+                    runtime.reconstruction.maybe_reconstruct(object_id)
+
+    def _report(self, batch: List[PendingFinish], exc: Exception) -> None:
+        self._m_errors.inc()
+        try:
+            self._runtime.gcs.record_event(
+                "finish_write_failed",
+                node=self._node.node_id.hex()[:8],
+                tasks=[p.finish.task_id.short() for p in batch],
+                error=repr(exc),
+            )
+        except Exception:  # noqa: RT-EXCEPT-SWALLOW
+            pass  # the counter has recorded the failure
 
 
 def write_finish(
@@ -443,30 +484,39 @@ def write_finish(
     ``actor_rows`` (``progress``, ``checkpoint``: see
     ``GlobalControlStore.finish_tasks``); the node's queue is FIFO, so an
     actor's rows land in method order.  ``replay_on_death``: see
-    :class:`PendingFinish`."""
-    entries = store_outputs(node, spec, values)
-    duration = time.perf_counter() - started
-    finished = dict(
-        task=spec.task_id.short(),
-        name=spec.function_name,
-        node=node.node_id.short(),
-        start=started,
-        duration=duration,
-        status=status.value,
-        kind=spec.kind,
-    )
-    node.finishes.put(PendingFinish(
-        Finish(
-            spec.task_id,
-            status,
-            node.node_id,
-            entries,
-            [*lifecycle, ("task_finished", finished)],
-            spec,
-            **actor_rows,
-        ),
-        replay_on_death,
-    ))
+    :class:`PendingFinish`.  The finish is reserved on the queue before
+    the outputs are stored (and after they are serialized, which may run
+    user code), so a flush by a reader they wake covers it."""
+    serialized = [serialize(value) for value in values]
+    finishes = node.finishes
+    finishes.reserve()
+    pending = None
+    try:
+        entries = store_outputs(node, spec, serialized)
+        duration = time.perf_counter() - started
+        finished = dict(
+            task=spec.task_id.short(),
+            name=spec.function_name,
+            node=node.node_id.short(),
+            start=started,
+            duration=duration,
+            status=status.value,
+            kind=spec.kind,
+        )
+        pending = PendingFinish(
+            Finish(
+                spec.task_id,
+                status,
+                node.node_id,
+                entries,
+                [*lifecycle, ("task_finished", finished)],
+                spec,
+                **actor_rows,
+            ),
+            replay_on_death,
+        )
+    finally:
+        finishes.put(pending)
     runtime.report_task_duration(duration)
     runtime.discard_cancellation_event(spec.task_id)
 

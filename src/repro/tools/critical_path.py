@@ -156,10 +156,8 @@ class CriticalPath:
         return latest
 
     def analyze(self) -> CriticalPathReport:
-        # Every task that has returned is in the table read below.
-        self.runtime.flush_finishes()
-        graph = self.runtime.graph
         lifecycles = self._latest_lifecycles()
+        graph = self.runtime.graph
         if not lifecycles:
             return CriticalPathReport()
 

@@ -193,7 +193,7 @@ class DashboardHead:
         categories (a ``node_death`` between two ``autoscaler_decision``
         entries) are faithful to record order.
         """
-        records, next_cursor = self.runtime.gcs.events_since(
+        records, next_cursor = self.runtime.landed_gcs().events_since(
             cursor=since, categories=categories, limit=limit
         )
         return {
@@ -225,7 +225,7 @@ class DashboardHead:
         wall_to_pc = time.perf_counter() - time.time()
         marks_pid = max(node_pids.values(), default=0) + 1
         wrote_marks = False
-        records, _cursor = self.runtime.gcs.events_since(0)
+        records, _cursor = self.runtime.landed_gcs().events_since(0)
         for rec in records:
             if rec.category not in _TRACE_INSTANT_CATEGORIES or not rec.ts:
                 continue

@@ -169,8 +169,6 @@ class DashboardServer:
                 query = urllib.parse.parse_qs(parsed.query)
                 status = 200
                 try:
-                    # Every task that has returned is in what it serves.
-                    outer.runtime.flush_finishes()
                     if path == "/":
                         body, content_type = _index_html(outer.runtime), "text/html"
                     elif path == "/snapshot":

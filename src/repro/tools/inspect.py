@@ -16,7 +16,6 @@ from repro.gcs.tables import TaskStatus
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.runtime import Runtime
-    from repro.gcs.client import GlobalControlStore
 
 
 @dataclass
@@ -64,27 +63,22 @@ class ClusterInspector:
         self.runtime = runtime
         self.gcs = runtime.gcs
 
-    def _landed(self) -> "GlobalControlStore":
-        """The GCS, once every task that has returned is in its tables."""
-        self.runtime.flush_finishes()
-        return self.gcs
-
     # -- table scans --------------------------------------------------------
 
     def tasks_by_status(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
-        for entry in self._landed().tasks():
+        for entry in self.runtime.landed_gcs().tasks():
             counts[entry.status.value] = counts.get(entry.status.value, 0) + 1
         return counts
 
     def pending_tasks(self) -> List:
         """Tasks not yet finished — the first place to look when stuck."""
-        return self._landed().tasks_with_status(TaskStatus.SCHEDULED)
+        return self.runtime.landed_gcs().tasks_with_status(TaskStatus.SCHEDULED)
 
     def object_stats(self):
         count = 0
         total_bytes = 0
-        for _object_id, (size, _task) in self._landed().objects():
+        for _object_id, (size, _task) in self.runtime.landed_gcs().objects():
             count += 1
             total_bytes += size
         return count, total_bytes
@@ -93,7 +87,7 @@ class ClusterInspector:
         """Registered objects every copy of which is gone (lost or evicted
         — retrievable only through reconstruction)."""
         out = []
-        for object_id, _meta in self._landed().objects():
+        for object_id, _meta in self.runtime.landed_gcs().objects():
             if not self.runtime.transfer.live_locations(object_id):
                 out.append(object_id)
         return out
@@ -116,7 +110,7 @@ class ClusterInspector:
 
     def actor_summary(self):
         alive = dead = 0
-        for entry in self._landed().actors():
+        for entry in self.runtime.landed_gcs().actors():
             if entry.alive:
                 alive += 1
             else:

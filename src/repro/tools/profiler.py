@@ -41,10 +41,8 @@ class Profiler:
         self.runtime = runtime
 
     def profiles(self) -> Dict[str, FunctionProfile]:
-        # Every task that has returned is in the log read below.
-        self.runtime.flush_finishes()
         out: Dict[str, FunctionProfile] = {}
-        for record in self.runtime.gcs.events("task_finished"):
+        for record in self.runtime.landed_gcs().events("task_finished"):
             payload = record.as_dict()
             name = payload.get("name", "?")
             profile = out.setdefault(name, FunctionProfile(name))

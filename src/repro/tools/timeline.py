@@ -107,10 +107,8 @@ class Timeline:
         self.runtime = runtime
 
     def spans(self) -> List[TimelineSpan]:
-        # Every task that has returned is in the log read below.
-        self.runtime.flush_finishes()
         out = []
-        for record in self.runtime.gcs.events("task_finished"):
+        for record in self.runtime.landed_gcs().events("task_finished"):
             payload = record.as_dict()
             if "start" not in payload:
                 continue
@@ -137,8 +135,7 @@ class Timeline:
         ``task_finished``.  Replays have no fresh submit event, so later
         executions carry ``submitted=None``.
         """
-        self.runtime.flush_finishes()
-        gcs = self.runtime.gcs
+        gcs = self.runtime.landed_gcs()
 
         def by_task(category: str) -> Dict[str, List[Dict[str, object]]]:
             grouped: Dict[str, List[Dict[str, object]]] = {}

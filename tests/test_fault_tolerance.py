@@ -184,7 +184,6 @@ class TestActorReconstruction:
         actor = Accumulator.options(checkpoint_interval=5).remote()
         refs = [actor.add.remote(1) for _ in range(12)]
         assert repro.get(refs[-1], timeout=20) == 12
-        runtime.flush_finishes()  # the checkpoint at 10 is durable
         state = runtime.actors.get_state(actor.actor_id)
         runtime.kill_node(state.node.node_id)
         assert repro.get(actor.add.remote(1), timeout=30) == 13
@@ -360,6 +359,7 @@ class TestReconstructionRaces:
         home, victim = runtime.nodes()
         ref = echo.remote(7)
         assert repro.wait([ref], timeout=10)[0] == [ref]
+        runtime.flush_finishes()  # the finish lands behind the wait
         task_id = runtime.graph.producer_of(ref.object_id)
         lose(runtime, ref.object_id)
         # The reconstruction's placement goes to the victim; any later one
@@ -411,6 +411,7 @@ class TestReconstructionRaces:
         (child_id,) = runtime.graph.children_of(parent_id)
         (child_out,) = runtime.graph.task(child_id).return_ids
         assert runtime.wait([child_out], 1, timeout=10)[0] == [child_out]
+        runtime.flush_finishes()  # the finishes land behind the waits
         lose(runtime, child_out)
         lose(runtime, ref.object_id)
         reconstructor = threading.Thread(

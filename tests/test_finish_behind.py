@@ -120,6 +120,52 @@ def test_a_worker_returns_before_its_finish_lands():
     repro.shutdown()
 
 
+class ReleasingCondition:
+    """The queue's condition, setting ``release`` when a flush first
+    waits on it."""
+
+    def __init__(self, cond, release):
+        self._cond, self._release = cond, release
+
+    def __enter__(self):
+        return self._cond.__enter__()
+
+    def __exit__(self, *exc):
+        return self._cond.__exit__(*exc)
+
+    def wait(self, timeout=None):
+        self._release.set()
+        return self._cond.wait(timeout)
+
+    def notify(self):
+        self._cond.notify()
+
+    def notify_all(self):
+        self._cond.notify_all()
+
+
+def test_a_flush_after_get_covers_a_finish_not_yet_queued():
+    runtime = repro.init(num_nodes=1, num_cpus_per_node=1)
+    finishes = runtime.driver_node.finishes
+    release = threading.Event()
+    put = finishes.put
+
+    def late_put(pending):
+        assert release.wait(10)
+        put(pending)
+
+    finishes.put = late_put
+    # No drain runs yet, so only the flush waits on the condition.
+    finishes._cond = ReleasingCondition(finishes._cond, release)
+    ref = double.remote(4)
+    assert repro.get(ref, timeout=10) == 8  # woken by the store put
+    runtime.flush_finishes()
+    task_id = runtime.graph.producer_of(ref.object_id)
+    assert runtime.gcs.get_task(task_id).status is TaskStatus.FINISHED
+    release.set()
+    repro.shutdown()
+
+
 def test_kill_with_a_finish_queued_finishes_the_task_once_on_a_survivor():
     runtime = repro.init(num_nodes=1, num_cpus_per_node=1)
     victim = runtime.add_node({"CPU": 1, "n": 1})
@@ -199,36 +245,139 @@ def test_a_free_racing_a_queued_finish_leaves_no_location():
     repro.shutdown()
 
 
-def test_a_failed_drain_batch_is_counted_and_the_drain_carries_on():
+def test_a_failed_drain_batch_is_counted_and_retried():
     runtime = repro.init(num_nodes=1, num_cpus_per_node=1)
     real = runtime.gcs.finish_tasks
     failed = []
+    raised = threading.Event()
 
     def fail_first(finishes, *args, **kwargs):
         if not failed:
             failed.extend(finish.task_id for finish in finishes)
+            raised.set()
             raise ChainUnavailableError("chain has no members")
         return real(finishes, *args, **kwargs)
 
     runtime.gcs.finish_tasks = fail_first
-    lost = double.remote(1)
-    assert repro.get(lost, timeout=10) == 2
+    first = double.remote(1)
+    assert repro.get(first, timeout=10) == 2
+    assert raised.wait(10)
+    assert failed == [runtime.graph.producer_of(first.object_id)]
+    # The drain lives on: the next finish lands, and the failed batch,
+    # back at the head of the queue, with it.
+    ref = double.remote(2)
+    assert repro.get(ref, timeout=10) == 4
     runtime.flush_finishes()
-    assert failed == [runtime.graph.producer_of(lost.object_id)]
-    # The row stays SCHEDULED, as for a worker that died mid-task.
-    assert runtime.gcs.get_task(failed[0]).status is TaskStatus.SCHEDULED
-    (record,) = runtime.gcs.events("finish_write_failed")
+    gcs = runtime.gcs
+    for done in (first, ref):
+        task_id = runtime.graph.producer_of(done.object_id)
+        assert gcs.get_task(task_id).status is TaskStatus.FINISHED
+        assert gcs.get_object_locations(done.object_id) == {
+            runtime.driver_node.node_id
+        }
+        assert gcs.in_flight_producer(done.object_id) is None
+        assert len(finished_events(runtime, task_id)) == 1
+    (record,) = gcs.events("finish_write_failed")
     assert record.as_dict()["tasks"] == [failed[0].short()]
     (errors,) = [
         family for family in runtime.metrics.families()
         if family.name == "finish_drain_errors_total"
     ]
     assert sum(m.value for m in errors.series.values()) == 1
-    ref = double.remote(2)
-    assert repro.get(ref, timeout=10) == 4
-    runtime.flush_finishes()
-    task_id = runtime.graph.producer_of(ref.object_id)
-    assert runtime.gcs.get_task(task_id).status is TaskStatus.FINISHED
+    repro.shutdown()
+
+
+def test_kill_with_an_actor_finish_queued_keeps_its_checkpoint():
+    """Figure 11b's bound when the node dies before the methods' finishes
+    land: they, the checkpoint at 10 among them, are still queued on the
+    dead node, and they land before the restart reads them."""
+    runtime = repro.init(num_nodes=1, num_cpus_per_node=1)
+    victim = runtime.add_node({"CPU": 1, "n": 1})
+    counter = Counter.options(checkpoint_interval=5, resources={"n": 1}).remote()
+    # The victim's drain holds the first method's finish; the other eleven
+    # queue behind it.
+    held = HeldDrain(runtime, only={"Counter.add"})
+    ran, all_ran = [], threading.Event()
+    put = victim.finishes.put
+
+    def watched(pending):
+        put(pending)
+        if pending.finish.spec.function_name == "Counter.add":
+            ran.append(pending)
+            if len(ran) == 12:
+                all_ran.set()
+
+    victim.finishes.put = watched
+    counter.add.remote(1)
+    assert held.holding.wait(10)
+    for _ in range(11):
+        counter.add.remote(1)
+    assert all_ran.wait(10)
+    assert len(victim.finishes._queued) == 11
+    runtime.add_node({"CPU": 1, "n": 1})
+    runtime.kill_node(victim.node_id)
+    held.release()
+    assert repro.get(counter.add.remote(1), timeout=30) == 13
+    # Restored at 10: methods 11 and 12 replay, not all 12.
+    assert runtime.actors.replayed_methods == 2
+    repro.shutdown()
+
+
+def test_a_killed_and_restarted_nodes_drains_exit_at_shutdown():
+    before = set(threading.enumerate())
+    runtime = repro.init(num_nodes=1, num_cpus_per_node=1)
+    victim = runtime.add_node({"CPU": 1, "n": 1})
+
+    @repro.remote(resources={"n": 1})
+    def there(x):
+        return x
+
+    assert repro.get(there.remote(1), timeout=10) == 1
+    runtime.kill_node(victim.node_id)
+    runtime.restart_node(victim.node_id)
+    assert repro.get(there.remote(2), timeout=10) == 2
+    repro.shutdown()
+    drains = [
+        t for t in threading.enumerate()
+        if t.name.startswith("finish-") and t not in before
+    ]
+    for thread in drains:
+        thread.join(10)
+        assert not thread.is_alive(), thread.name
+
+
+def test_wait_wakes_on_a_local_output_before_its_finish_lands():
+    runtime = repro.init(num_nodes=1, num_cpus_per_node=1)
+    held = HeldDrain(runtime)
+    release = threading.Event()
+
+    @repro.remote
+    def gated(x):
+        assert release.wait(10)
+        return x
+
+    ref = gated.remote(3)
+    scanned = threading.Event()
+    available = runtime.object_available
+
+    def watched(object_id, node):
+        found = available(object_id, node)
+        scanned.set()
+        return found
+
+    runtime.object_available = watched
+    result = {}
+    waiter = threading.Thread(
+        target=lambda: result.update(out=repro.wait([ref], timeout=10))
+    )
+    waiter.start()
+    assert scanned.wait(10)  # the waiter has found nothing and sleeps
+    release.set()
+    waiter.join(10)
+    assert result["out"] == ([ref], [])
+    # Nothing is published yet: the drain holds the finish.
+    assert runtime.gcs.get_object_locations(ref.object_id) == set()
+    held.release()
     repro.shutdown()
 
 
