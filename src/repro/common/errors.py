@@ -89,6 +89,10 @@ class ChainUnavailableError(ReproError):
     """The replication chain has no live members."""
 
 
+class NodeFencedError(ReproError):
+    """A killed node incarnation's guarded batch was rejected unwritten."""
+
+
 class CheckpointError(ReproError):
     """An actor checkpoint could not be saved or restored."""
 

@@ -17,7 +17,8 @@ null-object pattern as :mod:`repro.common.metrics`):
   liveness check, so a fired kill exercises the dead-node spillback path.
 * ``on_chain_write(shard_index, chain)`` — every GCS chain write; a fired
   fault kills a chain member so the write itself discovers the failure and
-  reconfigures (Figure 10a).
+  reconfigures (Figure 10a).  Only chain-write-count triggers fire here: a
+  node fault must never run inside a GCS write.
 * ``chunk_fault(object_id, chunk_index)`` — every transfer stripe; returns
   ``"drop"`` (the copy restarts, like a lost-and-retransmitted segment) or
   ``"delay"`` (the stripe stalls).
@@ -178,6 +179,10 @@ class FaultSchedule(NullFaultInjector):
         self.chunk_delay_probability = chunk_delay_probability
         self.chunk_delay_seconds = chunk_delay_seconds
         self.max_chunk_faults = max_chunk_faults
+        if any(f.trigger.after_chain_writes is not None
+               and f.action.kind != KILL_CHAIN_MEMBER for f in faults):
+            raise ValueError("a chain-write trigger fires inside a GCS write: "
+                             "it may only kill a chain member")
 
         self._lock = make_lock("FaultSchedule._lock")
         self._pending: List[Tuple[int, PlannedFault]] = list(enumerate(faults))
@@ -301,7 +306,7 @@ class FaultSchedule(NullFaultInjector):
         with self._lock:
             self._chain_writes += 1
             self._collect_due_locked("chain", None, shard_index, chain)
-        self._apply_due()
+        self._apply_due(in_write=True)
 
     def poll(self) -> None:
         """Fire any due wall-clock triggers (benches call this between
@@ -354,10 +359,11 @@ class FaultSchedule(NullFaultInjector):
         """Queue the due planned faults for one hook kind, with the hook's
         ``context`` (see :meth:`_apply`), in firing order (lock held).
 
-        A count trigger fires only from the hook that advances its counter
-        (wall-clock triggers fire from any hook), so a ``TARGET_SELF``
-        action always receives the context it names and the firing site is
-        independent of cross-thread hook interleaving.
+        A count trigger fires only from the hook that advances its counter,
+        so a ``TARGET_SELF`` action always receives the context it names
+        and the firing site is independent of cross-thread hook
+        interleaving.  Wall-clock triggers fire from any hook but the chain
+        write's, which runs inside a GCS write.
         """
         if not self._pending:
             return
@@ -367,7 +373,8 @@ class FaultSchedule(NullFaultInjector):
         remaining: List[Tuple[int, PlannedFault]] = []
         for index, fault in self._pending:
             t = fault.trigger
-            fired = (t.after_seconds is not None and elapsed >= t.after_seconds) or (
+            due = t.after_seconds is not None and elapsed >= t.after_seconds
+            fired = (due and source != "chain") or (
                 source == "tasks"
                 and t.after_tasks is not None
                 and self._tasks >= t.after_tasks
@@ -386,7 +393,7 @@ class FaultSchedule(NullFaultInjector):
                 remaining.append((index, fault))
         self._pending = remaining
 
-    def _apply_due(self) -> None:
+    def _apply_due(self, in_write: bool = False) -> None:
         """Apply queued faults one at a time, in the order they fired.
 
         Whoever finds no fault being applied applies the queue, including
@@ -394,11 +401,14 @@ class FaultSchedule(NullFaultInjector):
         progress leaves its faults queued and returns.  So a restart fired
         while its node's kill is still running applies after that kill, not
         against the half-killed node, and no hook ever waits on another
-        thread's fault.
+        thread's fault.  A hook ``in_write`` (a chain write's) stops at a
+        node fault: the next other hook applies it, outside any GCS write.
         """
         while self._due:  # unlocked peek: the hook that queues one drains
             with self._lock:
-                if self._applying or not self._due:
+                if self._applying or not self._due or (
+                    in_write and self._due[0][1].action.kind != KILL_CHAIN_MEMBER
+                ):
                     return
                 self._applying = True
                 queued = self._due.popleft()

@@ -42,6 +42,7 @@ import time
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.common.errors import NodeFencedError
 from repro.common.lockwatch import make_lock, make_thread
 from repro.common.faults import NULL_FAULTS
 from repro.common.ids import ObjectID, TaskID
@@ -238,22 +239,19 @@ class LocalScheduler:
         ``task_scheduled`` / ``task_inputs_ready`` events coalesce into one
         shard write.  Then, under one lock acquisition, the ready sub-batch
         joins the ready queue and every ready task that fits is taken off
-        it and handed to workers on this thread.  A spec bounced before the
-        write is forwarded with its event; one bounced after it, without.
+        it and handed to workers on this thread.  The write is guarded by
+        this node's incarnation: once a kill has fenced it, the GCS rejects
+        the batch and every spec is forwarded with its event.  A batch that
+        landed is the kill's sweep's, so a stopped scheduler queues nothing.
         """
         node = self.node
         if self._faults.enabled:
             # An ``at_placement`` fault fires *here*, once per task and
-            # before the alive check, so a kill injected mid-placement is
+            # before the write, so a kill injected mid-placement is
             # discovered by the very placement that triggered it and
             # spills back to global.
             for _ in specs:
                 self._faults.on_place(node.node_id)
-        if not node.alive:
-            # Placed on a node that died in the meantime: bounce to global.
-            for spec, event in zip(specs, submitted):
-                self._forward_to_global(spec, event)
-            return
         ready: List[TaskSpec] = []
         missing_by_spec: List[tuple] = []
         for spec in specs:
@@ -277,37 +275,33 @@ class LocalScheduler:
                 ("task_inputs_ready", self.lifecycle_payload(spec, now))
                 for spec in ready
             )
-        self.gcs.set_task_states(
-            [(spec, node.node_id) for spec in specs], events=events
-        )
+        try:
+            self.gcs.set_task_states(
+                [(spec, node.node_id) for spec in specs],
+                events=events,
+                guard=(node.node_id, node.epoch),
+            )
+        except NodeFencedError:
+            for spec, event in zip(specs, submitted):
+                self._forward_to_global(spec, event)
+            return
         self._m_placed.inc(len(specs))
         handoffs: List[Handoff] = []
         spawn: List[threading.Thread] = []
         with self._lock:
             if self._stopped:
-                bounced = True
-            else:
-                bounced = False
-                for spec, missing in missing_by_spec:
-                    self._waiting[spec.task_id] = set(missing)
-                    self._waiting_specs[spec.task_id] = spec
-                if ready:
-                    now_mono = time.monotonic()
-                    for spec in ready:
-                        self._ready.append(spec)
-                        self._ready_since[spec.task_id] = now_mono
-                    # Whatever is left does not fit now: the resource
-                    # release that frees room for it hands it off.
-                    handoffs, spawn = self._take_dispatch_batch()
-        if bounced:
-            # The node died between the alive check above and here: specs
-            # registered now would be invisible to the kill path's drain
-            # (it already ran) and lost forever.  stop()/drain() hold this
-            # lock, so the check is authoritative — reroute all (their
-            # submitted events are already written).
-            for spec in specs:
-                self._forward_to_global(spec)
-            return
+                return
+            for spec, missing in missing_by_spec:
+                self._waiting[spec.task_id] = set(missing)
+                self._waiting_specs[spec.task_id] = spec
+            if ready:
+                now_mono = time.monotonic()
+                for spec in ready:
+                    self._ready.append(spec)
+                    self._ready_since[spec.task_id] = now_mono
+                # Whatever is left does not fit now: the resource release
+                # that frees room for it hands it off.
+                handoffs, spawn = self._take_dispatch_batch()
         if handoffs:
             placed = {spec.task_id for spec in ready}
             self._m_handed_off.inc(
@@ -349,21 +343,13 @@ class LocalScheduler:
             if pending:
                 return
             del self._waiting[task_id]
-            spec = self._waiting_specs.pop(task_id)
-            stopped = self._stopped
-            if not stopped:
-                self._ready.append(spec)
-                self._ready_since[task_id] = time.monotonic()
-                if self._trace_events:
-                    # Its task_inputs_ready event, with this time, rides
-                    # the task's finish batch.
-                    self._arrived[task_id] = time.perf_counter()
-                handoffs, spawn = self._take_dispatch_batch()
-        if stopped:
-            # Stopped before drain() ran: drain will not see the task now,
-            # so hand it back for placement on a live node.
-            self._forward_to_global(spec)
-            return
+            self._ready.append(self._waiting_specs.pop(task_id))
+            self._ready_since[task_id] = time.monotonic()
+            if self._trace_events:
+                # Its task_inputs_ready event, with this time, rides the
+                # task's finish batch.
+                self._arrived[task_id] = time.perf_counter()
+            handoffs, spawn = self._take_dispatch_batch()
         self._hand_off(handoffs, spawn)
 
     # -- dispatch ----------------------------------------------------------------
@@ -374,9 +360,6 @@ class LocalScheduler:
         worker.  Memory only: a picked task's row stays SCHEDULED until
         its finish."""
         with self._lock:
-            if self._stopped:
-                # Whatever is still queued is drain()'s to reroute.
-                return
             handoffs, spawn = self._take_dispatch_batch()
         self._hand_off(handoffs, spawn)
 
@@ -500,25 +483,18 @@ class LocalScheduler:
 
     # -- lifecycle ------------------------------------------------------------------
 
-    def drain(self) -> List[TaskSpec]:
-        """Remove and return all not-yet-running tasks (node failure path)."""
-        with self._lock:
-            drained = list(self._ready)
-            drained.extend(self._waiting_specs.values())
-            self._ready.clear()
-            self._waiting.clear()
-            self._waiting_specs.clear()
-            self._ready_since.clear()
-            self._arrived.clear()
-            return drained
-
     def stop(self) -> None:
-        """Post one stop sentinel per pool thread.  Parked workers wake and
-        exit; a busy worker exits after its task and leaves its sentinel
-        behind in a dead queue.  Nothing waits for either: a worker inside
-        user code is a daemon and may never return."""
+        """Drop every queued task (on a kill, each row is still SCHEDULED
+        here, so the kill's sweep re-places it) and post one stop sentinel
+        per pool thread.  Parked workers wake and exit; a busy worker exits
+        after its task and leaves its sentinel behind in a dead queue.
+        Nothing waits for either: a worker inside user code is a daemon and
+        may never return."""
         with self._lock:
             self._stopped = True
+            for queued in (self._ready, self._waiting, self._waiting_specs,
+                           self._ready_since, self._arrived):
+                queued.clear()
             pool_size = len(self._pool_threads)
         for _ in range(pool_size):
             self._work_queue.put(None)

@@ -78,12 +78,10 @@ class ReconstructionManager:
             runtime.actors.reconstruct_for_object(spec.actor_id)
             return
         with self._lock:
-            if task_id in self._inflight:
+            # A SCHEDULED row is in flight: should its node die, the kill's
+            # sweep re-places it.
+            if task_id in self._inflight or task_entry.status is TaskStatus.SCHEDULED:
                 return
-            if task_entry.status is TaskStatus.SCHEDULED:
-                node = runtime.transfer.node(task_entry.node_id)
-                if node is not None and node.alive:
-                    return  # in flight on a live node; just wait
             self._inflight.add(task_id)
             self.reconstructed_tasks += 1
             self.reconstructed_objects += spec.num_returns

@@ -176,8 +176,12 @@ class Node:
         resources: Dict[str, float],
         runtime: "Runtime",
         capacity_bytes: Optional[int],
+        epoch: int = 0,
     ):
         self.node_id = node_id
+        # The incarnation: a restart under the same NodeID bumps it, and a
+        # kill fences it (``ShardedKV.fence``).
+        self.epoch = epoch
         self.alive = True
         self.resources = ResourcePool(resources)
         spill_directory = None
@@ -402,59 +406,35 @@ class Runtime:
         return node
 
     def kill_node(self, node_id: NodeID) -> None:
-        """Fail a node: drop its store, reroute its queue, restart actors."""
+        """Fail a node, from GCS state alone: fence its incarnation, drop its
+        store, re-place every stateless task its rows still hold, restart
+        its actors."""
         node = self.node(node_id)
         if not node.alive:
             return
-        # Snapshot running tasks on BOTH sides of the stop.  A task that
-        # finishes unstored in the alive=False window may leave _running
-        # before the late snapshot (its outputs lost with no retraction
-        # event); a task dispatched in the same window appears only in the
-        # late one.  The union covers both.
-        running = set(node.local_scheduler.running_tasks())
         node.alive = False
         node.local_scheduler.stop()
-        drained = node.local_scheduler.drain()
-        running.update(node.local_scheduler.running_tasks())
-        # Stateless finishes queued here are lost with the node, as if
-        # their workers had died mid-task: their rows stay SCHEDULED here.
-        # Any worker that queues one later was in the late snapshot.  An
-        # actor's queued finishes still land, so its restart replays from
-        # the checkpoint its last methods wrote.
-        unfinished = node.finishes.drop()
-        running.difference_update(spec.task_id for spec in unfinished)
+        node.finishes.stop()
+        # From here no placement or stateless finish of this incarnation
+        # lands, and every one admitted before has: the rows read below are
+        # final.  An actor's queued finishes still land, so its restart
+        # replays from the checkpoint its last methods wrote.
+        self.gcs.kv.fence(node_id, node.epoch)
         lost = node.store.drop_all()
-        for object_id in lost:
-            self.gcs.remove_object_location(object_id, node_id)
+        self.gcs.remove_object_locations([(oid, node_id) for oid in lost])
         # In-flight fetch markers bound to this node will never be cleared
         # by its (dropped) store; purge them so the reused NodeID starts
         # clean if the node is restarted.
         self.fetcher.forget_node(node_id)
         self._detach_reporter(node_id, tombstone=True)
         self.gcs.record_event("node_death", node=node_id.hex()[:8], lost=len(lost))
-        for spec in drained:
-            if spec.actor_id is None:
-                self._resubmit(spec, node)
-        for spec in unfinished:
-            self._resubmit(spec, node)
-        # Tasks running on the dead node are lost with it: their worker
-        # threads are stranded (they exit quietly via NodeDiedError) and
-        # their outputs will never materialize, so resubmit each one now.
-        # Waiting for a consumer to notice would deadlock — the output's
-        # object-table entry was never created, so reconstruction has
-        # nothing to replay.  Actor methods are replayed separately by the
-        # actor-restart path (on_node_death), which preserves the
-        # stateful-edge order.  A task that already finished needs nothing
-        # here: the drain of a finish that landed on the dead node replays
-        # its outputs (FinishQueue), and outputs stored before the kill
-        # were dropped above like every copy on this node.
-        for task_id in running:
-            entry = self.lookup_task(task_id)
-            if (
-                entry is not None
-                and entry.spec.actor_id is None
-                and entry.status is TaskStatus.SCHEDULED
-            ):
+        # The sweep: a stateless row still SCHEDULED here, queued or
+        # running, will never finish (a stranded worker exits quietly via
+        # NodeDiedError, or its finish is rejected), and no consumer could
+        # reconstruct it (it has no object row), so re-place it now.  Actor
+        # methods replay on the actor-restart path, in stateful-edge order.
+        for entry in self.gcs.tasks_with_status(TaskStatus.SCHEDULED):
+            if entry.node_id == node_id and entry.spec.actor_id is None:
                 self._resubmit(entry.spec, node)
         self.actors.on_node_death(node_id)
 
@@ -485,21 +465,22 @@ class Runtime:
         the dead node's identity, resources, and position in creation
         order, modelling the same machine coming back after a reboot.
         Reusing the NodeID is safe throughout: the metrics registry is
-        get-or-create, and stale GCS locations for this node were already
-        retracted by ``kill_node``.
+        get-or-create, stale GCS locations for this node were already
+        retracted by ``kill_node``, and the new incarnation's ``epoch`` is
+        past the fenced one.
         """
         old = self.node(node_id)
         if old.alive:
             return old
-        # The dead node's last finishes (an actor's, or a batch in flight
-        # at the kill) retract their copies under this NodeID: let them
-        # land before a copy can appear here again.
+        # The dead node's last actor finishes retract their copies under
+        # this NodeID: let them land before a copy can appear here again.
         old.finishes.flush()
         node = Node(
             node_id,
             dict(old.resources.total),
             self,
             old.store.capacity_bytes,
+            epoch=old.epoch + 1,
         )
         with self._nodes_lock:
             self._nodes[node_id] = node
@@ -585,8 +566,8 @@ class Runtime:
         placement write.  Raises ``ResourceRequestError`` when no live node
         can ever run it."""
         if self.stopped:
-            # Shutting down: every scheduler is stopped while its node is
-            # alive, so a placement would bounce between them forever.
+            # Shutting down: every scheduler is stopped, so a placement
+            # would write a row that no worker runs.
             return
         node = self.global_scheduler_for(spec).schedule(spec)
         node.local_scheduler.place(spec, submitted)
@@ -906,10 +887,11 @@ class Runtime:
         """Existence check for a possibly-replayed submission.
 
         Returns True if the task should be placed: either it is new or its
-        previous execution is dead with lost outputs — its placement write
-        then writes the row.  Returns False when its outputs still exist or
-        it is in flight (being reconstructed, or placed on a live node) —
-        the caller returns the deterministic futures as-is.
+        previous execution finished and lost its outputs — its placement
+        write then writes the row.  Returns False when its outputs still
+        exist or it is in flight (being reconstructed, or SCHEDULED: should
+        its node die, the kill's sweep re-places it) — the caller returns
+        the deterministic futures as-is.
         """
         task_id = spec.task_id
         if self.reconstruction.in_flight(task_id):
@@ -917,15 +899,11 @@ class Runtime:
         existing = self.gcs.get_task(task_id)
         if existing is None:
             return True
-        if existing.status == TaskStatus.FINISHED and all(
-            self.transfer.live_locations(oid) for oid in spec.return_ids
-        ):
-            return False
         if existing.status is TaskStatus.SCHEDULED:
-            running_node = self.transfer.node(existing.node_id)
-            if running_node is not None and running_node.alive:
-                return False
-        return True
+            return False
+        return existing.status != TaskStatus.FINISHED or not all(
+            self.transfer.live_locations(oid) for oid in spec.return_ids
+        )
 
     def submit_many(
         self,
@@ -1392,13 +1370,11 @@ class Runtime:
         for reporter in reporters:
             reporter.stop()
         self.actors.shutdown()
-        nodes = self.nodes()
-        for node in nodes:
-            node.local_scheduler.stop()
         # What is queued lands before the store closes; each drain then
         # exits (giving up a batch that fails to write), and a finish
         # queued later starts one that writes it and exits.
-        for node in nodes:
+        for node in self.nodes():
+            node.local_scheduler.stop()
             node.finishes.stop()
         self.flush_finishes()
         self.fetcher.close()

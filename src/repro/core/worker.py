@@ -23,12 +23,12 @@ from __future__ import annotations
 import threading
 import time
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
-    Tuple,
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple,
 )
 
 from repro.common.errors import (
     NodeDiedError,
+    NodeFencedError,
     TaskCancelledError,
     TaskExecutionError,
 )
@@ -256,19 +256,6 @@ def run_task(
             node.store.unpin(dep)
 
 
-#: Marks the finish drain threads (see :meth:`FinishQueue.flush`).
-_on_drain = threading.local()
-
-
-class PendingFinish(NamedTuple):
-    """A finish on its node's queue: its GCS writes, and whether the drain
-    replays its outputs should the node be dead once they land (an
-    execution's finish, not an error value's)."""
-
-    finish: Finish
-    replay_on_death: bool
-
-
 class FinishQueue:
     """One node's finishes, group-committed behind its workers.
 
@@ -281,14 +268,15 @@ class FinishQueue:
     shard it touches), then runs the post-write steps.  It holds no lock
     across the write.
 
-    Barriers: :meth:`flush` waits until everything reserved so far is
-    written (bounded by hop time: the drain never waits on user code);
-    :meth:`drop` (node death) takes the stateless finishes off the queue
-    for good and returns their specs, whose rows stay SCHEDULED on the
-    dead node, while an actor's finishes still land (their checkpoint and
-    progress rows bound its replay).  A batch whose write fails is counted
-    and logged, and goes back to the head of the queue for the drain's
-    next wake-up; once the queue is stopped it is given up instead."""
+    :meth:`flush` waits until everything reserved so far is written
+    (bounded by hop time: the drain never waits on user code).  A batch
+    holding a stateless finish is guarded by the node's incarnation: once
+    a kill has fenced it, the GCS rejects the batch and its stateless
+    finishes are given up, because their rows are the kill's sweep's,
+    while an actor's finishes still land (their checkpoint and progress
+    rows bound its replay).  A batch whose write fails is counted and
+    logged, and goes back to the head of the queue for the drain's next
+    wake-up; once the queue is stopped it is given up instead."""
 
     def __init__(self, runtime: "Runtime", node: "Node"):
         self._runtime = runtime
@@ -296,11 +284,10 @@ class FinishQueue:
         node_hex = node.node_id.hex()
         self._thread_name = f"finish-{node_hex[:6]}"
         self._cond = make_condition("FinishQueue._cond")
-        self._queued: List[PendingFinish] = []
+        self._queued: List[Finish] = []
         self._thread: Optional[threading.Thread] = None
         self._put_count = 0  # finishes ever reserved
-        self._done_count = 0  # of those, written, given up or dropped
-        self._dropped = False
+        self._done_count = 0  # of those, written or given up
         self._stopped = False
         self._retrying = False  # the head of the queue failed to write
         self._m_errors = runtime.metrics.counter(
@@ -316,16 +303,15 @@ class FinishQueue:
         with self._cond:
             self._put_count += 1
 
-    def put(self, pending: Optional[PendingFinish]) -> None:
+    def put(self, finish: Optional[Finish]) -> None:
         """Queue a reserved finish (None: its writer failed before it had
-        one).  A dropped (dead) queue discards it, because ``kill_node``
-        resubmits every task still running there."""
+        one)."""
         with self._cond:
-            if self._dropped or pending is None:
+            if finish is None:
                 self._done_count += 1
                 self._cond.notify_all()
                 return
-            self._queued.append(pending)
+            self._queued.append(finish)
             thread = None
             if self._thread is None:
                 thread = self._thread = make_thread(
@@ -337,28 +323,11 @@ class FinishQueue:
 
     def flush(self) -> None:
         """Wait until every finish reserved before this call is written.  A
-        no-op on a drain thread: a drain that waited on another could wait
-        on one waiting on it."""
-        if getattr(_on_drain, "active", False):
-            return
+        drain calls back into nothing that flushes."""
         with self._cond:
             target = self._put_count
             while self._done_count < target:
                 self._cond.wait(BACKSTOP_INTERVAL)
-
-    def drop(self) -> List[TaskSpec]:
-        """The node died: discard its queued stateless finishes, and every
-        later finish, and return their specs.  An actor's queued finishes
-        stay for the drain to write, which then exits."""
-        with self._cond:
-            self._dropped = self._stopped = True
-            dropped = [p for p in self._queued if p.finish.spec.actor_id is None]
-            self._queued = [
-                p for p in self._queued if p.finish.spec.actor_id is not None
-            ]
-            self._done_count += len(dropped)
-            self._cond.notify_all()
-        return [pending.finish.spec for pending in dropped]
 
     def stop(self) -> None:
         """Let the drain exit once the queue is empty, giving up a batch
@@ -369,7 +338,6 @@ class FinishQueue:
             self._cond.notify_all()
 
     def _drain(self) -> None:
-        _on_drain.active = True
         while self._drain_once():
             pass
 
@@ -397,11 +365,22 @@ class FinishQueue:
             self._cond.notify_all()
         return True
 
-    def _write(self, batch: List[PendingFinish]) -> bool:
+    def _write(self, batch: List[Finish]) -> bool:
         """Write ``batch`` and run its post-write steps; False if the write
         failed, which leaves its rows SCHEDULED."""
+        gcs, node = self._runtime.gcs, self._node
+        guard = None
+        if any(finish.spec.actor_id is None for finish in batch):
+            guard = (node.node_id, node.epoch)
         try:
-            self._runtime.gcs.finish_tasks([pending.finish for pending in batch])
+            try:
+                gcs.finish_tasks(batch, guard=guard)
+            except NodeFencedError:
+                # Killed: the stateless rows are the sweep's to re-place,
+                # and an actor's finishes still land.
+                batch = [f for f in batch if f.spec.actor_id is not None]
+                if batch:
+                    gcs.finish_tasks(batch)
         except Exception as exc:  # noqa: BLE001 - a dead drain strands every later finish
             self._report(batch, exc)
             return False
@@ -411,46 +390,31 @@ class FinishQueue:
             self._report(batch, exc)
         return True
 
-    def _after_write(self, batch: List[PendingFinish]) -> None:
+    def _after_write(self, batch: List[Finish]) -> None:
         runtime, node = self._runtime, self._node
         dead = not node.alive
-        retractions = []
-        for pending in batch:
-            if dead and pending.replay_on_death:
-                # The node died under this attempt, which may have run
-                # entirely between kill_node's running-set snapshots and
-                # whose finish may have published a copy after kill_node
-                # retracted the node's: retract it, then replay below.
-                retractions.extend(
-                    (object_id, node.node_id)
-                    for object_id in pending.finish.spec.return_ids
-                )
-                continue
-            # A reader may get an output from the store and free it before
-            # this batch lands, so its retraction can precede the add; and
-            # a dead node's copies are gone: retract again.
-            retractions.extend(
-                (object_id, node_id)
-                for object_id, _size, _task_id, node_id in pending.finish.entries
-                if node_id is not None and (dead or not node.store.contains(object_id))
-            )
+        # A reader may get an output from the store and free it before this
+        # batch lands, so its retraction can precede the add; and a dead
+        # node's copies are gone: retract again.
+        retractions = [
+            (object_id, node_id)
+            for finish in batch
+            for object_id, _size, _task_id, node_id in finish.entries
+            if node_id is not None and (dead or not node.store.contains(object_id))
+        ]
         try:
             runtime.gcs.remove_object_locations(retractions)
         finally:
-            for pending in batch:
-                runtime.reconstruction.task_finished(pending.finish.task_id)
-        for pending in batch:
-            if dead and pending.replay_on_death:
-                for object_id in pending.finish.spec.return_ids:
-                    runtime.reconstruction.maybe_reconstruct(object_id)
+            for finish in batch:
+                runtime.reconstruction.task_finished(finish.task_id)
 
-    def _report(self, batch: List[PendingFinish], exc: Exception) -> None:
+    def _report(self, batch: List[Finish], exc: Exception) -> None:
         self._m_errors.inc()
         try:
             self._runtime.gcs.record_event(
                 "finish_write_failed",
                 node=self._node.node_id.hex()[:8],
-                tasks=[p.finish.task_id.short() for p in batch],
+                tasks=[finish.task_id.short() for finish in batch],
                 error=repr(exc),
             )
         except Exception:  # noqa: RT-EXCEPT-SWALLOW
@@ -465,7 +429,6 @@ def write_finish(
     values: List[Any],
     started: float,
     lifecycle: Sequence[Tuple[str, Dict[str, Any]]] = (),
-    replay_on_death: bool = False,
     **actor_rows: Any,
 ) -> None:
     """The one finish writer: store ``values`` as ``spec``'s outputs on
@@ -483,14 +446,13 @@ def write_finish(
     ``task_scheduled`` and ``task_inputs_ready``.  A method also passes its
     ``actor_rows`` (``progress``, ``checkpoint``: see
     ``GlobalControlStore.finish_tasks``); the node's queue is FIFO, so an
-    actor's rows land in method order.  ``replay_on_death``: see
-    :class:`PendingFinish`.  The finish is reserved on the queue before
-    the outputs are stored (and after they are serialized, which may run
-    user code), so a flush by a reader they wake covers it."""
+    actor's rows land in method order.  The finish is reserved on the
+    queue before the outputs are stored (and after they are serialized,
+    which may run user code), so a flush by a reader they wake covers it."""
     serialized = [serialize(value) for value in values]
     finishes = node.finishes
     finishes.reserve()
-    pending = None
+    finish = None
     try:
         entries = store_outputs(node, spec, serialized)
         duration = time.perf_counter() - started
@@ -503,20 +465,17 @@ def write_finish(
             status=status.value,
             kind=spec.kind,
         )
-        pending = PendingFinish(
-            Finish(
-                spec.task_id,
-                status,
-                node.node_id,
-                entries,
-                [*lifecycle, ("task_finished", finished)],
-                spec,
-                **actor_rows,
-            ),
-            replay_on_death,
+        finish = Finish(
+            spec.task_id,
+            status,
+            node.node_id,
+            entries,
+            [*lifecycle, ("task_finished", finished)],
+            spec,
+            **actor_rows,
         )
     finally:
-        finishes.put(pending)
+        finishes.put(finish)
     runtime.report_task_duration(duration)
     runtime.discard_cancellation_event(spec.task_id)
 
@@ -553,8 +512,6 @@ def execute_task(
         # outputs and the finish-state write.  Exit without recording
         # anything for this stranded attempt.
         return
-    write_finish(
-        runtime, node, spec, status, values, started, lifecycle, replay_on_death=True
-    )
+    write_finish(runtime, node, spec, status, values, started, lifecycle)
     if replay:
         runtime.clear_replay_hint(spec.task_id)

@@ -21,7 +21,7 @@ from typing import (
 
 from repro.common.lockwatch import make_rlock
 from repro.common.ids import ActorID, FunctionID, NodeID, ObjectID, TaskID
-from repro.gcs.shard import ShardedKV
+from repro.gcs.shard import Guarded, ShardedKV
 from repro.gcs.tables import (
     ActorTableEntry,
     EventRecord,
@@ -179,7 +179,8 @@ class GlobalControlStore:
                 for op, key, value in ops:
                     getattr(self.kv, op)(key, value)
         finally:
-            self._publishing.difference_update(published)
+            for object_id in published:
+                self._publishing.discard(object_id)
 
     @staticmethod
     def _output_ops(
@@ -254,7 +255,9 @@ class GlobalControlStore:
             batched,
         )
 
-    def finish_tasks(self, finishes: List["Finish"], batched: bool = True) -> None:
+    def finish_tasks(
+        self, finishes: List["Finish"], batched: bool = True, guard: Any = None
+    ) -> None:
         """Coalesce *every* GCS write of many task finishes into one
         :meth:`ShardedKV.batch` (a node's finish drain commits its queue
         this way): per finish, the per-output rows (as in
@@ -269,9 +272,11 @@ class GlobalControlStore:
         live loop writes it.  With a ``checkpoint`` blob taken at that
         counter, the checkpoint row rides along too (Figure 11b restores
         from it).  ``batched=False`` issues the same writes per-op (the
-        test reference).  Once the write has landed, the tasks' returns
-        leave the in-flight producer index."""
-        ops: List[tuple] = []
+        test reference).  A ``guard`` (see :class:`Guarded`) makes the
+        batch raise ``NodeFencedError``, unwritten, once its node incarnation
+        is fenced.  Once the write has landed, the tasks' returns leave the
+        in-flight producer index."""
+        ops: List[tuple] = [] if guard is None else Guarded(guard)
         published: Dict[ObjectID, Optional[TaskID]] = {}
         for finish in finishes:
             output_ops, output_published = self._output_ops(finish.entries)
@@ -506,6 +511,7 @@ class GlobalControlStore:
         self,
         placements: List[Tuple[Any, Optional[NodeID]]],
         events: Optional[List[Tuple[str, Dict[str, Any]]]] = None,
+        guard: Any = None,
     ) -> None:
         """Write the placement rows ``[(spec, node_id), ...]`` — each
         SCHEDULED on the node that now holds the task — plus trace events
@@ -520,9 +526,10 @@ class GlobalControlStore:
         is the row's first write, and its ``task_submitted`` event leads
         ``events``.  Events are seq-stamped in list order so timeline
         ordering holds.  Each placed spec's returns enter the in-flight
-        producer index before the write (:meth:`in_flight_producer`).
+        producer index before the write (:meth:`in_flight_producer`).  A
+        ``guard`` fences the batch as in :meth:`finish_tasks`.
         """
-        ops: List[tuple] = []
+        ops: List[tuple] = [] if guard is None else Guarded(guard)
         for spec, node_id in placements:
             for object_id in spec.return_ids:
                 self._in_flight[object_id] = spec.task_id

@@ -4,16 +4,21 @@ GCS tables are sharded by object and task IDs to scale (paper Section
 4.2.4).  Keys are ``(table_name, entity_id)`` tuples; the shard is chosen
 from the entity ID when it is a :class:`~repro.common.ids.BaseID`, and from
 a stable hash otherwise, so all rows of all tables for one entity land on
-one shard.
+one shard.  :meth:`ShardedKV.fence` keeps a killed node's late guarded
+writes out of every table.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.common.errors import NodeFencedError
+from repro.common.events import BACKSTOP_INTERVAL
 from repro.common.ids import BaseID, shard_index
+from repro.common.lockwatch import make_condition
 from repro.common.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.gcs.chain import ReplicatedChain
 
@@ -24,6 +29,17 @@ def _shard_of(key: Any, num_shards: int) -> int:
         return shard_index(entity, num_shards)
     digest = hashlib.sha1(repr(entity).encode("utf-8")).digest()
     return int.from_bytes(digest[-4:], "little") % num_shards
+
+
+class Guarded(list):
+    """Batch ops guarded by the ``(node_id, epoch)`` incarnation issuing
+    them: on the list itself, so every wrapper of ``batch`` passes it on."""
+
+    __slots__ = ("guard",)
+
+    def __init__(self, guard: Tuple[Any, int]):
+        super().__init__()
+        self.guard = guard
 
 
 class ShardedKV:
@@ -97,6 +113,11 @@ class ShardedKV:
             max_workers=max(16, 2 * num_shards),
             thread_name_prefix="gcs-batch-flush",
         )
+        # Fencing: node -> its last killed epoch, and per node the guarded
+        # batches admitted past that check and not yet applied.
+        self._fence = make_condition("ShardedKV._fence")
+        self._fenced: Dict[Any, int] = {}
+        self._admitted: Counter = Counter()
 
     @property
     def num_shards(self) -> int:
@@ -136,7 +157,35 @@ class ShardedKV:
         are issued concurrently — one batch spanning N shards pays one
         round-trip, not N back to back.  With free hops the serial loop is
         cheaper than spawning threads.
+
+        A :class:`Guarded` batch of a fenced incarnation raises
+        :class:`NodeFencedError` before any shard is written.
         """
+        node_id, epoch = getattr(ops, "guard", (None, 0))
+        if node_id is None:
+            return self._apply(ops)
+        with self._fence:
+            if epoch <= self._fenced.get(node_id, -1):
+                raise NodeFencedError(node_id)
+            self._admitted[node_id] += 1
+        try:
+            self._apply(ops)
+        finally:
+            with self._fence:
+                self._admitted[node_id] -= 1
+                self._fence.notify_all()
+
+    def fence(self, node_id: Any, epoch: int) -> None:
+        """Reject every later guarded batch of ``node_id``'s incarnations up
+        to ``epoch``, and return once every batch of ``node_id`` admitted
+        before has applied on every shard's tail (bounded by hop time: a
+        batch runs no user code)."""
+        with self._fence:
+            self._fenced[node_id] = max(epoch, self._fenced.get(node_id, -1))
+            while self._admitted[node_id]:
+                self._fence.wait(BACKSTOP_INTERVAL)
+
+    def _apply(self, ops: List[tuple]) -> None:
         groups: Dict[int, List[tuple]] = {}
         for entry in ops:
             groups.setdefault(_shard_of(entry[1], len(self.shards)), []).append(

@@ -13,6 +13,7 @@ import time
 import pytest
 
 import repro
+from tests.invariants import assert_no_row_scheduled_on_a_dead_node
 
 
 @repro.remote
@@ -84,6 +85,7 @@ def test_mixed_workload_survives_failures(seed):
         assert snapshot == list(range(10)) + [100 + i for i in range(4)]
         late = repro.get(late_chain, timeout=60)
         assert late[-1] == 999
+        assert_no_row_scheduled_on_a_dead_node(rt)
     finally:
         repro.shutdown()
 
@@ -130,6 +132,7 @@ def test_es_training_survives_node_loss():
         rewards = es.train(3)  # rollout tasks reroute to the survivors
         assert len(rewards) == 3
         assert len(es.history) == 5
+        assert_no_row_scheduled_on_a_dead_node(rt)
     finally:
         repro.shutdown()
 
@@ -195,6 +198,7 @@ def test_double_failure_with_checkpointed_actor():
         rt.kill_node(state.node.node_id)
         assert repro.get(ledger.append.remote(7), timeout=60) == 8
         assert repro.get(ledger.snapshot.remote(), timeout=60) == list(range(8))
+        assert_no_row_scheduled_on_a_dead_node(rt)
     finally:
         repro.shutdown()
 
@@ -204,6 +208,7 @@ def test_double_failure_with_checkpointed_actor():
 # ---------------------------------------------------------------------------
 
 from repro.common.faults import (  # noqa: E402
+    KILL_CHAIN_MEMBER,
     KILL_NODE,
     RESTART_NODE,
     FaultAction,
@@ -211,7 +216,14 @@ from repro.common.faults import (  # noqa: E402
     FaultTrigger,
     PlannedFault,
 )
-from repro.tools.chaos import ChaosRunner  # noqa: E402
+from repro.tools.chaos import ChaosRunner, standard_workload  # noqa: E402
+
+
+def checked_workload(repro_module):
+    """The standard chaos workload, then the kill invariant."""
+    tasks_run = standard_workload(repro_module)
+    assert_no_row_scheduled_on_a_dead_node(repro_module.api.get_runtime())
+    return tasks_run
 
 
 def test_fault_schedule_dry_run_is_deterministic():
@@ -315,6 +327,94 @@ def test_restart_fired_mid_kill_applies_after_the_kill(monkeypatch):
         outcomes = [(e[3], e[-1]) for e in schedule.event_log()]
         assert outcomes == [(KILL_NODE, "applied"), (RESTART_NODE, "applied")]
         assert rt.node_by_index(1).alive
+        assert_no_row_scheduled_on_a_dead_node(rt)
+    finally:
+        repro.shutdown()
+
+
+def test_a_chain_write_trigger_cannot_plan_a_node_fault():
+    for kind in (KILL_NODE, RESTART_NODE):
+        with pytest.raises(ValueError):
+            FaultSchedule(faults=[PlannedFault(
+                FaultTrigger(after_chain_writes=1), FaultAction(kind, target=1)
+            )])
+
+
+def test_a_time_due_node_kill_fires_from_the_next_placement_not_a_chain_write():
+    """The kill is due from the start, so the first hook to look would fire
+    it: a chain write inside ``record_event`` must not, since ``kill_node``
+    would then write (and wait on its fence) inside another GCS write."""
+    schedule = FaultSchedule(seed=0, faults=[PlannedFault(
+        FaultTrigger(after_seconds=0.0), FaultAction(KILL_NODE, target=1)
+    )])
+    rt = repro.init(num_nodes=2, num_cpus_per_node=1, fault_schedule=schedule)
+    try:
+        writing = threading.local()
+        for shard in rt.gcs.kv.shards:
+            def write_batch(ops, *args, _write=shard.write_batch, **kwargs):
+                writing.depth = getattr(writing, "depth", 0) + 1
+                try:
+                    return _write(ops, *args, **kwargs)
+                finally:
+                    writing.depth -= 1
+
+            shard.write_batch = write_batch
+        kills = []
+        kill_node = rt.kill_node
+
+        def watched_kill(node_id):
+            kills.append(getattr(writing, "depth", 0))
+            kill_node(node_id)
+
+        rt.kill_node = watched_kill
+        victim = rt.node_by_index(1)
+        rt.gcs.record_event("probe")  # a chain write, with the kill due
+        assert kills == [] and victim.alive
+        assert repro.get(grow.remote([], 1), timeout=10) == [1]  # a placement
+        assert kills == [0]  # fired outside any chain write
+        assert not victim.alive
+        assert [e[-1] for e in schedule.event_log()] == ["applied"]
+        assert_no_row_scheduled_on_a_dead_node(rt)
+    finally:
+        repro.shutdown()
+
+
+def test_a_node_kill_queued_behind_a_chain_kill_waits_for_a_hook_outside_writes():
+    """A chain write applying a chain kill finds a node kill queued behind
+    it (fired on another thread meanwhile): it leaves the node kill to the
+    next hook outside any GCS write."""
+    schedule = FaultSchedule(seed=0, faults=[
+        PlannedFault(FaultTrigger(after_chain_writes=1),
+                     FaultAction(KILL_CHAIN_MEMBER, target=0, member=1)),
+        PlannedFault(FaultTrigger(after_tasks=1), FaultAction(KILL_NODE, target=1)),
+    ])
+    rt = repro.init(num_nodes=2, num_cpus_per_node=1, gcs_replicas=2,
+                    fault_schedule=schedule)
+    try:
+        entered, release = threading.Event(), threading.Event()
+        chain = rt.gcs.kv.shards[0]
+        kill_member = chain.kill_member
+
+        def held_kill_member(index):
+            entered.set()
+            assert release.wait(10)
+            return kill_member(index)
+
+        chain.kill_member = held_kill_member
+        writer = threading.Thread(target=rt.gcs.record_event, args=("probe",))
+        writer.start()
+        assert entered.wait(10)  # the writer is applying the chain kill
+        schedule.on_task_finished()  # the node kill queues behind it
+        release.set()
+        writer.join(10)
+        assert not writer.is_alive()
+        victim = rt.node_by_index(1)
+        assert victim.alive  # the chain write left it queued
+        schedule.poll()
+        assert not victim.alive
+        outcomes = [(e[3], e[-1]) for e in schedule.event_log()]
+        assert outcomes == [(KILL_CHAIN_MEMBER, "applied"), (KILL_NODE, "applied")]
+        assert_no_row_scheduled_on_a_dead_node(rt)
     finally:
         repro.shutdown()
 
@@ -322,7 +422,10 @@ def test_restart_fired_mid_kill_applies_after_the_kill(monkeypatch):
 def test_chaos_runner_same_seed_same_fault_log():
     """The subsystem's headline guarantee: same-seed runs inject the
     byte-identical fault sequence, and the workload stays correct."""
-    runner = ChaosRunner(seed=5, num_nodes=4, kills=1, first_kill_after=30)
+    runner = ChaosRunner(
+        seed=5, num_nodes=4, kills=1, first_kill_after=30,
+        workload=checked_workload,
+    )
     first = runner.run()
     second = runner.run()
     assert first.tasks_run == 200
@@ -359,5 +462,6 @@ def test_chaos_run_with_kill_and_restart_recovers():
         outcomes = [e[-1] for e in schedule.event_log() if e[0] == "planned"]
         assert outcomes == ["applied", "applied"]
         assert all(n.alive for n in rt.nodes())
+        assert_no_row_scheduled_on_a_dead_node(rt)
     finally:
         repro.shutdown()

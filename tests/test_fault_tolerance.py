@@ -12,6 +12,7 @@ import pytest
 import repro
 from repro.common.errors import ObjectLostError, ResourceRequestError
 from repro.gcs.tables import TaskStatus
+from tests.invariants import assert_no_row_scheduled_on_a_dead_node
 
 
 @repro.remote
@@ -50,6 +51,7 @@ class TestTaskReconstruction:
         # New dependent work — any lost ancestors must be replayed.
         ref2 = step.remote(ref)
         assert repro.get(ref2, timeout=30) == 8
+        assert_no_row_scheduled_on_a_dead_node(runtime)
 
     def test_result_on_dead_node_is_reexecuted(self, runtime):
         refs = [step.remote(i) for i in range(16)]
@@ -60,6 +62,7 @@ class TestTaskReconstruction:
         # All values still retrievable (transfer from survivors or replay).
         assert repro.get(refs, timeout=30) == [i + 1 for i in range(16)]
         assert held_here == 0 or runtime.reconstruction.reconstructed_tasks >= 0
+        assert_no_row_scheduled_on_a_dead_node(runtime)
 
     def test_eviction_triggers_lineage_replay(self):
         rt = repro.init(
@@ -165,6 +168,7 @@ class TestTaskReconstruction:
         assert sorted(repro.get(refs, timeout=60)) == sorted(
             i + 1 for i in range(24)
         )
+        assert_no_row_scheduled_on_a_dead_node(runtime)
 
 
 class TestActorReconstruction:
@@ -177,6 +181,7 @@ class TestActorReconstruction:
         # Full replay (no checkpoint): state must be identical.
         assert repro.get(actor.add.remote(1), timeout=30) == 9
         assert runtime.actors.replayed_methods >= 8
+        assert_no_row_scheduled_on_a_dead_node(runtime)
 
     def test_checkpoint_bounds_replay(self, runtime):
         """Figure 11b: with checkpointing only post-checkpoint methods
@@ -189,6 +194,7 @@ class TestActorReconstruction:
         assert repro.get(actor.add.remote(1), timeout=30) == 13
         # Checkpoint at 10; methods 11..12 replay (2), not all 12.
         assert runtime.actors.replayed_methods <= 4
+        assert_no_row_scheduled_on_a_dead_node(runtime)
 
     def test_custom_checkpoint_hooks(self, runtime):
         @repro.remote(checkpoint_interval=2)
@@ -237,6 +243,7 @@ class TestClusterElasticity:
         runtime.kill_node(victim.node_id)
         runtime.kill_node(victim.node_id)  # no error
         assert len(runtime.live_nodes()) == 1
+        assert_no_row_scheduled_on_a_dead_node(runtime)
 
 
 class HeldRowWrite:
@@ -291,12 +298,8 @@ class TestKillWhileRowInFlight:
             assert (row.status, row.node_id) == (
                 TaskStatus.FINISHED, survivor.node_id
             )
-        in_flight_on_victim = [
-            entry
-            for entry in runtime.gcs.tasks_with_status(TaskStatus.SCHEDULED)
-            if entry.node_id == victim.node_id
-        ]
-        assert in_flight_on_victim == []
+        assert not victim.alive
+        assert_no_row_scheduled_on_a_dead_node(runtime)
 
     def test_fast_path(self):
         runtime = repro.init(num_nodes=2, num_cpus_per_node=2)
@@ -386,11 +389,8 @@ class TestReconstructionRaces:
         assert len(task_events(runtime, "task_finished", task_id)) == 2
         row = runtime.gcs.get_task(task_id)
         assert (row.status, row.node_id) == (TaskStatus.FINISHED, home.node_id)
-        assert [
-            entry
-            for entry in runtime.gcs.tasks_with_status(TaskStatus.SCHEDULED)
-            if entry.node_id == victim.node_id
-        ] == []
+        assert not victim.alive
+        assert_no_row_scheduled_on_a_dead_node(runtime)
 
     def test_replayed_parent_resubmits_a_child_being_reconstructed(self):
         runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
@@ -436,9 +436,9 @@ class TestReconstructionRaces:
 
 class TestFinishedBetweenKillSnapshots:
     def test_attempt_run_inside_the_kill_is_replayed(self, monkeypatch):
-        """A task dispatched after ``kill_node``'s first running-set
-        snapshot and finished (unstored) before its second is in neither;
-        its own worker replays it."""
+        """A task dispatched after ``kill_node`` marks its node dead, and
+        finished (unstored) before the fence, lands FINISHED on the dead
+        node with no copy: a reader's reconstruction replays it."""
         runtime = repro.init(num_nodes=1, num_cpus_per_node=1)
         victim = runtime.add_node({"CPU": 1, "n": 1})
         started, gate = threading.Event(), threading.Event()
@@ -486,6 +486,7 @@ class TestFinishedBetweenKillSnapshots:
         assert not killer.is_alive()
         assert repro.get([first, second], timeout=10) == [1, 2]
         repro.shutdown()
+        assert_no_row_scheduled_on_a_dead_node(runtime)
 
 
 class TestKillWithNoSurvivorThatFits:
@@ -519,4 +520,5 @@ class TestKillWithNoSurvivorThatFits:
             runtime.flush_finishes()  # the finish lands behind the get
             row = runtime.gcs.get_task(runtime.graph.producer_of(ref.object_id))
             assert row.status == TaskStatus.FAILED
+        assert_no_row_scheduled_on_a_dead_node(runtime)
         gate.set()  # let the stranded attempt exit

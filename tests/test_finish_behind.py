@@ -8,9 +8,11 @@ from collections import Counter as Tally
 import pytest
 
 import repro
+from repro.common.errors import NodeFencedError
 from repro.core.gc import free_objects
 from repro.gcs.chain import ChainUnavailableError
 from repro.gcs.tables import TaskStatus
+from tests.invariants import assert_no_row_scheduled_on_a_dead_node
 
 TERMINAL = (TaskStatus.FINISHED, TaskStatus.FAILED, TaskStatus.CANCELLED)
 
@@ -185,7 +187,7 @@ def test_kill_with_a_finish_queued_finishes_the_task_once_on_a_survivor():
 
     def watched(pending):
         put(pending)
-        if pending.finish.spec.function_name == "second":
+        if pending.spec.function_name == "second":
             queued.set()
 
     victim.finishes.put = watched
@@ -204,6 +206,157 @@ def test_kill_with_a_finish_queued_finishes_the_task_once_on_a_survivor():
     assert row.node_id == survivor.node_id
     (event,) = finished_events(runtime, task_id)
     assert event.as_dict()["node"] == survivor.node_id.short()
+    assert_no_row_scheduled_on_a_dead_node(runtime)
+
+
+class TaskRowWrites:
+    """Records, for every ``ShardedKV.batch`` writing task rows, the
+    ``(task_id, status, node_id)`` rows that land in ``rows`` and the task
+    IDs of a batch the fence rejects in ``rejected``."""
+
+    def __init__(self, runtime):
+        self.rows, self.rejected = [], []
+        self.rejection = threading.Event()
+        batch = runtime.gcs.kv.batch
+
+        def recorded(ops):
+            tasks = [(key[1], value) for op, key, value in ops
+                     if op == "put" and key[0] == "task"]
+            try:
+                batch(ops)
+            except NodeFencedError:
+                self.rejected.append({task_id for task_id, _row in tasks})
+                self.rejection.set()
+                raise
+            self.rows.extend((task_id, row.status, row.node_id)
+                             for task_id, row in tasks)
+
+        runtime.gcs.kv.batch = recorded
+
+
+def test_a_finish_held_across_the_kill_is_rejected():
+    runtime = repro.init(num_nodes=1, num_cpus_per_node=1)
+    victim = runtime.add_node({"CPU": 1, "n": 1})
+
+    @repro.remote(resources={"n": 1})
+    def there(x):
+        return x
+
+    held = HeldDrain(runtime, only={"there"})
+    writes = TaskRowWrites(runtime)
+    ref = there.remote(5)
+    task_id = runtime.graph.producer_of(ref.object_id)
+    assert held.holding.wait(10)  # the victim's drain holds the finish
+    survivor = runtime.add_node({"CPU": 1, "n": 1})
+    runtime.kill_node(victim.node_id)
+    held.release()
+    assert repro.get(ref, timeout=10) == 5
+    quiesce(runtime)
+    assert writes.rejected == [{task_id}]
+    row = runtime.gcs.get_task(task_id)
+    assert (row.status, row.node_id) == (TaskStatus.FINISHED, survivor.node_id)
+    (event,) = finished_events(runtime, task_id)
+    assert event.as_dict()["node"] == survivor.node_id.short()
+    assert (task_id, TaskStatus.FINISHED, victim.node_id) not in writes.rows
+    assert_no_row_scheduled_on_a_dead_node(runtime)
+
+
+def test_a_late_finish_of_a_killed_incarnation_is_rejected_after_its_restart():
+    """The first attempt outlives its node's kill and restart under the
+    same NodeID; its finish then carries the old epoch, so the GCS rejects
+    it while the restarted node's own finishes land."""
+    runtime = repro.init(num_nodes=1, num_cpus_per_node=1)
+    victim = runtime.add_node({"CPU": 1, "n": 1, "m": 1})
+    started, gate = threading.Event(), threading.Event()
+    attempts = []
+
+    @repro.remote(resources={"n": 1})
+    def stranded(x):
+        attempts.append(x)
+        if len(attempts) == 1:
+            started.set()
+            assert gate.wait(10)
+        return x
+
+    @repro.remote(resources={"m": 1})
+    def there(x):
+        return x
+
+    writes = TaskRowWrites(runtime)
+    ref = stranded.remote(1)
+    task_id = runtime.graph.producer_of(ref.object_id)
+    assert started.wait(10)
+    survivor = runtime.add_node({"CPU": 1, "n": 1})
+    runtime.kill_node(victim.node_id)
+    assert repro.get(ref, timeout=10) == 1  # re-placed on the survivor
+    restarted = runtime.restart_node(victim.node_id)
+    assert restarted.epoch == victim.epoch + 1
+    later = there.remote(2)
+    assert repro.get(later, timeout=10) == 2
+    gate.set()  # the old incarnation's finish goes out now
+    assert writes.rejection.wait(10)
+    quiesce(runtime)
+    assert writes.rejected == [{task_id}]
+    row = runtime.gcs.get_task(task_id)
+    assert (row.status, row.node_id) == (TaskStatus.FINISHED, survivor.node_id)
+    assert len(finished_events(runtime, task_id)) == 1
+    later_row = runtime.gcs.get_task(runtime.graph.producer_of(later.object_id))
+    assert (later_row.status, later_row.node_id) == (
+        TaskStatus.FINISHED, victim.node_id
+    )
+    assert_no_row_scheduled_on_a_dead_node(runtime)
+
+
+def test_a_mixed_batch_at_the_kill_lands_only_the_actors_finishes():
+    runtime = repro.init(num_nodes=1, num_cpus_per_node=1)
+    victim = runtime.add_node({"CPU": 3, "n": 1, "m": 1})
+    counter = Counter.options(resources={"n": 1}).remote()
+    assert repro.get(counter.add.remote(1), timeout=10) == 1
+    runtime.flush_finishes()
+
+    @repro.remote(resources={"m": 1})
+    def first(x):
+        return x
+
+    @repro.remote(resources={"m": 1})
+    def second(x):
+        return x + 1
+
+    # The victim's drain holds first's finish; a method's and second's
+    # queue behind it and go out together, in one batch.
+    held = HeldDrain(runtime, only={"first"})
+    writes = TaskRowWrites(runtime)
+    names, queued = set(), threading.Event()
+    put = victim.finishes.put
+
+    def watched(pending):
+        put(pending)
+        names.add(pending.spec.function_name)
+        if {"Counter.add", "second"} <= names:
+            queued.set()
+
+    victim.finishes.put = watched
+    head = first.remote(1)
+    assert held.holding.wait(10)
+    method = counter.add.remote(1)
+    ref = second.remote(2)
+    assert queued.wait(10)
+    survivor = runtime.add_node({"CPU": 3, "n": 1, "m": 1})
+    runtime.kill_node(victim.node_id)
+    held.release()
+    assert repro.get([head, ref, method], timeout=30) == [1, 3, 2]
+    quiesce(runtime)
+    method_id, second_id = (
+        runtime.graph.producer_of(r.object_id) for r in (method, ref)
+    )
+    # Rejected whole, then the method's finish landed on its own.
+    assert {method_id, second_id} in writes.rejected
+    assert (method_id, TaskStatus.FINISHED, victim.node_id) in writes.rows
+    assert (second_id, TaskStatus.FINISHED, victim.node_id) not in writes.rows
+    row = runtime.gcs.get_task(second_id)
+    assert (row.status, row.node_id) == (TaskStatus.FINISHED, survivor.node_id)
+    assert len(finished_events(runtime, second_id)) == 1
+    assert_no_row_scheduled_on_a_dead_node(runtime)
 
 
 def test_cancel_lets_a_held_finish_land_and_returns_false():
@@ -302,7 +455,7 @@ def test_kill_with_an_actor_finish_queued_keeps_its_checkpoint():
 
     def watched(pending):
         put(pending)
-        if pending.finish.spec.function_name == "Counter.add":
+        if pending.spec.function_name == "Counter.add":
             ran.append(pending)
             if len(ran) == 12:
                 all_ran.set()
@@ -321,6 +474,7 @@ def test_kill_with_an_actor_finish_queued_keeps_its_checkpoint():
     # Restored at 10: methods 11 and 12 replay, not all 12.
     assert runtime.actors.replayed_methods == 2
     repro.shutdown()
+    assert_no_row_scheduled_on_a_dead_node(runtime)
 
 
 def test_a_killed_and_restarted_nodes_drains_exit_at_shutdown():
@@ -334,6 +488,7 @@ def test_a_killed_and_restarted_nodes_drains_exit_at_shutdown():
 
     assert repro.get(there.remote(1), timeout=10) == 1
     runtime.kill_node(victim.node_id)
+    assert_no_row_scheduled_on_a_dead_node(runtime)
     runtime.restart_node(victim.node_id)
     assert repro.get(there.remote(2), timeout=10) == 2
     repro.shutdown()

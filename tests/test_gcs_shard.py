@@ -1,7 +1,13 @@
-"""Sharded KV: routing, aggregation, pub-sub through shards."""
+"""Sharded KV: routing, aggregation, pub-sub through shards, fencing."""
 
+import sys
+import threading
+
+import pytest
+
+from repro.common.errors import NodeFencedError
 from repro.common.ids import ObjectID, TaskID
-from repro.gcs.shard import ShardedKV
+from repro.gcs.shard import Guarded, ShardedKV
 
 
 class TestRouting:
@@ -82,3 +88,60 @@ class TestSubscriptions:
 
         with pytest.raises(ValueError):
             ShardedKV(num_shards=0)
+
+
+class TestFence:
+    @staticmethod
+    def guarded(guard, key, value):
+        ops = Guarded(guard)
+        ops.append(("put", key, value))
+        return ops
+
+    def test_a_fenced_incarnation_is_rejected_and_the_next_lands(self):
+        kv = ShardedKV(num_shards=2)
+        kv.batch(self.guarded(("n", 0), ("t", "a"), 1))
+        kv.fence("n", 0)
+        with pytest.raises(NodeFencedError):
+            kv.batch(self.guarded(("n", 0), ("t", "b"), 2))
+        kv.batch(self.guarded(("n", 1), ("t", "c"), 3))  # the restart
+        kv.batch([("put", ("t", "d"), 4)])  # unguarded
+        assert [kv.get(("t", k)) for k in "abcd"] == [1, None, 3, 4]
+
+    def test_fence_returns_after_every_admitted_batch_and_before_none_later(self):
+        """Eight writers (more than the cores) send guarded batches at a
+        1 µs switch interval while the incarnation is fenced: every batch
+        that lands has landed when ``fence`` returns, and each writer is
+        rejected after it.  Each write holds its shard for a 1 ms hop, so
+        a fence that did not wait would return with batches in flight."""
+        kv = ShardedKV(num_shards=4, hop_delay=0.001)
+        wrote = [threading.Event() for _ in range(8)]
+        rejected = [threading.Event() for _ in range(8)]
+
+        def writer(index):
+            for count in range(100_000):
+                try:
+                    kv.batch(self.guarded(("n", 0), ("t", (index, count)), count))
+                except NodeFencedError:
+                    rejected[index].set()
+                    return
+                wrote[index].set()
+
+        threads = [
+            threading.Thread(target=writer, args=(i,)) for i in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for event in wrote:
+                assert event.wait(10)
+            kv.fence("n", 0)
+            landed = len(kv.keys())
+            for thread in threads:
+                thread.join(10)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(event.is_set() for event in rejected)
+        assert len(kv.keys()) == landed
