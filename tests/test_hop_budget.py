@@ -610,3 +610,44 @@ def test_tasks_and_methods_leave_the_same_records(single_node_runtime):
     assert sorted(rows["echo"]) == sorted(rows["Echo.echo"])
     assert len(rows["echo"]) == 12
 
+
+
+def test_a_kill_retracts_in_one_batch_and_scans_the_task_table():
+    runtime = repro.init(num_nodes=1, num_cpus_per_node=1)
+    victim = runtime.add_node({"CPU": 1, "n": 1})
+    started, gate, attempts = threading.Event(), threading.Event(), []
+
+    @repro.remote(resources={"n": 1})
+    def there(x):
+        return x
+
+    @repro.remote(resources={"n": 1})
+    def held(x):
+        attempts.append(x)
+        if len(attempts) == 1:
+            started.set()
+            assert gate.wait(10)
+        return x
+
+    assert repro.get(there.remote(1), timeout=10) == 1
+    ref = held.remote(2)
+    assert started.wait(10)
+    runtime.flush_finishes()
+    runtime.add_node({"CPU": 1, "n": 1})  # where the sweep re-places held
+    calls = ShardCalls(runtime.gcs.kv)
+    runtime.kill_node(victim.node_id)
+    caller = list(calls.by_thread()[threading.current_thread().name])
+    assert repro.get(ref, timeout=10) == 2
+    gate.set()
+    quiesce()
+    # The victim's one copy retracted in one batch, the node_death event,
+    # the sweep's scan (one row read per task), then the re-placement of
+    # the one row SCHEDULED there: a placement batch as any forwarded
+    # task's.
+    assert caller == [
+        ("batch", (("append", "object_loc"),)),
+        ("append", "event"),
+        ("get", "task"),
+        ("get", "task"),
+        ("batch", (("put", "task"), ("append", "event"), ("append", "event"))),
+    ], calls.describe()
