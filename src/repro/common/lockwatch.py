@@ -55,6 +55,8 @@ __all__ = [
     "make_rlock",
     "make_condition",
     "make_thread",
+    "Ticker",
+    "JOIN_TIMEOUT",
 ]
 
 
@@ -409,13 +411,66 @@ def make_condition(name: str):
 
 
 def make_thread(target, name: str, daemon: bool = True) -> threading.Thread:
-    """The one audited thread-construction site for runtime components.
+    """The one thread-construction site of the runtime.
 
-    Every background thread the ops plane (reporters, autoscaler,
-    dashboard) spawns goes through here: the thread is always *named* (so
-    the witness's per-edge thread attribution and long-hold records point
-    at a real component, not ``Thread-7``) and the ``daemon`` decision is
-    explicit, which is exactly the contract the static RT-THREAD-LEAK rule
-    enforces at call sites.
+    Every runtime thread is built here (the static RT-THREAD-LEAK rule
+    flags a ``threading.Thread`` built anywhere else in ``src/repro``): the
+    thread is always *named*, so the witness's per-edge thread attribution
+    and long-hold records point at a real component, not ``Thread-7``, and
+    the ``daemon`` decision is explicit.
     """
     return threading.Thread(target=target, name=name, daemon=daemon)
+
+
+# Seconds a stopping component waits for its own thread to exit.
+JOIN_TIMEOUT = 2.0
+
+
+class Ticker:
+    """Calls ``tick()`` every ``interval`` seconds on one named daemon thread.
+
+    The ops plane's one interval loop (node reporters, the autoscalers, the
+    serve router's report).  ``start`` and ``stop`` are idempotent and a
+    stopped ticker never restarts.  ``stop`` wakes the thread and joins it
+    (up to :data:`JOIN_TIMEOUT`), so no tick starts after it returns; called
+    from inside a tick it returns without joining its own thread.  A tick
+    that raises ends the thread through ``threading.excepthook``.
+    """
+
+    def __init__(self, name: str, interval: float, tick) -> None:
+        self.name = name
+        self.interval = interval
+        self._tick = tick
+        self._cond = make_condition("Ticker._cond")
+        self._stopped = False
+        self.thread: Optional[threading.Thread] = None
+
+    def start(self) -> None:
+        with self._cond:
+            if self.thread is not None or self._stopped:
+                return
+            self.thread = make_thread(self._run, name=self.name)
+        self.thread.start()
+
+    def _run(self) -> None:
+        while True:
+            with self._cond:
+                if not self._stopped:
+                    self._cond.wait(self.interval)
+                if self._stopped:
+                    return
+            # Tick outside the condition: ticks write the GCS
+            # (RT-BLOCKING-UNDER-LOCK).
+            self._tick()
+
+    def stop(self) -> None:
+        with self._cond:
+            self._stopped = True
+            self._cond.notify_all()
+            thread = self.thread
+        if (
+            thread is not None
+            and thread.is_alive()
+            and thread is not threading.current_thread()
+        ):
+            thread.join(JOIN_TIMEOUT)

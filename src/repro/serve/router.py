@@ -25,8 +25,9 @@ and are answered through a :class:`ServeFuture`; between the two sits:
   method log and lineage stay, so a restarted replica still replays;
 * **sibling retry** — a batch whose replica died mid-flight is re-dispatched
   once per remaining sibling before the error reaches the callers;
-* **metrics publication** — a background thread publishes queue depth,
-  in-flight, and windowed p50/p99 latency into the GCS serve-report table
+* **metrics publication** — a :class:`~repro.common.lockwatch.Ticker`
+  publishes queue depth, in-flight, and windowed p50/p99 latency every
+  ``_REPORT_INTERVAL`` seconds into the GCS serve-report table
   (:meth:`~repro.gcs.client.GlobalControlStore.publish_serve_report`),
   the signal the replica autoscaler scales from.
 
@@ -50,7 +51,7 @@ from repro.common.errors import (
     NodeDiedError,
     TaskExecutionError,
 )
-from repro.common.lockwatch import make_condition, make_thread
+from repro.common.lockwatch import JOIN_TIMEOUT, Ticker, make_condition, make_thread
 from repro.common.metrics import percentile
 from repro.core.gc import free_objects
 
@@ -152,7 +153,9 @@ class Router:
         self.retries = 0
 
         self._batcher: Optional[threading.Thread] = None
-        self._reporter: Optional[threading.Thread] = None
+        self._reporter = Ticker(
+            f"serve-report-{deployment_name}", _REPORT_INTERVAL, self.publish_report
+        )
         self._waiters: List[threading.Thread] = []
 
     # ------------------------------------------------------------------
@@ -164,9 +167,6 @@ class Router:
             self._batch_loop, name=f"serve-batcher-{self.deployment_name}", daemon=True
         )
         self._batcher.start()
-        self._reporter = make_thread(
-            self._report_loop, name=f"serve-report-{self.deployment_name}", daemon=True
-        )
         self._reporter.start()
         self._ensure_waiters()
         return self
@@ -192,10 +192,9 @@ class Router:
         for _slot, batch, _ref, _attempts in dispatched:
             for request in batch:
                 request.future._set_error(error)
-        current = threading.current_thread()
-        for thread in [self._batcher, self._reporter]:
-            if thread is not None and thread is not current:
-                thread.join(timeout=2.0)
+        self._reporter.stop()
+        if self._batcher is not None and self._batcher is not threading.current_thread():
+            self._batcher.join(JOIN_TIMEOUT)
 
     def _ensure_waiters(self) -> None:
         """Grow the waiter pool to cover every possible concurrent batch."""
@@ -547,11 +546,3 @@ class Router:
         row["ts"] = time.time()
         self._runtime.gcs.publish_serve_report(self.deployment_name, row)
         return row
-
-    def _report_loop(self) -> None:
-        while True:
-            with self._cond:
-                self._cond.wait(_REPORT_INTERVAL)
-                if self._stopped:
-                    return
-            self.publish_report()

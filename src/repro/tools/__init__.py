@@ -28,6 +28,7 @@ persists its result through :func:`emit_report`, so output conventions
 """
 
 import argparse
+import importlib
 import json as _json
 
 
@@ -58,37 +59,34 @@ def emit_report(payload, output=None, text=None, as_json=False) -> None:
             fh.write("\n")
 
 
-# The helpers above are defined before the submodule imports below on
-# purpose: submodules (chaos, analyze) import them from the partially
-# initialized package during their own import.
-from repro.tools.autoscaler import Autoscaler, AutoscalerConfig
-from repro.tools.chaos import ChaosReport, ChaosRunner, standard_workload
-from repro.tools.critical_path import CriticalPath, CriticalPathReport
-from repro.tools.dashboard_head import DashboardHead
-from repro.tools.inspect import ClusterInspector, ClusterSnapshot
-from repro.tools.profiler import FunctionProfile, Profiler
-from repro.tools.reporter import NodeReporter
-from repro.tools.timeline import TaskLifecycle, Timeline, TimelineSpan
-from repro.tools.http_dashboard import DashboardServer
+# Tool classes load on first access (PEP 562), so ``python -m
+# repro.tools.<tool>`` runs its module once, as ``__main__``, not also as a
+# package member imported here.
+_EXPORTS = {
+    "Autoscaler": "autoscaler",
+    "AutoscalerConfig": "autoscaler",
+    "ChaosReport": "chaos",
+    "ChaosRunner": "chaos",
+    "standard_workload": "chaos",
+    "ClusterInspector": "inspect",
+    "ClusterSnapshot": "inspect",
+    "CriticalPath": "critical_path",
+    "CriticalPathReport": "critical_path",
+    "DashboardHead": "dashboard_head",
+    "NodeReporter": "reporter",
+    "Timeline": "timeline",
+    "TimelineSpan": "timeline",
+    "TaskLifecycle": "timeline",
+    "Profiler": "profiler",
+    "FunctionProfile": "profiler",
+    "DashboardServer": "http_dashboard",
+}
 
-__all__ = [
-    "build_cli_parser",
-    "emit_report",
-    "Autoscaler",
-    "AutoscalerConfig",
-    "ChaosReport",
-    "ChaosRunner",
-    "standard_workload",
-    "ClusterInspector",
-    "ClusterSnapshot",
-    "CriticalPath",
-    "CriticalPathReport",
-    "DashboardHead",
-    "NodeReporter",
-    "Timeline",
-    "TimelineSpan",
-    "TaskLifecycle",
-    "Profiler",
-    "FunctionProfile",
-    "DashboardServer",
-]
+__all__ = ["build_cli_parser", "emit_report", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -178,32 +178,49 @@ def check_except_swallow(project):
 # -- RT-THREAD-LEAK ----------------------------------------------------------
 
 
+# The runtime's one thread factory: every other module of the runtime
+# package builds its threads through lockwatch.make_thread.
+_RUNTIME_PACKAGE = "src/repro/"
+_THREAD_FACTORY = "src/repro/common/lockwatch.py"
+
+
 @rule(
     "RT-THREAD-LEAK",
-    "thread created without an explicit daemon= decision",
+    "thread created without an explicit daemon= decision, or in the "
+    "runtime outside make_thread",
 )
 def check_thread_leak(project):
     for module in project.modules:
         if module.tree is None:
             continue
+        in_runtime = (
+            module.relpath.startswith(_RUNTIME_PACKAGE)
+            and module.relpath != _THREAD_FACTORY
+        )
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
             dotted = astutil.dotted_name(node.func)
             if dotted not in ("threading.Thread", "Thread", "threading.Timer", "Timer"):
                 continue
-            keywords = {kw.arg for kw in node.keywords}
-            if "daemon" in keywords:
+            if in_runtime:
+                message = (
+                    "runtime thread built outside make_thread: build it with "
+                    "repro.common.lockwatch.make_thread (or run it on a Ticker)"
+                )
+            elif any(kw.arg == "daemon" for kw in node.keywords):
                 continue
+            else:
+                message = (
+                    "thread created without daemon=: pass daemon=True (and "
+                    "join it in shutdown) or daemon=False with an owner "
+                    "that joins it"
+                )
             yield Finding(
                 rule_id="RT-THREAD-LEAK",
                 severity=ERROR,
                 path=module.relpath,
                 line=node.lineno,
                 symbol=module.symbol_of(node),
-                message=(
-                    "thread created without daemon=: pass daemon=True (and "
-                    "join it in shutdown) or daemon=False with an owner "
-                    "that joins it"
-                ),
+                message=message,
             )

@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
-from repro.common.lockwatch import make_condition, make_thread
+from repro.common.lockwatch import Ticker
 from repro.tools.dashboard_head import DashboardHead
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -90,9 +90,7 @@ class Autoscaler:
         self._low_streak = 0
         self._last_action_at: Optional[float] = None
         self.decisions = 0
-        self._cond = make_condition("Autoscaler._cond")
-        self._stopped = False
-        self._thread = None
+        self.ticker = Ticker("autoscaler", self.config.interval, self.tick)
 
     # -- policy ------------------------------------------------------------
 
@@ -182,34 +180,11 @@ class Autoscaler:
     # -- interval thread ---------------------------------------------------
 
     def start(self) -> None:
-        with self._cond:
-            if self._thread is not None or self._stopped:
-                return
-            self._thread = make_thread(
-                self._run, name="autoscaler", daemon=True
-            )
-        self._thread.start()
-
-    def _run(self) -> None:
-        while True:
-            with self._cond:
-                if self._stopped:
-                    return
-                self._cond.wait(timeout=self.config.interval)
-                if self._stopped:
-                    return
-            # Evaluate outside the condition: the tick reads the GCS and
-            # may resize the cluster (RT-BLOCKING-UNDER-LOCK).
-            self.tick()
+        self.ticker.start()
 
     def stop(self) -> None:
         """Stop the policy thread; idempotent."""
-        with self._cond:
-            self._stopped = True
-            self._cond.notify_all()
-            thread = self._thread
-        if thread is not None and thread.is_alive():
-            thread.join(timeout=2.0)
+        self.ticker.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +237,9 @@ class ReplicaAutoscaler:
         self._last_action_at: Optional[float] = None
         self.decisions = 0
         self.replaced = 0
-        self._cond = make_condition("ReplicaAutoscaler._cond")
-        self._stopped = False
-        self._thread = None
+        self.ticker = Ticker(
+            f"replica-autoscaler-{deployment}", self.config.interval, self.tick
+        )
 
     def _plane(self):
         from repro.serve.deployment import get_plane
@@ -354,31 +329,8 @@ class ReplicaAutoscaler:
     # -- interval thread ---------------------------------------------------
 
     def start(self) -> None:
-        with self._cond:
-            if self._thread is not None or self._stopped:
-                return
-            self._thread = make_thread(
-                self._run, name=f"replica-autoscaler-{self.deployment}", daemon=True
-            )
-        self._thread.start()
-
-    def _run(self) -> None:
-        while True:
-            with self._cond:
-                if self._stopped:
-                    return
-                self._cond.wait(timeout=self.config.interval)
-                if self._stopped:
-                    return
-            # Evaluate outside the condition: the tick reads the GCS and
-            # may create/drain actors (RT-BLOCKING-UNDER-LOCK).
-            self.tick()
+        self.ticker.start()
 
     def stop(self) -> None:
         """Stop the policy thread; idempotent."""
-        with self._cond:
-            self._stopped = True
-            self._cond.notify_all()
-            thread = self._thread
-        if thread is not None and thread.is_alive():
-            thread.join(timeout=2.0)
+        self.ticker.stop()

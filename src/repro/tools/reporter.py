@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict
 
-from repro.common.lockwatch import make_condition, make_thread
+from repro.common.lockwatch import Ticker
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.runtime import Node, Runtime
@@ -75,22 +75,20 @@ class NodeReporter:
     """Samples one node on an interval and publishes rows to the GCS.
 
     The sampling logic is the synchronous :meth:`report_once` so tests can
-    drive it deterministically; :meth:`start` merely wraps it in a thin
-    condition-wait interval thread.  ``stop`` is idempotent and joins the
-    thread; ``stop(tombstone=True)`` additionally rewrites the node's row
-    as a tombstone (the ``kill_node`` path).
+    drive it deterministically; :meth:`start` runs it on a
+    :class:`~repro.common.lockwatch.Ticker`.  ``stop`` is idempotent and
+    joins the thread; ``stop(tombstone=True)`` additionally rewrites the
+    node's row as a tombstone (the ``kill_node`` path).
     """
 
     def __init__(self, runtime: "Runtime", node: "Node",
                  interval: float = 0.25):
         self._runtime = runtime
         self._node = node
-        self.interval = interval
         self._row_seq = itertools.count(1)
-        short = node.node_id.hex()[:8]
-        self._cond = make_condition(f"NodeReporter[{short}]._cond")
-        self._stopped = False
-        self._thread = None
+        self.ticker = Ticker(
+            f"reporter-{node.node_id.hex()[:8]}", interval, self.report_once
+        )
 
     @property
     def node_hex(self) -> str:
@@ -107,36 +105,11 @@ class NodeReporter:
     # -- interval thread ---------------------------------------------------
 
     def start(self) -> None:
-        with self._cond:
-            if self._thread is not None or self._stopped:
-                return
-            self._thread = make_thread(
-                self._run,
-                name=f"reporter-{self.node_hex[:8]}",
-                daemon=True,
-            )
-        self._thread.start()
-
-    def _run(self) -> None:
-        while True:
-            with self._cond:
-                if self._stopped:
-                    return
-                self._cond.wait(timeout=self.interval)
-                if self._stopped:
-                    return
-            # Sample and publish outside the condition: the GCS write must
-            # not run under a held lock (RT-BLOCKING-UNDER-LOCK).
-            self.report_once()
+        self.ticker.start()
 
     def stop(self, tombstone: bool = False) -> None:
         """Stop the interval thread (idempotent); optionally tombstone the
         node's last-seen row (node-death path)."""
-        with self._cond:
-            self._stopped = True
-            self._cond.notify_all()
-            thread = self._thread
-        if thread is not None and thread.is_alive():
-            thread.join(timeout=2.0)
+        self.ticker.stop()
         if tombstone:
             self._runtime.gcs.tombstone_node_report(self.node_hex)

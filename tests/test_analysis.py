@@ -469,6 +469,22 @@ class TestThreadLeak:
         )
         assert not _rule_hits(findings, "RT-THREAD-LEAK")
 
+    def test_runtime_thread_outside_make_thread_fires_even_with_daemon(
+        self, tmp_path
+    ):
+        source = """
+            import threading
+
+            def start(worker):
+                return threading.Thread(target=worker, daemon=True)
+            """
+        for relpath in ("src/repro/serve/mod.py", "src/repro/common/lockwatch.py"):
+            target = tmp_path / relpath
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(textwrap.dedent(source))
+        hits = _rule_hits(run_rules(scan_paths([tmp_path])), "RT-THREAD-LEAK")
+        assert [f.path for f in hits] == ["src/repro/serve/mod.py"]
+
 
 # ---------------------------------------------------------------------------
 # Engine mechanics: noqa, baseline, exit codes, CLI

@@ -167,7 +167,7 @@ class TestLifecycle:
         )
         scaler.start()
         repro.shutdown()
-        assert scaler._thread is None or not scaler._thread.is_alive()
+        assert scaler.ticker.thread is None or not scaler.ticker.thread.is_alive()
 
     def test_real_head_closes_the_loop_without_reporters(self, runtime):
         """With reporters disabled the head samples the runtime directly,

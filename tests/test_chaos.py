@@ -6,9 +6,13 @@ task chains, actors, and large objects runs while nodes die and join
 underneath it; every final answer must still be exactly correct.
 """
 
+import os
 import random
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -465,3 +469,20 @@ def test_chaos_run_with_kill_and_restart_recovers():
         assert_no_row_scheduled_on_a_dead_node(rt)
     finally:
         repro.shutdown()
+
+
+def test_chaos_cli_loads_its_module_once():
+    """``python -m repro.tools.chaos`` must not import itself twice (once
+    through the package, once as ``__main__``): runpy warns about that."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.tools.chaos", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""

@@ -7,7 +7,8 @@ import urllib.request
 import pytest
 
 import repro
-from repro.tools.http_dashboard import DashboardServer, _json_dumps
+from repro.common.jsonhttp import dumps
+from repro.tools.http_dashboard import DashboardServer
 
 
 def strict_loads(body):
@@ -148,7 +149,7 @@ class TestDashboard:
             "nan": float("nan"),
             "nested": [1.0, {"x": float("inf")}],
         }
-        out = strict_loads(_json_dumps(raw))
+        out = strict_loads(dumps(raw))
         assert out["inf"] is None
         assert out["ninf"] is None
         assert out["nan"] is None
@@ -301,5 +302,5 @@ class TestLifecycleHygiene:
         server = rt.register_ops(DashboardServer(rt).start())
         repro.shutdown()
         # The serving thread is down and a second stop stays a no-op.
-        assert server._thread is None or not server._thread.is_alive()
+        assert server.thread is None or not server.thread.is_alive()
         server.stop()

@@ -113,7 +113,7 @@ class TestReportingRuntime:
         assert all(r is not None for r in reporters)
         repro.shutdown()
         for reporter in reporters:
-            thread = reporter._thread
+            thread = reporter.ticker.thread
             assert thread is None or not thread.is_alive()
 
     def test_reporter_stop_is_idempotent(self, runtime):
