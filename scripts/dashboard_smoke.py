@@ -96,6 +96,20 @@ def check_prometheus(body):
         raise SystemExit(f"FAIL: /metrics missing documented series: {missing}")
 
 
+def check_trace(path, body):
+    """A Chrome trace with task spans, where every drawn lane is named by
+    exactly one ``process_name`` event."""
+    events = body["traceEvents"]
+    if not any(e["ph"] == "X" for e in events):
+        raise SystemExit(f"FAIL: {path} has no X (task span) events")
+    named = [e["pid"] for e in events if e["name"] == "process_name"]
+    for pid in {e["pid"] for e in events if e["ph"] in ("X", "i")}:
+        if named.count(pid) != 1:
+            raise SystemExit(
+                f"FAIL: {path} pid {pid} has {named.count(pid)} process_name events"
+            )
+
+
 def check_ops_plane(address):
     """The PR 7 surface: reporter-backed /nodes and the /events cursor."""
     nodes = strict_loads(fetch(address, "/nodes"))
@@ -145,7 +159,9 @@ def main():
             raise SystemExit("FAIL: / did not return HTML")
 
         for path in JSON_ENDPOINTS:
-            strict_loads(fetch(server.address, path))
+            body = strict_loads(fetch(server.address, path))
+            if path in ("/trace", "/timeline_trace"):
+                check_trace(path, body)
 
         check_prometheus(fetch(server.address, "/metrics"))
         check_ops_plane(server.address)
@@ -161,8 +177,8 @@ def main():
         print(
             "dashboard smoke OK: / + %d JSON endpoints + /metrics "
             "(%d documented series verified) + ops plane "
-            "(/nodes reporter rows, /events cursor), critical path %d steps "
-            "at %.1f%% coverage"
+            "(/nodes reporter rows, /events cursor), trace lanes, critical path "
+            "%d steps at %.1f%% coverage"
             % (
                 len(JSON_ENDPOINTS),
                 len(REQUIRED_SERIES),

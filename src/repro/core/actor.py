@@ -557,14 +557,19 @@ class ActorManager:
     # Reconstruction entry point (object fetch path)
     # ------------------------------------------------------------------
 
-    def reconstruct_for_object(self, actor_id: ActorID) -> None:
-        """An actor method output was lost: replay the actor from its last
-        checkpoint (stateful-edge reconstruction)."""
-        with self._lock:
-            state = self.actors.get(actor_id)
-        if state is None or state.dead_forever:
-            return
+    def reconstruct_for_object(self, spec: TaskSpec) -> bool:
+        """Method ``spec``'s output was lost: replay the actor from its last
+        checkpoint (stateful-edge reconstruction).  An actor that died
+        permanently cannot replay, so the method fails instead; returns
+        True when it did."""
+        state = self.get_state(spec.actor_id)
+        if state is None:
+            return False
+        if state.dead_forever:
+            self._store_method_error(state, spec)
+            return True
         self.restart_actor(state, count_restart=False)
+        return False
 
     def get_state(self, actor_id: ActorID) -> Optional[ActorState]:
         with self._lock:

@@ -74,8 +74,16 @@ class ReconstructionManager:
             return
         spec = task_entry.spec
         if spec.actor_id is not None:
-            # Stateful lineage: rebuild the actor and replay its chain.
-            runtime.actors.reconstruct_for_object(spec.actor_id)
+            # Stateful lineage: rebuild the actor and replay its chain.  A
+            # permanently dead actor fails the method instead; the claim
+            # holds until that FAILED finish lands, so concurrent readers
+            # of the lost output write it once.
+            with self._lock:
+                if task_id in self._inflight:
+                    return
+                self._inflight.add(task_id)
+            if not runtime.actors.reconstruct_for_object(spec):
+                self.task_finished(task_id)
             return
         with self._lock:
             # A SCHEDULED row is in flight: should its node die, the kill's

@@ -7,11 +7,12 @@ inspect — they simply read the GCS.  These are those tools:
 * :class:`~repro.tools.inspect.ClusterInspector` — live cluster state:
   tasks by status, object-table statistics, actor liveness, node
   utilization (the "Web UI / error diagnosis" box of Figure 5).
-* :class:`~repro.tools.timeline.Timeline` — per-task execution timeline
-  from the event log, exportable to Chrome ``chrome://tracing`` format
-  (the paper's timeline visualization tool).
+* :class:`~repro.tools.timeline.Timeline` — per-task lifecycles from the
+  event log (the one reader of the task events) and their execution
+  timeline, exportable to Chrome ``chrome://tracing`` format (the paper's
+  timeline visualization tool).
 * :class:`~repro.tools.profiler.Profiler` — per-function aggregate
-  durations and counts from the same events.
+  durations and counts from Timeline's spans.
 * :class:`~repro.tools.critical_path.CriticalPath` — walks task-graph
   lineage to report the chain of task executions that bounded the job's
   wall clock, attributed to scheduling / transfer / execution phases.

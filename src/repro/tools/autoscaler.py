@@ -63,7 +63,67 @@ class AutoscalerConfig:
     interval: float = 0.25
 
 
-class Autoscaler:
+class _WatermarkPolicy:
+    """What both policies share: the streak, hysteresis and cooldown state
+    machine, the decision record and the interval thread.  A policy's
+    ``tick`` feeds :meth:`_observe` its over/under signal, acts on the
+    direction it names, and logs the action with :meth:`_record`.
+    """
+
+    def __init__(self, runtime: "Runtime", config: Any, thread_name: str):
+        self.runtime = runtime
+        self.config = config
+        self.decisions = 0
+        self._high_streak = 0
+        self._low_streak = 0
+        self._last_action_at: Optional[float] = None
+        self.ticker = Ticker(thread_name, config.interval, self.tick)
+
+    def _observe(self, over: bool, under: bool) -> Optional[str]:
+        """Count one observation; ``"up"`` or ``"down"`` once its streak
+        reaches ``hysteresis`` outside the cooldown, else None."""
+        cfg = self.config
+        self._high_streak = self._high_streak + 1 if over else 0
+        self._low_streak = self._low_streak + 1 if under and not over else 0
+        if (
+            self._last_action_at is not None
+            and time.monotonic() - self._last_action_at < cfg.cooldown_seconds
+        ):
+            return None
+        if self._high_streak >= cfg.hysteresis:
+            return "up"
+        if self._low_streak >= cfg.hysteresis:
+            return "down"
+        return None
+
+    def _record(self, decision: Dict[str, Any]) -> Dict[str, Any]:
+        """Start the cooldown, clear both streaks, and log ``decision`` as
+        an ``autoscaler_decision`` event."""
+        self._last_action_at = time.monotonic()
+        self._high_streak = 0
+        self._low_streak = 0
+        self.decisions += 1
+        self.runtime.gcs.record_event("autoscaler_decision", **decision)
+        return decision
+
+    def start(self) -> None:
+        self.ticker.start()
+
+    def stop(self) -> None:
+        """Stop the policy thread; idempotent."""
+        self.ticker.stop()
+
+
+def _restart_dead_node(runtime: "Runtime") -> Optional[str]:
+    """Rejoin one dead node (the same machine back); its hex id, or None
+    when every node is alive."""
+    for node in runtime.nodes():
+        if not node.alive:
+            return runtime.restart_node(node.node_id).node_id.hex()
+    return None
+
+
+class Autoscaler(_WatermarkPolicy):
     """Watermark policy loop over the dashboard head's aggregate load.
 
     ``add_hook`` / ``drain_hook`` default to the runtime's own node
@@ -81,16 +141,10 @@ class Autoscaler:
         add_hook: Optional[Callable[[], Optional[str]]] = None,
         drain_hook: Optional[Callable[[], Optional[str]]] = None,
     ):
-        self.runtime = runtime
-        self.config = config or AutoscalerConfig()
+        super().__init__(runtime, config or AutoscalerConfig(), "autoscaler")
         self.head = head or DashboardHead(runtime)
         self._add_hook = add_hook or self._default_add
         self._drain_hook = drain_hook or self._default_drain
-        self._high_streak = 0
-        self._low_streak = 0
-        self._last_action_at: Optional[float] = None
-        self.decisions = 0
-        self.ticker = Ticker("autoscaler", self.config.interval, self.tick)
 
     # -- policy ------------------------------------------------------------
 
@@ -102,66 +156,40 @@ class Autoscaler:
         num_live = load["num_live_nodes"]
         backlog = load["backlog_per_node"]
         store = load["store_utilization_max"]
-        over = backlog >= cfg.high_watermark or store >= cfg.store_high_watermark
-        under = backlog <= cfg.low_watermark and store < cfg.store_high_watermark
-        if over:
-            self._high_streak += 1
-            self._low_streak = 0
-        elif under:
-            self._low_streak += 1
-            self._high_streak = 0
+        direction = self._observe(
+            over=backlog >= cfg.high_watermark or store >= cfg.store_high_watermark,
+            under=backlog <= cfg.low_watermark and store < cfg.store_high_watermark,
+        )
+        if direction == "up" and num_live < cfg.max_nodes:
+            action, node_hex = "scale_up", self._add_hook()
+        elif direction == "down" and num_live > cfg.min_nodes:
+            action, node_hex = "scale_down", self._drain_hook()
         else:
-            self._high_streak = 0
-            self._low_streak = 0
-
-        now = time.monotonic()
-        if (
-            self._last_action_at is not None
-            and now - self._last_action_at < cfg.cooldown_seconds
-        ):
             return None
-
-        if self._high_streak >= cfg.hysteresis and num_live < cfg.max_nodes:
-            node_hex = self._add_hook()
-            if node_hex is None:
-                return None
-            return self._decide("scale_up", node_hex, load, now)
-        if self._low_streak >= cfg.hysteresis and num_live > cfg.min_nodes:
-            node_hex = self._drain_hook()
-            if node_hex is None:
-                return None
-            return self._decide("scale_down", node_hex, load, now)
-        return None
-
-    def _decide(
-        self, action: str, node_hex: str, load: Dict[str, Any], now: float
-    ) -> Dict[str, Any]:
-        self._last_action_at = now
-        self._high_streak = 0
-        self._low_streak = 0
-        self.decisions += 1
-        decision = {
-            "action": action,
-            "node": node_hex[:8],
-            "backlog_per_node": load["backlog_per_node"],
-            "backlog_total": load["backlog_total"],
-            "store_utilization_max": load["store_utilization_max"],
-            "num_live_nodes": load["num_live_nodes"],
-            "high_watermark": self.config.high_watermark,
-            "low_watermark": self.config.low_watermark,
-        }
-        self.runtime.gcs.record_event("autoscaler_decision", **decision)
-        return decision
+        if node_hex is None:
+            return None
+        return self._record(
+            {
+                "action": action,
+                "node": node_hex[:8],
+                "backlog_per_node": backlog,
+                "backlog_total": load["backlog_total"],
+                "store_utilization_max": store,
+                "num_live_nodes": num_live,
+                "high_watermark": cfg.high_watermark,
+                "low_watermark": cfg.low_watermark,
+            }
+        )
 
     # -- default lifecycle hooks ------------------------------------------
 
     def _default_add(self) -> Optional[str]:
         """Rejoin a dead node if one exists (same machine back), otherwise
         grow the cluster with a fresh node."""
-        for node in self.runtime.nodes():
-            if not node.alive:
-                return self.runtime.restart_node(node.node_id).node_id.hex()
-        return self.runtime.add_node().node_id.hex()
+        return (
+            _restart_dead_node(self.runtime)
+            or self.runtime.add_node().node_id.hex()
+        )
 
     def _default_drain(self) -> Optional[str]:
         """Kill the least-backlogged live node, never the driver's node."""
@@ -176,15 +204,6 @@ class Autoscaler:
         victim = min(candidates, key=lambda n: n.local_scheduler.backlog())
         self.runtime.kill_node(victim.node_id)
         return victim.node_id.hex()
-
-    # -- interval thread ---------------------------------------------------
-
-    def start(self) -> None:
-        self.ticker.start()
-
-    def stop(self) -> None:
-        """Stop the policy thread; idempotent."""
-        self.ticker.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +228,7 @@ class ReplicaAutoscalerConfig:
     interval: float = 0.25
 
 
-class ReplicaAutoscaler:
+class ReplicaAutoscaler(_WatermarkPolicy):
     """Closed loop over one deployment's GCS serve-report row.
 
     The signal chain is deliberately identical to the node autoscaler's:
@@ -229,22 +248,13 @@ class ReplicaAutoscaler:
         deployment: str,
         config: Optional[ReplicaAutoscalerConfig] = None,
     ):
-        self.runtime = runtime
         self.deployment = deployment
-        self.config = config or ReplicaAutoscalerConfig()
-        self._high_streak = 0
-        self._low_streak = 0
-        self._last_action_at: Optional[float] = None
-        self.decisions = 0
         self.replaced = 0
-        self.ticker = Ticker(
-            f"replica-autoscaler-{deployment}", self.config.interval, self.tick
+        super().__init__(
+            runtime,
+            config or ReplicaAutoscalerConfig(),
+            f"replica-autoscaler-{deployment}",
         )
-
-    def _plane(self):
-        from repro.serve.deployment import get_plane
-
-        return get_plane(self.runtime)
 
     # -- policy ------------------------------------------------------------
 
@@ -255,13 +265,15 @@ class ReplicaAutoscaler:
         row = self.runtime.gcs.get_serve_report(self.deployment)
         if not row or row.get("tombstone"):
             return None
-        plane = self._plane()
+        from repro.serve.deployment import get_plane
+
+        plane = get_plane(self.runtime)
 
         # Reconcile first: replace permanently-dead replicas in place, and
         # repair node capacity so restarting replicas can actually place.
         dead_replicas = sum(1 for r in row.get("replicas", ()) if r.get("dead"))
         if dead_replicas:
-            self._restart_dead_node()
+            _restart_dead_node(self.runtime)
             replaced = plane.replace_dead_replicas(self.deployment)
             if replaced:
                 self.replaced += replaced
@@ -270,67 +282,31 @@ class ReplicaAutoscaler:
         alive = row.get("alive_replicas") or 0
         num_replicas = row.get("num_replicas") or 0
         depth = row.get("queue_depth", 0) / max(1, alive)
-        if depth >= cfg.high_watermark:
-            self._high_streak += 1
-            self._low_streak = 0
-        elif depth <= cfg.low_watermark:
-            self._low_streak += 1
-            self._high_streak = 0
+        direction = self._observe(
+            over=depth >= cfg.high_watermark, under=depth <= cfg.low_watermark
+        )
+        if direction == "up" and num_replicas < cfg.max_replicas:
+            _restart_dead_node(self.runtime)
+            action, target = "scale_up", num_replicas + 1
+        elif direction == "down" and num_replicas > cfg.min_replicas:
+            action, target = "scale_down", num_replicas - 1
         else:
-            self._high_streak = 0
-            self._low_streak = 0
-
-        now = time.monotonic()
-        if (
-            self._last_action_at is not None
-            and now - self._last_action_at < cfg.cooldown_seconds
-        ):
             return None
+        plane.scale_to(self.deployment, target)
+        return self._decide(action, row, target=target)
 
-        if self._high_streak >= cfg.hysteresis and num_replicas < cfg.max_replicas:
-            self._restart_dead_node()
-            plane.scale_to(self.deployment, num_replicas + 1)
-            return self._decide("scale_up", row, now=now, target=num_replicas + 1)
-        if self._low_streak >= cfg.hysteresis and num_replicas > cfg.min_replicas:
-            plane.scale_to(self.deployment, num_replicas - 1)
-            return self._decide("scale_down", row, now=now, target=num_replicas - 1)
-        return None
-
-    def _restart_dead_node(self) -> Optional[str]:
-        """Capacity repair: rejoin one dead node so a blocked replica
-        placement (or the replacement about to be created) can land."""
-        for node in self.runtime.nodes():
-            if not node.alive:
-                return self.runtime.restart_node(node.node_id).node_id.hex()
-        return None
-
-    def _decide(
-        self, action: str, row: Dict[str, Any], now: Optional[float] = None, **extra: Any
-    ) -> Dict[str, Any]:
-        self._last_action_at = time.monotonic() if now is None else now
-        self._high_streak = 0
-        self._low_streak = 0
-        self.decisions += 1
-        decision = {
-            "action": action,
-            "kind": "serve_replicas",
-            "deployment": self.deployment,
-            "queue_depth": row.get("queue_depth"),
-            "alive_replicas": row.get("alive_replicas"),
-            "num_replicas": row.get("num_replicas"),
-            "p99_ms": row.get("p99_ms"),
-            "high_watermark": self.config.high_watermark,
-            "low_watermark": self.config.low_watermark,
-            **extra,
-        }
-        self.runtime.gcs.record_event("autoscaler_decision", **decision)
-        return decision
-
-    # -- interval thread ---------------------------------------------------
-
-    def start(self) -> None:
-        self.ticker.start()
-
-    def stop(self) -> None:
-        """Stop the policy thread; idempotent."""
-        self.ticker.stop()
+    def _decide(self, action: str, row: Dict[str, Any], **extra: Any) -> Dict[str, Any]:
+        return self._record(
+            {
+                "action": action,
+                "kind": "serve_replicas",
+                "deployment": self.deployment,
+                "queue_depth": row.get("queue_depth"),
+                "alive_replicas": row.get("alive_replicas"),
+                "num_replicas": row.get("num_replicas"),
+                "p99_ms": row.get("p99_ms"),
+                "high_watermark": self.config.high_watermark,
+                "low_watermark": self.config.low_watermark,
+                **extra,
+            }
+        )

@@ -15,9 +15,9 @@ and is the ops plane's read side:
   (backlog per live node, store utilization) the autoscaler's policy loop
   watches; exposing them here keeps head and autoscaler reading the same
   numbers.
-* :meth:`DashboardHead.timeline_trace` — Chrome trace export with one
-  lane per node plus instant marks for cluster events, so scale-ups and
-  node deaths are visible against the task spans that caused them.
+* :meth:`DashboardHead.timeline_trace` — :meth:`Timeline.to_chrome_trace`
+  with cluster events drawn as instant marks, so scale-ups and node
+  deaths are visible against the task spans that caused them.
 
 Everything is derived from the GCS (reporter table + event log); the only
 non-GCS input is the ``nodes_info()`` membership fallback — the paper's
@@ -26,10 +26,9 @@ Figure 5 tooling-on-the-control-store shape.
 
 from __future__ import annotations
 
-import json
-import time
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
+from repro.tools.reporter import sample_node
 from repro.tools.timeline import Timeline
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,12 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["DashboardHead"]
 
 # Event categories rendered as instant marks in the node-lane trace.
-_TRACE_INSTANT_CATEGORIES = (
-    "node_death",
-    "node_restart",
-    "autoscaler_decision",
-    "fault_injected",
-)
+_TRACE_INSTANT_CATEGORIES = [
+    "node_death", "node_restart", "autoscaler_decision", "fault_injected"
+]
 
 
 class DashboardHead:
@@ -103,43 +99,30 @@ class DashboardHead:
     # -- aggregate load (shared with the autoscaler) -----------------------
 
     def cluster_load(self) -> Dict[str, Any]:
-        """Aggregate pressure signals from the reporter rows.
-
-        Falls back to sampling the runtime directly when no reporter rows
-        exist yet, so the autoscaler still closes its loop with reporters
+        """Aggregate pressure signals over one row list: the live reporter
+        rows, or rows sampled from the runtime directly when there are
+        none yet, so the autoscaler still closes its loop with reporters
         disabled.  ``backlog_per_node`` is the primary scale signal:
         placed-but-unfinished tasks averaged over live nodes.
         """
-        reports = self.runtime.gcs.node_reports()
-        live = [r for r in reports.values() if r.get("alive")]
-        if live:
-            backlog = sum(r.get("backlog", 0) for r in live)
-            queued = sum(r.get("queue_length", 0) for r in live)
-            utilizations = [r.get("store_utilization", 0.0) for r in live]
-            inflight = sum(r.get("transfers_inflight", 0) for r in live)
-            num_live = len(live)
-            source = "reporters"
-        else:
-            from repro.tools.reporter import sample_node
-
-            rows = [
-                sample_node(self.runtime, node)
-                for node in self.runtime.live_nodes()
-            ]
-            backlog = sum(r["backlog"] for r in rows)
-            queued = sum(r["queue_length"] for r in rows)
-            utilizations = [r["store_utilization"] for r in rows]
-            inflight = sum(r["transfers_inflight"] for r in rows)
-            num_live = len(rows)
+        rows = [
+            r for r in self.runtime.gcs.node_reports().values() if r.get("alive")
+        ]
+        source = "reporters"
+        if not rows:
+            rows = [sample_node(self.runtime, n) for n in self.runtime.live_nodes()]
             source = "runtime"
+        backlog = sum(r.get("backlog", 0) for r in rows)
         return {
             "source": source,
-            "num_live_nodes": num_live,
+            "num_live_nodes": len(rows),
             "backlog_total": backlog,
-            "backlog_per_node": backlog / num_live if num_live else 0.0,
-            "queue_total": queued,
-            "store_utilization_max": max(utilizations) if utilizations else 0.0,
-            "transfers_inflight": inflight,
+            "backlog_per_node": backlog / len(rows) if rows else 0.0,
+            "queue_total": sum(r.get("queue_length", 0) for r in rows),
+            "store_utilization_max": max(
+                (r.get("store_utilization", 0.0) for r in rows), default=0.0
+            ),
+            "transfers_inflight": sum(r.get("transfers_inflight", 0) for r in rows),
         }
 
     # -- the serve plane ---------------------------------------------------
@@ -205,56 +188,9 @@ class DashboardHead:
     # -- Chrome trace with cluster-event marks -----------------------------
 
     def timeline_trace(self) -> str:
-        """Node-lane Chrome trace plus instant marks for cluster events.
-
-        Task spans carry ``perf_counter`` timestamps while event records
-        carry wall-clock ``ts``; the export bridges them with the current
-        offset between the two clocks (both advance in real time, so the
-        offset is stable within a process).
-        """
-        timeline = Timeline(self.runtime)
-        spans = timeline.spans()
-        trace = json.loads(timeline.to_chrome_trace())
-        events = trace["traceEvents"]
-        node_pids = {
-            e["args"]["name"][len("node-"):]: e["pid"]
-            for e in events
-            if e.get("ph") == "M" and e.get("name") == "process_name"
-        }
-        epoch = min((s.start for s in spans), default=time.perf_counter())
-        wall_to_pc = time.perf_counter() - time.time()
-        marks_pid = max(node_pids.values(), default=0) + 1
-        wrote_marks = False
-        records, _cursor = self.runtime.landed_gcs().events_since(0)
-        for rec in records:
-            if rec.category not in _TRACE_INSTANT_CATEGORIES or not rec.ts:
-                continue
-            payload = rec.as_dict()
-            node = str(payload.get("node", ""))
-            pid = next(
-                (p for h, p in node_pids.items() if node and h.startswith(node)),
-                marks_pid,
-            )
-            wrote_marks = wrote_marks or pid == marks_pid
-            events.append(
-                {
-                    "name": rec.category,
-                    "cat": "cluster",
-                    "ph": "i",
-                    "s": "g",
-                    "ts": max(0.0, (rec.ts + wall_to_pc - epoch)) * 1e6,
-                    "pid": pid,
-                    "tid": 0,
-                    "args": payload,
-                }
-            )
-        if wrote_marks:
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": marks_pid,
-                    "args": {"name": "cluster-events"},
-                }
-            )
-        return json.dumps(trace)
+        """Node-lane Chrome trace with the node deaths, restarts,
+        autoscaler decisions and injected faults drawn as instant marks."""
+        records, _cursor = self.runtime.landed_gcs().events_since(
+            categories=_TRACE_INSTANT_CATEGORIES
+        )
+        return Timeline(self.runtime).to_chrome_trace(records)

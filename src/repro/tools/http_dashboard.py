@@ -53,16 +53,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.runtime import Runtime
 
 
+_PROFILE_KEYS = (
+    "calls", "total_seconds", "mean_seconds", "min_seconds", "max_seconds", "failures"
+)
+
+
 def _profile(runtime: "Runtime") -> Dict[str, Dict[str, Any]]:
     return {
-        name: {
-            "calls": p.calls,
-            "total_seconds": p.total_seconds,
-            "mean_seconds": p.mean_seconds,
-            "min_seconds": p.min_seconds,
-            "max_seconds": p.max_seconds,
-            "failures": p.failures,
-        }
+        name: {key: getattr(p, key) for key in _PROFILE_KEYS}
         for name, p in Profiler(runtime).profiles().items()
     }
 

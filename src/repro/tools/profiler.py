@@ -6,6 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List
 
+from repro.tools.timeline import Timeline
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.runtime import Runtime
 
@@ -35,20 +37,17 @@ class FunctionProfile:
 
 
 class Profiler:
-    """Aggregates ``task_finished`` events by function name."""
+    """Aggregates :class:`~repro.tools.timeline.Timeline` spans by
+    function name."""
 
     def __init__(self, runtime: "Runtime"):
         self.runtime = runtime
 
     def profiles(self) -> Dict[str, FunctionProfile]:
         out: Dict[str, FunctionProfile] = {}
-        for record in self.runtime.landed_gcs().events("task_finished"):
-            payload = record.as_dict()
-            name = payload.get("name", "?")
-            profile = out.setdefault(name, FunctionProfile(name))
-            profile.add(
-                payload.get("duration", 0.0), payload.get("status") == "failed"
-            )
+        for span in Timeline(self.runtime).spans():
+            profile = out.setdefault(span.name, FunctionProfile(span.name))
+            profile.add(span.duration, span.status == "failed")
         return out
 
     def top_by_total_time(self, limit: int = 10) -> List[FunctionProfile]:

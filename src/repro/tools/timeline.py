@@ -1,25 +1,39 @@
 """Task execution timeline from the GCS event log.
 
 The paper's timeline visualization tool uses the GCS event log as its
-backend (Section 7).  :class:`Timeline` reconstructs per-node execution
-spans from ``task_finished`` events and exports them as Chrome trace JSON
-(loadable in ``chrome://tracing`` / Perfetto) or as an ASCII lane chart.
-
-With lifecycle tracing enabled (the default), the log also carries
-``task_submitted`` / ``task_scheduled`` / ``task_inputs_ready`` events;
-:meth:`Timeline.lifecycles` stitches all four into causal per-task
-breakdowns (submit → schedule → fetch → execute) — the per-task overhead
-decomposition that :mod:`repro.tools.critical_path` builds on.
+backend (Section 7).  :meth:`Timeline.lifecycles` is this package's one
+reader of the task events: it stitches ``task_submitted`` /
+``task_scheduled`` / ``task_inputs_ready`` / ``task_finished`` into one
+causal record per task execution (submit → schedule → fetch → execute).
+Every other view renders those records: :meth:`Timeline.spans` (the
+executions that started), exported as Chrome trace JSON (loadable in
+``chrome://tracing`` / Perfetto) or as an ASCII lane chart, the
+per-function :mod:`repro.tools.profiler`, and
+:mod:`repro.tools.critical_path`.  With ``trace_events_enabled=False``
+only ``task_finished`` is recorded, and a lifecycle carries the execution
+alone.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+import time
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.runtime import Runtime
+    from repro.gcs.tables import EventRecord
+
+# The task-event categories, in lifecycle order.
+_TASK_EVENTS = (
+    "task_submitted", "task_scheduled", "task_inputs_ready", "task_finished"
+)
+
+
+def _nth(entries: List[Dict[str, Any]], i: int, key: str) -> Any:
+    """``key`` of the ``i``-th entry, or None past the end."""
+    return entries[i].get(key) if i < len(entries) else None
 
 
 @dataclass(frozen=True)
@@ -84,16 +98,7 @@ class TaskLifecycle:
 
     def as_dict(self) -> Dict[str, object]:
         return {
-            "task": self.task,
-            "name": self.name,
-            "node": self.node,
-            "kind": self.kind,
-            "status": self.status,
-            "submitted": self.submitted,
-            "scheduled": self.scheduled,
-            "inputs_ready": self.inputs_ready,
-            "started": self.started,
-            "finished": self.finished,
+            **asdict(self),
             "scheduling_seconds": self.scheduling_seconds,
             "fetch_seconds": self.fetch_seconds,
             "execution_seconds": self.execution_seconds,
@@ -101,33 +106,16 @@ class TaskLifecycle:
 
 
 class Timeline:
-    """Execution spans harvested from the GCS event log."""
+    """Per-task lifecycles from the GCS event log, and their renders."""
 
     def __init__(self, runtime: "Runtime"):
         self.runtime = runtime
 
-    def spans(self) -> List[TimelineSpan]:
-        out = []
-        for record in self.runtime.landed_gcs().events("task_finished"):
-            payload = record.as_dict()
-            if "start" not in payload:
-                continue
-            out.append(
-                TimelineSpan(
-                    name=payload.get("name", "?"),
-                    task=payload.get("task", "?"),
-                    node=payload.get("node", "?"),
-                    start=payload["start"],
-                    duration=payload.get("duration", 0.0),
-                    kind=payload.get("kind", "task"),
-                    status=payload.get("status", "finished"),
-                )
-            )
-        return sorted(out, key=lambda s: s.start)
-
     def lifecycles(self) -> List[TaskLifecycle]:
         """Stitch lifecycle events into one record per task *execution*.
 
+        The one reader of the four task-event categories: spans, profiles,
+        the critical path and both Chrome trace exports render its result.
         Events of each category are grouped by task and sorted by
         timestamp, then paired up by occurrence index: a reconstructed
         task that ran twice yields two lifecycles, the second pairing the
@@ -136,70 +124,67 @@ class Timeline:
         executions carry ``submitted=None``.
         """
         gcs = self.runtime.landed_gcs()
-
-        def by_task(category: str) -> Dict[str, List[Dict[str, object]]]:
-            grouped: Dict[str, List[Dict[str, object]]] = {}
+        by_task: Dict[str, Dict[str, List[Dict[str, Any]]]] = {}
+        for category in _TASK_EVENTS:
             for record in gcs.events(category):
                 payload = record.as_dict()
                 task = payload.get("task")
                 if task is not None:
-                    grouped.setdefault(str(task), []).append(payload)
-            for entries in grouped.values():
-                entries.sort(key=lambda p: p.get("t", p.get("start", 0.0)))
-            return grouped
-
-        submitted = by_task("task_submitted")
-        scheduled = by_task("task_scheduled")
-        ready = by_task("task_inputs_ready")
-        finished = by_task("task_finished")
+                    by_task.setdefault(str(task), {}).setdefault(
+                        category, []
+                    ).append(payload)
 
         out: List[TaskLifecycle] = []
-        tasks = set(submitted) | set(scheduled) | set(ready) | set(finished)
-        for task in tasks:
-            fins = finished.get(task, [])
-            runs = max(
-                len(fins),
-                len(scheduled.get(task, [])),
-                len(ready.get(task, [])),
-                len(submitted.get(task, [])),
-            )
-            for i in range(runs):
-                sub = submitted.get(task, [])
-                sch = scheduled.get(task, [])
-                rdy = ready.get(task, [])
+        for task, grouped in by_task.items():
+            for entries in grouped.values():
+                entries.sort(key=lambda p: p.get("t", p.get("start", 0.0)))
+            sub, sch, rdy, fins = (grouped.get(c, []) for c in _TASK_EVENTS)
+            for i in range(max(map(len, grouped.values()))):
                 fin = fins[i] if i < len(fins) else {}
-                start = fin.get("start")
-                duration = fin.get("duration")
-                finish = (
-                    start + duration
-                    if isinstance(start, float) and isinstance(duration, float)
-                    else None
-                )
+                start, duration = fin.get("start"), fin.get("duration")
+                started = start if isinstance(start, float) else None
                 out.append(
                     TaskLifecycle(
                         task=task,
                         name=str(
                             fin.get("name")
-                            or (sch[i].get("name") if i < len(sch) else None)
-                            or (sub[i].get("name") if i < len(sub) else None)
+                            or _nth(sch, i, "name")
+                            or _nth(sub, i, "name")
                             or "?"
                         ),
-                        node=str(
-                            fin.get("node")
-                            or (sch[i].get("node") if i < len(sch) else None)
-                            or "?"
-                        ),
+                        node=str(fin.get("node") or _nth(sch, i, "node") or "?"),
                         kind=str(fin.get("kind", "task")),
                         status=str(fin.get("status", "pending")),
-                        submitted=sub[i].get("t") if i < len(sub) else None,
-                        scheduled=sch[i].get("t") if i < len(sch) else None,
-                        inputs_ready=rdy[i].get("t") if i < len(rdy) else None,
-                        started=start if isinstance(start, float) else None,
-                        finished=finish,
+                        submitted=_nth(sub, i, "t"),
+                        scheduled=_nth(sch, i, "t"),
+                        inputs_ready=_nth(rdy, i, "t"),
+                        started=started,
+                        finished=(
+                            started + duration
+                            if started is not None and isinstance(duration, float)
+                            else None
+                        ),
                     )
                 )
         out.sort(key=lambda lc: (lc.submitted or lc.scheduled or lc.started or 0.0))
         return out
+
+    def spans(self) -> List[TimelineSpan]:
+        """One span per execution that started, in start order."""
+        spans = [
+            TimelineSpan(
+                name=lc.name,
+                task=lc.task,
+                node=lc.node,
+                start=lc.started,
+                duration=lc.execution_seconds,
+                kind=lc.kind,
+                status=lc.status,
+            )
+            for lc in self.lifecycles()
+            if lc.started is not None
+        ]
+        return sorted(spans, key=lambda s: s.start)
 
     def span_count(self) -> int:
         return len(self.spans())
@@ -212,38 +197,56 @@ class Timeline:
 
     # -- Chrome trace export -------------------------------------------------
 
-    def to_chrome_trace(self) -> str:
+    def to_chrome_trace(self, marks: Sequence["EventRecord"] = ()) -> str:
         """Chrome ``trace_event`` JSON: one lane per node, one X event per
-        task, microsecond timestamps relative to the first span."""
+        task, microsecond timestamps relative to the first span.
+
+        ``marks`` are GCS event records drawn as instant events on their
+        node's lane, or on a ``cluster-events`` lane when their node ran no
+        span.  Spans carry ``perf_counter`` times and records wall-clock
+        ``ts``; the current offset between the two clocks bridges them
+        (both advance in real time, so it is stable within a process).
+        """
         spans = self.spans()
-        if not spans:
-            return json.dumps({"traceEvents": []})
-        epoch = min(s.start for s in spans)
-        events = []
-        node_pids: Dict[str, int] = {}
-        for span in spans:
-            pid = node_pids.setdefault(span.node, len(node_pids) + 1)
+        epoch = min((s.start for s in spans), default=time.perf_counter())
+        lanes: Dict[str, int] = {}
+        events: List[Dict[str, Any]] = [
+            {
+                "name": span.name,
+                "cat": span.kind,
+                "ph": "X",
+                "ts": (span.start - epoch) * 1e6,
+                "dur": span.duration * 1e6,
+                "pid": lanes.setdefault(f"node-{span.node}", len(lanes) + 1),
+                "tid": 1,
+                "args": {"task": span.task, "status": span.status},
+            }
+            for span in spans
+        ]
+        wall_to_pc = time.perf_counter() - time.time()
+        for record in marks:
+            if not record.ts:
+                continue
+            payload = record.as_dict()
+            pid = lanes.get(f"node-{payload.get('node')}") or lanes.setdefault(
+                "cluster-events", len(lanes) + 1
+            )
             events.append(
                 {
-                    "name": span.name,
-                    "cat": span.kind,
-                    "ph": "X",
-                    "ts": (span.start - epoch) * 1e6,
-                    "dur": span.duration * 1e6,
+                    "name": record.category,
+                    "cat": "cluster",
+                    "ph": "i",
+                    "s": "g",
+                    "ts": max(0.0, record.ts + wall_to_pc - epoch) * 1e6,
                     "pid": pid,
-                    "tid": 1,
-                    "args": {"task": span.task, "status": span.status},
+                    "tid": 0,
+                    "args": payload,
                 }
             )
-        for node, pid in node_pids.items():
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "args": {"name": f"node-{node}"},
-                }
-            )
+        events.extend(
+            {"name": "process_name", "ph": "M", "pid": pid, "args": {"name": lane}}
+            for lane, pid in lanes.items()
+        )
         return json.dumps({"traceEvents": events})
 
     def save_chrome_trace(self, path: str) -> None:

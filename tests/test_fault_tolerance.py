@@ -10,7 +10,11 @@ import time
 import pytest
 
 import repro
-from repro.common.errors import ObjectLostError, ResourceRequestError
+from repro.common.errors import (
+    ActorDiedError,
+    ObjectLostError,
+    ResourceRequestError,
+)
 from repro.gcs.tables import TaskStatus
 from tests.invariants import assert_no_row_scheduled_on_a_dead_node
 
@@ -229,6 +233,29 @@ class TestActorReconstruction:
         repro.kill(actor, restart=True)  # exceeds max_restarts=0
         with pytest.raises(repro.TaskExecutionError):
             repro.get(actor.add.remote(1), timeout=20)
+
+    def test_lost_output_of_a_dead_actor_fails_at_once(self):
+        """A method output lost with an actor that can never restart fails
+        its readers at once, with one FAILED finish however many ask."""
+        runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
+        far = runtime.add_node({"CPU": 2.0, "far": 1.0})
+        actor = Accumulator.options(max_restarts=0, resources={"far": 1}).remote()
+        ref = actor.add.remote(1)
+        repro.wait([ref])
+        runtime.flush_finishes()
+        runtime.kill_node(far.node_id)
+        for _reader in range(2):
+            with pytest.raises(repro.TaskExecutionError) as info:
+                repro.get(ref, timeout=10)
+            assert isinstance(info.value.cause, ActorDiedError)
+        task = runtime.graph.producer_of(ref.object_id).short()
+        failed = [
+            record
+            for record in runtime.landed_gcs().events("task_finished")
+            if record.as_dict()["task"] == task
+            and record.as_dict()["status"] == TaskStatus.FAILED.value
+        ]
+        assert len(failed) == 1
 
 
 class TestClusterElasticity:

@@ -6,7 +6,7 @@ import time
 import pytest
 
 import repro
-from repro.tools import ClusterInspector, Profiler, Timeline
+from repro.tools import ClusterInspector, DashboardHead, Profiler, Timeline
 
 
 @repro.remote
@@ -117,6 +117,54 @@ class TestTimeline:
             repro.get(fail.remote())
         spans = Timeline(runtime).spans()
         assert [s.status for s in spans] == ["failed"]
+
+
+@repro.remote(resources={"far": 1})
+def far_work(ms):
+    time.sleep(ms / 1000.0)
+    return ms
+
+
+def lanes_of(trace):
+    """pid -> lane name, asserting every drawn pid has exactly one
+    ``process_name`` event."""
+    names = {}
+    for event in trace:
+        if event["ph"] == "M" and event["name"] == "process_name":
+            names.setdefault(event["pid"], []).append(event["args"]["name"])
+    assert all(len(lane) == 1 for lane in names.values()), names
+    drawn = {e["pid"] for e in trace if e["ph"] in ("X", "i")}
+    assert drawn <= set(names), (drawn, names)
+    return {pid: lane[0] for pid, lane in names.items()}
+
+
+class TestTimelineTraceMarks:
+    """``DashboardHead.timeline_trace`` draws cluster events as instant
+    marks against the task spans."""
+
+    def _death_lanes(self, runtime):
+        trace = json.loads(DashboardHead(runtime).timeline_trace())["traceEvents"]
+        lanes = lanes_of(trace)
+        deaths = [e for e in trace if e["ph"] == "i" and e["name"] == "node_death"]
+        return [lanes[e["pid"]] for e in deaths], set(lanes.values())
+
+    def test_death_of_a_node_that_ran_spans_lands_on_its_lane(self):
+        runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
+        far = runtime.add_node({"CPU": 2, "far": 1})
+        repro.get([work.remote(1), far_work.remote(1)])
+        runtime.kill_node(far.node_id)
+        deaths, lanes = self._death_lanes(runtime)
+        assert deaths == [f"node-{far.node_id.short()}"]
+        assert "cluster-events" not in lanes
+
+    def test_death_of_an_idle_node_lands_on_the_cluster_lane(self):
+        runtime = repro.init(num_nodes=1, num_cpus_per_node=2)
+        repro.get(work.remote(1))
+        far = runtime.add_node({"CPU": 2, "far": 1})
+        runtime.kill_node(far.node_id)
+        deaths, lanes = self._death_lanes(runtime)
+        assert deaths == ["cluster-events"]
+        assert f"node-{far.node_id.short()}" not in lanes
 
 
 @repro.remote
